@@ -5,11 +5,13 @@ package cluster
 // the hard rejection of records from a newer schema version.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/jobs"
@@ -190,5 +192,54 @@ func TestRangeWALRejectsForeignRange(t *testing.T) {
 
 	if _, err := replayRangeWAL(path, 2); err == nil {
 		t.Fatal("out-of-partition record replayed without error")
+	}
+}
+
+// TestRangeWALFixtureReplay pins the on-disk range log format. The
+// committed fixture holds the three ranges of corpus:planted-a (k=2, q=6,
+// top 5) in completion order 2, 0, 1, written by RunRange. It must replay
+// and merge to the single-node reference, and appending its records to a
+// fresh log must reproduce the file byte for byte.
+func TestRangeWALFixtureReplay(t *testing.T) {
+	path := filepath.Join("testdata", rangeWALName)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := replayRangeWAL(path, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.truncated || rep.lastSeq != 3 || len(rep.aggs) != 3 {
+		t.Fatalf("fixture replay truncated=%v lastSeq=%d ranges=%d", rep.truncated, rep.lastSeq, len(rep.aggs))
+	}
+	merged := jobs.NewAggregate(5)
+	for rid := 0; rid < 3; rid++ {
+		merged.Merge(rep.aggs[rid])
+	}
+	assertSameResultSet(t, merged, refAggregate(t, "corpus:planted-a", 2, 6, 5))
+
+	out := filepath.Join(t.TempDir(), rangeWALName)
+	w, err := openRangeWAL(out, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(strings.TrimSuffix(string(want), "\n"), "\n") {
+		_, payload, _ := strings.Cut(line, " ")
+		var rec rangeRecord
+		if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-appended log differs from the fixture:\n got %q\nwant %q", got, want)
 	}
 }

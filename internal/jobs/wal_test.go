@@ -7,11 +7,16 @@ package jobs
 // unversioned records must keep replaying.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/kplex"
 )
 
 // sealedAgg builds a small sealed aggregate for hand-written records.
@@ -141,5 +146,88 @@ func TestWALVersionRoundTrip(t *testing.T) {
 	}
 	if rep.truncated || rep.lastSeq != 3 || len(rep.doneSeeds) != 3 {
 		t.Fatalf("replay = truncated=%v lastSeq=%d seeds=%v", rep.truncated, rep.lastSeq, rep.doneSeeds)
+	}
+}
+
+// TestWALFixtureReplay pins the on-disk job log format. The committed
+// fixtures were written by real jobs on corpus:planted-a — a single query
+// (testdata/wal.ndjson, the "agg" layout) and the three-item batch sweep
+// (testdata/wal_batch.ndjson, the "items" layout). Each must replay to the
+// engine's reference aggregates over the whole seed space, and appending
+// its records to a fresh log must reproduce the file byte for byte.
+func TestWALFixtureReplay(t *testing.T) {
+	for _, fx := range []struct {
+		file string
+		spec Spec
+	}{
+		{"wal.ndjson", Spec{Graph: "corpus:planted-a", K: 2, Q: 6, TopN: 5}},
+		{"wal_batch.ndjson", Spec{Graph: "corpus:planted-a", Items: batchSpecCells}},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			path := filepath.Join("testdata", fx.file)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := replayWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.truncated || rep.validBytes != int64(len(want)) {
+				t.Fatalf("fixture replay truncated=%v validBytes=%d of %d", rep.truncated, rep.validBytes, len(want))
+			}
+
+			items, groups, err := fx.spec.queries(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, _, err := testLoader(fx.spec.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, grp := range groups {
+				n, err := kplex.SeedSpace(g, grp.Cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += n
+			}
+			if len(rep.doneSeeds) != total {
+				t.Fatalf("fixture covers %d seeds, want the whole %d-seed space", len(rep.doneSeeds), total)
+			}
+			if len(rep.aggs) != len(items) {
+				t.Fatalf("fixture replays %d aggregates, want %d", len(rep.aggs), len(items))
+			}
+			for i, it := range items {
+				a := rep.aggs[i]
+				got := ItemResult{K: it.K, Q: it.Q, Count: a.Count, MaxSize: a.MaxSize, TopK: a.TopK, Histogram: a.Histogram, PlexDigest: a.PlexDigest()}
+				assertItemMatches(t, &got, refAggregate(t, fx.spec.Graph, it.K, it.Q, it.TopN))
+			}
+
+			out := filepath.Join(t.TempDir(), walName)
+			w, err := openWAL(out, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.SplitAfter(strings.TrimSuffix(string(want), "\n"), "\n") {
+				_, payload, _ := strings.Cut(line, " ")
+				var rec walRecord
+				if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.append(&rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("re-appended log differs from the fixture:\n got %q\nwant %q", got, want)
+			}
+		})
 	}
 }
