@@ -104,7 +104,7 @@ func (c *Config) JobsBench(jsonPath string) error {
 		baseOpts := kplex.NewOptions(k, q)
 		baseOpts.Threads = threads
 		if threads > 1 {
-			baseOpts.TaskTimeout = 2 * time.Millisecond
+			baseOpts.TaskTimeout = kplex.DefaultTaskTimeout
 		}
 		seeds, err := kplex.SeedSpace(g, baseOpts)
 		if err != nil {
@@ -114,7 +114,7 @@ func (c *Config) JobsBench(jsonPath string) error {
 
 		// Baseline: identical aggregates, no durability.
 		baselineRep := func() error {
-			agg := jobs.NewAggregate(10)
+			agg := kplex.NewAggregate(10)
 			var mu sync.Mutex
 			opts := baseOpts
 			opts.OnPlex = func(p []int) {

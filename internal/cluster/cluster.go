@@ -3,9 +3,9 @@
 // deterministic seed id space (kplex.SeedSpace): a coordinator partitions
 // a job's seed space into ranges, leases each range to a worker kplexd,
 // and merges the per-range aggregates (count, top-k, size histogram,
-// XOR-of-SHA-256 plex digest) through the jobs layer's mergeable
-// Aggregate. Because the seed decomposition depends only on the graph
-// content and the result-defining options, and because aggregate merging
+// XOR-of-SHA-256 plex digest) through kplex's mergeable Aggregate.
+// Because the seed decomposition depends only on the graph content and
+// the result-defining options, and because aggregate merging
 // is associative and commutative over disjoint plex sets, the merged
 // result is identical — count, top-k, histogram and digest — to a
 // single-node run, no matter how the ranges were partitioned, which
@@ -16,7 +16,7 @@
 // copy (the digest-verification handshake), resolves the run prologue
 // from its prepared-graph cache, enumerates exactly the leased range by
 // running with the complement of the range as Options.SkipSeeds, and
-// streams progress plus a final sealed Aggregate back as NDJSON.
+// streams progress plus the range's final Aggregate back as NDJSON.
 //
 // Failure semantics mirror the engine's intra-process work stealing one
 // level up: a lease that stops reporting progress for LeaseTimeout is
@@ -33,7 +33,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/jobs"
@@ -145,11 +144,11 @@ type RangeRequest struct {
 // lines carry SeedsDone only; the final line carries Done plus the sealed
 // aggregate (or Error).
 type RangeLine struct {
-	SeedsDone int             `json:"seedsDone"`
-	Done      bool            `json:"done,omitempty"`
-	Agg       *jobs.Aggregate `json:"agg,omitempty"`
-	ElapsedMS float64         `json:"elapsedMs,omitempty"`
-	Error     string          `json:"error,omitempty"`
+	SeedsDone int              `json:"seedsDone"`
+	Done      bool             `json:"done,omitempty"`
+	Agg       *kplex.Aggregate `json:"agg,omitempty"`
+	ElapsedMS float64          `json:"elapsedMs,omitempty"`
+	Error     string           `json:"error,omitempty"`
 	// Spans is the worker's share of a propagated trace (admission,
 	// prepare, enumerate), shipped with the Done line so the coordinator
 	// can stitch one distributed trace. Empty when the request carried no
@@ -159,12 +158,12 @@ type RangeLine struct {
 
 // RunRange executes one leased range against a prepared handle: it
 // enumerates exactly the seeds in [req.Lo, req.Hi) by skipping the
-// complement, folds every delivered plex into a fresh aggregate, and
-// reports per-seed completion through onSeed (monotonic count of range
-// seeds finished). It is the worker-side core of POST /cluster/run,
+// complement, collects every delivered plex into the range's aggregate,
+// and reports per-seed completion through onSeed (monotonic count of
+// range seeds finished). It is the worker-side core of POST /cluster/run,
 // shared with in-process tests. opts must be the validated execution
 // options of the (K, Q) cell the handle was prepared for.
-func RunRange(ctx context.Context, p *kplex.Prepared, opts kplex.Options, req *RangeRequest, onSeed func(done int)) (*jobs.Aggregate, kplex.Result, error) {
+func RunRange(ctx context.Context, p *kplex.Prepared, opts kplex.Options, req *RangeRequest, onSeed func(done int)) (*kplex.Aggregate, kplex.Result, error) {
 	total := p.SeedSpace()
 	if total != req.TotalSeeds {
 		return nil, kplex.Result{}, fmt.Errorf("cluster: seed space disagrees: coordinator partitioned %d seeds, this worker's prologue has %d (graph content or binary version skew)", req.TotalSeeds, total)
@@ -178,38 +177,25 @@ func RunRange(ctx context.Context, p *kplex.Prepared, opts kplex.Options, req *R
 			skip.Add(s)
 		}
 	}
-
-	// One aggregate guarded by one mutex: engine workers deliver plexes
-	// concurrently, and unlike the jobs layer there is no intra-range
-	// checkpoint, so per-seed buffering would buy nothing — the range is
-	// all-or-nothing. Insertion order does not matter: count, histogram
-	// and the XOR digest are commutative, and the bounded top-k list is a
-	// selection under a strict total order over distinct plexes.
-	var mu sync.Mutex
-	agg := jobs.NewAggregate(req.TopN)
-	done := 0
 	opts.SkipSeeds = skip
-	opts.OnPlex = func(plex []int) {
-		mu.Lock()
-		agg.AddPlex(plex)
-		mu.Unlock()
-	}
-	opts.OnSeedDone = func(seed int, partial kplex.Stats) {
-		mu.Lock()
-		done++
-		n := done
-		mu.Unlock()
+
+	// The collector spans only the range: seed s is its seed s-Lo.
+	n := req.Hi - req.Lo
+	col := kplex.NewSeedCollector(n, []kplex.CollectMember{{TopN: req.TopN}}, func(_ int, _ int64, _ []*kplex.Aggregate, done *kplex.SeedSet) {
 		if onSeed != nil {
-			onSeed(n)
+			onSeed(done.Len())
 		}
-	}
+	})
+	col.Install(&opts, -req.Lo)
 	res, err := kplex.RunPrepared(ctx, p, opts)
 	if err != nil {
 		return nil, res, err
 	}
-	if done != req.Hi-req.Lo {
-		return nil, res, fmt.Errorf("cluster: internal accounting error: %d of %d range seeds reported done", done, req.Hi-req.Lo)
+	aggs, done := col.Snapshot()
+	if done.Len() != n {
+		return nil, res, fmt.Errorf("cluster: internal accounting error: %d of %d range seeds reported done", done.Len(), n)
 	}
+	agg := aggs[0]
 	agg.Stats = res.Stats
 	return agg, res, nil
 }
@@ -241,15 +227,6 @@ func partition(total, n int) []Range {
 	return out
 }
 
-// validScheduler mirrors the jobs layer's accepted scheduler names.
-func validScheduler(s string) bool {
-	switch s {
-	case "", "stages", "global-queue", "steal":
-		return true
-	}
-	return false
-}
-
 // BuildOptions translates a range request into the engine options a
 // worker runs it with, defaultThreads filling an unset thread count. The
 // worker-side host (the kplexd handler) uses it so request → options
@@ -260,18 +237,13 @@ func BuildOptions(req *RangeRequest, defaultThreads int) (kplex.Options, error) 
 	if o.Threads <= 0 {
 		o.Threads = defaultThreads
 	}
-	switch req.Scheduler {
-	case "", "stages":
-		o.Scheduler = kplex.SchedulerStages
-	case "global-queue":
-		o.Scheduler = kplex.SchedulerGlobalQueue
-	case "steal":
-		o.Scheduler = kplex.SchedulerSteal
-	default:
-		return kplex.Options{}, fmt.Errorf("cluster: unknown scheduler %q", req.Scheduler)
+	sched, err := kplex.ParseScheduler(req.Scheduler)
+	if err != nil {
+		return kplex.Options{}, fmt.Errorf("cluster: %w", err)
 	}
+	o.Scheduler = sched
 	if o.Threads > 1 {
-		o.TaskTimeout = 2 * time.Millisecond
+		o.TaskTimeout = kplex.DefaultTaskTimeout
 	}
 	return o, nil
 }

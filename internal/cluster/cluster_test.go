@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/jobs"
 	"repro/internal/kplex"
 )
 
@@ -31,14 +30,14 @@ func testLoader(name string) (graph.CSR, string, func(), error) {
 
 // refAggregate computes the uninterrupted single-node ground truth for a
 // cell through the same Aggregate arithmetic the merge uses.
-func refAggregate(t *testing.T, graphName string, k, q, topn int) *jobs.Aggregate {
+func refAggregate(t *testing.T, graphName string, k, q, topn int) *kplex.Aggregate {
 	t.Helper()
 	g, _, release, err := testLoader(graphName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	agg := jobs.NewAggregate(topn)
+	agg := kplex.NewAggregate(topn)
 	opts := kplex.NewOptions(k, q)
 	opts.OnPlex = func(p []int) { agg.AddPlex(p) }
 	res, err := kplex.Run(context.Background(), g, opts)
@@ -51,7 +50,7 @@ func refAggregate(t *testing.T, graphName string, k, q, topn int) *jobs.Aggregat
 
 // assertSameResultSet pins got to the reference bit for bit: count,
 // max size, histogram, top-k and the order-independent plex digest.
-func assertSameResultSet(t *testing.T, got, ref *jobs.Aggregate) {
+func assertSameResultSet(t *testing.T, got, ref *kplex.Aggregate) {
 	t.Helper()
 	if got.Count != ref.Count {
 		t.Errorf("count = %d, want %d", got.Count, ref.Count)
@@ -177,7 +176,7 @@ func TestRunRangeMergesToFullRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := p.SeedSpace()
-			merged := jobs.NewAggregate(topn)
+			merged := kplex.NewAggregate(topn)
 			for _, r := range partition(total, nRanges) {
 				req := &RangeRequest{
 					Graph: graphName, Digest: digest, TotalSeeds: total,

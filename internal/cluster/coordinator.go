@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -247,7 +246,7 @@ func (c *Coordinator) recover() error {
 			j.man.State = jobs.StateQueued
 			j.man.Error = ""
 			j.man.Resumes++
-			if err := writeManifest(j.dir, &j.man); err != nil {
+			if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 				c.cfg.Logf("cluster: %s: persisting requeue: %v", j.man.ID, err)
 			}
 			j.progress = Progress{State: jobs.StateQueued, RangesDone: man.RangesDone, RangesTotal: len(man.Ranges), TotalSeeds: man.TotalSeeds}
@@ -412,8 +411,8 @@ func (c *Coordinator) Submit(spec Spec) (*Manifest, error) {
 	if spec.Threads < 0 || spec.Threads > 256 {
 		return nil, fmt.Errorf("cluster: threads must be in [0, 256], got %d", spec.Threads)
 	}
-	if !validScheduler(spec.Scheduler) {
-		return nil, fmt.Errorf("cluster: unknown scheduler %q", spec.Scheduler)
+	if _, err := kplex.ParseScheduler(spec.Scheduler); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	j := &djob{
@@ -430,7 +429,7 @@ func (c *Coordinator) Submit(spec Spec) (*Manifest, error) {
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 		return nil, err
 	}
 
@@ -500,15 +499,7 @@ func (c *Coordinator) Result(id string) (*jobs.Result, error) {
 	if state != jobs.StateDone {
 		return nil, fmt.Errorf("%w (state %s)", jobs.ErrNotDone, state)
 	}
-	data, err := os.ReadFile(filepath.Join(j.dir, "result.json"))
-	if err != nil {
-		return nil, err
-	}
-	var res jobs.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return jobs.ReadResult(j.dir)
 }
 
 // Cancel stops a queued or running job.
@@ -635,7 +626,7 @@ func (j *djob) noteRangeDone(done int, enumMS float64, logf func(string, ...any)
 	j.mu.Lock()
 	j.man.RangesDone = done
 	j.man.EnumMS = enumMS
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 		logf("cluster: %s: persisting range progress: %v", j.man.ID, err)
 	}
 	j.mu.Unlock()
@@ -652,7 +643,7 @@ func (c *Coordinator) setTerminalLocked(j *djob, state jobs.State, cause error) 
 	}
 	j.progress.State = state
 	j.progress.Error = j.man.Error
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 		c.cfg.Logf("cluster: %s: persisting terminal state: %v", j.man.ID, err)
 	}
 	j.publishLocked()
@@ -692,7 +683,7 @@ func (c *Coordinator) runLoop() {
 			j.man.StartedAt = time.Now()
 		}
 		j.progress.State = jobs.StateRunning
-		if err := writeManifest(j.dir, &j.man); err != nil {
+		if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 			c.cfg.Logf("cluster: %s: persisting running state: %v", j.man.ID, err)
 		}
 		j.publishLocked()
@@ -725,7 +716,7 @@ func (c *Coordinator) finishJob(j *djob, err error) {
 		j.man.State = jobs.StateCheckpointed
 		j.man.Error = ""
 		j.progress.State = jobs.StateCheckpointed
-		if werr := writeManifest(j.dir, &j.man); werr != nil {
+		if werr := jobs.WriteManifest(j.dir, &j.man); werr != nil {
 			c.cfg.Logf("cluster: %s: parking checkpointed: %v", j.man.ID, werr)
 		}
 		j.publishLocked()
@@ -786,7 +777,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *djob) error {
 			c.mu.Unlock()
 		}
 		j.man.Ranges = partition(total, n)
-		if err := writeManifest(j.dir, &j.man); err != nil {
+		if err := jobs.WriteManifest(j.dir, &j.man); err != nil {
 			j.mu.Unlock()
 			return fmt.Errorf("cluster: pinning decomposition: %w", err)
 		}
@@ -803,12 +794,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *djob) error {
 	if err != nil {
 		return err
 	}
-	if rep.truncated {
-		if terr := os.Truncate(walPath, rep.validBytes); terr != nil {
-			return fmt.Errorf("cluster: repairing torn range WAL: %w", terr)
-		}
-	}
-	w, err := openRangeWAL(walPath, rep.lastSeq)
+	w, err := jobs.OpenLog(walPath, rep.LastSeq)
 	if err != nil {
 		return err
 	}
@@ -831,7 +817,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *djob) error {
 	// merging is exact over disjoint plex sets, so this reproduces the
 	// single-node answer bit for bit.
 	mergeSpan := t.StartSpan("merge").Attr("ranges", fmt.Sprint(len(ranges)))
-	merged := jobs.NewAggregate(spec.TopN)
+	merged := kplex.NewAggregate(spec.TopN)
 	for i := range ranges {
 		merged.Merge(d.aggs[i])
 	}
@@ -852,66 +838,10 @@ func (c *Coordinator) runJob(ctx context.Context, j *djob) error {
 	if res.Histogram == nil {
 		res.Histogram = map[int]int64{}
 	}
-	return writeResult(j.dir, res)
+	return jobs.WriteResult(j.dir, res)
 }
 
-// readManifest / writeManifest / writeResult mirror the jobs layer's
-// atomic persistence conventions (tmp + fsync + rename + dir sync).
-
+// readManifest loads dir/manifest.json.
 func readManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("corrupt manifest: %w", err)
-	}
-	if man.ID == "" {
-		return nil, errors.New("manifest has no job id")
-	}
-	return &man, nil
-}
-
-func writeManifest(dir string, man *Manifest) error {
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(dir, "manifest.json", data)
-}
-
-func writeResult(dir string, res *jobs.Result) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(dir, "result.json", data)
-}
-
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, "."+name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // best effort: not all platforms support it
-		d.Close()
-	}
-	return nil
+	return jobs.ReadManifest(dir, func(m *Manifest) string { return m.ID })
 }

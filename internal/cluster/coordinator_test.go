@@ -118,7 +118,7 @@ func (fw *fakeWorker) serve(w http.ResponseWriter, r *http.Request, req *RangeRe
 
 // assertResultMatchesRef pins a merged distributed result to the
 // single-node reference aggregate, field by field.
-func assertResultMatchesRef(t *testing.T, res *jobs.Result, ref *jobs.Aggregate) {
+func assertResultMatchesRef(t *testing.T, res *jobs.Result, ref *kplex.Aggregate) {
 	t.Helper()
 	if res.Count != ref.Count {
 		t.Errorf("count = %d, want %d", res.Count, ref.Count)
@@ -445,8 +445,8 @@ func TestCoordinatorRestartResumesCompletedRanges(t *testing.T) {
 // must be committed and checkpointed, the second counted and dropped, and
 // the range merged exactly once.
 func TestDoubleCompletionIdempotent(t *testing.T) {
-	liveAgg := func(seed int) *jobs.Aggregate {
-		a := jobs.NewAggregate(5)
+	liveAgg := func(seed int) *kplex.Aggregate {
+		a := kplex.NewAggregate(5)
 		a.AddPlex([]int{seed, seed + 1, seed + 2})
 		return a
 	}
@@ -459,12 +459,12 @@ func TestDoubleCompletionIdempotent(t *testing.T) {
 	}
 	ranges := partition(20, 2)
 	walPath := filepath.Join(j.dir, rangeWALName)
-	w, err := openRangeWAL(walPath, 0)
+	w, err := jobs.OpenLog(walPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := newDispatcher(c, j, &Spec{Graph: "g", K: 2, Q: 6, TopN: 5}, "digest", 20, ranges,
-		&rangeReplay{aggs: make(map[int]*jobs.Aggregate)}, w)
+		&rangeReplay{aggs: make(map[int]*kplex.Aggregate)}, w)
 
 	// Range 0 is out on two leases at once: a speculation race in flight.
 	wA := &workerState{url: "http://a"}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/kplex"
 	"repro/internal/obs"
 )
 
@@ -42,7 +43,7 @@ type dispatcher struct {
 	j      *djob
 	req    RangeRequest // template; Lo/Hi filled per lease
 	ranges []Range
-	wal    *rangeWAL
+	wal    *jobs.Log
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -50,7 +51,7 @@ type dispatcher struct {
 	leases    map[int][]*lease
 	attempts  []int // reassignments per range; the initial lease is free
 	pending   []int // FIFO of pending range ids
-	aggs      []*jobs.Aggregate
+	aggs      []*kplex.Aggregate
 	doneCount int
 	inflight  int // lease goroutines not yet retired
 	fatal     error
@@ -68,7 +69,7 @@ type dispatcher struct {
 	trace *obs.Trace
 }
 
-func newDispatcher(c *Coordinator, j *djob, spec *Spec, digest string, total int, ranges []Range, rep *rangeReplay, w *rangeWAL) *dispatcher {
+func newDispatcher(c *Coordinator, j *djob, spec *Spec, digest string, total int, ranges []Range, rep *rangeReplay, w *jobs.Log) *dispatcher {
 	d := &dispatcher{
 		c: c, j: j,
 		req: RangeRequest{
@@ -81,7 +82,7 @@ func newDispatcher(c *Coordinator, j *djob, spec *Spec, digest string, total int
 		status:     make([]rangeStatus, len(ranges)),
 		leases:     make(map[int][]*lease),
 		attempts:   make([]int, len(ranges)),
-		aggs:       make([]*jobs.Aggregate, len(ranges)),
+		aggs:       make([]*kplex.Aggregate, len(ranges)),
 		baseEnumMS: rep.enumMS,
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -277,7 +278,7 @@ func (d *dispatcher) noteProgress(l *lease, seeds int) {
 // is checkpointed; a duplicate (the loser of a speculation race, or a
 // worker whose cancelled stream still delivered) is dropped idempotently,
 // so every range is merged exactly once.
-func (d *dispatcher) complete(l *lease, agg *jobs.Aggregate) {
+func (d *dispatcher) complete(l *lease, agg *kplex.Aggregate) {
 	d.mu.Lock()
 	d.dropLeaseLocked(l)
 	d.c.freeWorker(l.w, true, false)
@@ -292,7 +293,7 @@ func (d *dispatcher) complete(l *lease, agg *jobs.Aggregate) {
 	d.doneCount++
 	d.c.counters.RangesDone.Add(1)
 	rec := &rangeRecord{Range: l.rid, Agg: agg.Snapshot(), EnumMS: d.enumMS()}
-	if err := d.wal.append(rec); err != nil {
+	if err := d.wal.Append(rec); err != nil {
 		// Not fatal: the range result is in memory and the job can finish;
 		// only a restart would re-run this range.
 		d.c.cfg.Logf("cluster: %s: range %d checkpoint failed (a restart would re-run it): %v", d.j.man.ID, l.rid, err)

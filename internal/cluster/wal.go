@@ -1,159 +1,62 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"strings"
 
 	"repro/internal/jobs"
+	"repro/internal/kplex"
 )
 
-// The coordinator's per-job write-ahead log: one CRC32-prefixed NDJSON
-// record per completed range, in completion order, each carrying the
-// range's sealed aggregate. Unlike the jobs layer's log — whose records
-// are cumulative snapshots — range aggregates are independent (ranges
-// partition the seed space), so replay is simply "collect the completed
-// ranges"; the merged result is reconstructed from them in range order.
-// The same torn-tail rule applies: replay stops at the first line that
-// fails its checksum or lacks its newline, and the intact prefix is kept.
+// The coordinator's per-job write-ahead log: a jobs.Log with one record
+// per completed range, in completion order, each carrying the range's
+// aggregate. Unlike the jobs layer's log — whose records are cumulative
+// snapshots — range aggregates are independent (ranges partition the seed
+// space), so replay is simply "collect the completed ranges"; the merged
+// result is reconstructed from them in range order.
 
 const rangeWALName = "ranges.ndjson"
 
-// rangeWALVersion is the schema version stamped on every record; replay
-// rejects records written by a newer binary (see the jobs WAL for the
-// rationale — truncating CRC-valid newer data would let a stale
-// coordinator append colliding sequence numbers after it).
-const rangeWALVersion = 1
-
 type rangeRecord struct {
-	Ver   int             `json:"v"`
-	Seq   int             `json:"seq"`
-	Range int             `json:"range"` // index into the manifest's pinned partition
-	Agg   *jobs.Aggregate `json:"agg"`
+	jobs.LogHeader
+	Range int              `json:"range"` // index into the manifest's pinned partition
+	Agg   *kplex.Aggregate `json:"agg"`
 	// EnumMS is the cumulative distributed wall-clock up to this record,
 	// across coordinator incarnations.
 	EnumMS float64 `json:"enumMs"`
 }
 
-type rangeWAL struct {
-	f   *os.File
-	seq int
-}
-
-func openRangeWAL(path string, lastSeq int) (*rangeWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &rangeWAL{f: f, seq: lastSeq}, nil
-}
-
-// append writes rec with the next sequence number and fsyncs; the
-// aggregate must already be sealed. A failed write truncates back to the
-// pre-append size so a retry cannot weld a partial line onto the next
-// record (same contract as the jobs WAL).
-func (w *rangeWAL) append(rec *rangeRecord) error {
-	rec.Ver = rangeWALVersion
-	rec.Seq = w.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	st, err := w.f.Stat()
-	if err != nil {
-		return err
-	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
-	if _, err := w.f.WriteString(line); err != nil {
-		w.f.Truncate(st.Size()) //nolint:errcheck // best effort, see above
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Truncate(st.Size()) //nolint:errcheck
-		return err
-	}
-	w.seq++
-	return nil
-}
-
-func (w *rangeWAL) Close() error { return w.f.Close() }
-
 // rangeReplay is the durable state reconstructed from a log.
 type rangeReplay struct {
-	aggs       map[int]*jobs.Aggregate // completed range index -> unsealed aggregate
-	lastSeq    int
-	enumMS     float64
-	truncated  bool
-	validBytes int64
+	jobs.LogReplay
+	aggs   map[int]*kplex.Aggregate // completed range index -> unsealed aggregate
+	enumMS float64
 }
 
-// replayRangeWAL reads the log at path. A missing file is an empty log. A
+// replayRangeWAL reads the log at path and cuts off a torn tail. A
 // duplicate record for an already-replayed range is ignored (first wins —
-// the in-memory idempotency rule applied once more at replay time);
-// records from a newer schema version are a hard error routed to the
-// job's failure path, not silently truncated.
+// the in-memory idempotency rule applied once more at replay time); a
+// record naming a range outside the nRanges partition is a hard error.
 func replayRangeWAL(path string, nRanges int) (*rangeReplay, error) {
-	rep := &rangeReplay{aggs: make(map[int]*jobs.Aggregate)}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	rest := data
-	for len(rest) > 0 {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			rep.truncated = true // unterminated tail
-			break
-		}
-		line := rest[:idx]
-		crcHex, payload, ok := strings.Cut(string(line), " ")
-		if !ok || len(crcHex) != 8 {
-			rep.truncated = true
-			break
-		}
-		var want uint32
-		if _, err := fmt.Sscanf(crcHex, "%08x", &want); err != nil {
-			rep.truncated = true
-			break
-		}
-		if crc32.ChecksumIEEE([]byte(payload)) != want {
-			rep.truncated = true
-			break
-		}
-		var rec rangeRecord
-		if err := json.Unmarshal([]byte(payload), &rec); err != nil || rec.Agg == nil {
-			rep.truncated = true
-			break
-		}
-		if rec.Ver > rangeWALVersion {
-			return nil, fmt.Errorf("cluster: range WAL record %d has schema version %d, but this binary understands at most %d (state dir shared with a newer coordinator?)", rec.Seq, rec.Ver, rangeWALVersion)
-		}
-		if rec.Seq != rep.lastSeq+1 {
-			rep.truncated = true // a lost record orphans everything after it
-			break
+	rep := &rangeReplay{aggs: make(map[int]*kplex.Aggregate)}
+	var err error
+	rep.LogReplay, err = jobs.ReplayLog(path, func(rec *rangeRecord) error {
+		if rec.Agg == nil {
+			return jobs.ErrTornRecord
 		}
 		if rec.Range < 0 || rec.Range >= nRanges {
-			return nil, fmt.Errorf("cluster: range WAL record %d names range %d of a %d-range partition (checkpoint from a different decomposition?)", rec.Seq, rec.Range, nRanges)
+			return fmt.Errorf("cluster: range WAL record %d names range %d of a %d-range partition (checkpoint from a different decomposition?)", rec.Seq, rec.Range, nRanges)
 		}
 		if _, dup := rep.aggs[rec.Range]; !dup {
-			if err := rec.Agg.Unseal(); err != nil {
-				rep.truncated = true
-				break
+			if rec.Agg.Unseal() != nil {
+				return jobs.ErrTornRecord
 			}
 			rep.aggs[rec.Range] = rec.Agg
 		}
-		rep.lastSeq = rec.Seq
 		rep.enumMS = rec.EnumMS
-		rep.validBytes += int64(idx) + 1
-		rest = rest[idx+1:]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

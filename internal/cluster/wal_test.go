@@ -1,57 +1,39 @@
 package cluster
 
-// Tests for the coordinator's per-range write-ahead log: round trip,
-// first-completion-wins dedupe, torn-tail truncation, sequence gaps, and
-// the hard rejection of records from a newer schema version.
+// Tests for the coordinator's per-range write-ahead log records: round
+// trip, first-completion-wins dedupe, foreign ranges, and the committed
+// fixture that pins the format. The framing rules shared with the job WAL
+// (torn tails, sequence gaps, schema versions) are covered by the jobs
+// package's TestLogFraming.
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/kplex"
 )
 
 // testAgg builds a small sealed aggregate whose content identifies which
 // record it came from.
-func testAgg(seed int) *jobs.Aggregate {
-	a := jobs.NewAggregate(5)
+func testAgg(seed int) *kplex.Aggregate {
+	a := kplex.NewAggregate(5)
 	a.AddPlex([]int{seed, seed + 1, seed + 2})
 	return a.Snapshot()
 }
 
-// writeRawRecord appends a correctly CRC-framed record with the exact
-// fields given — the escape hatch append() doesn't offer, for forging
-// versions and sequence gaps.
-func writeRawRecord(t *testing.T, path string, rec *rangeRecord) {
-	t.Helper()
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE(payload), payload); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRangeWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), rangeWALName)
-	w, err := openRangeWAL(path, 0)
+	w, err := jobs.OpenLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rid := range []int{2, 0, 1} { // completion order ≠ range order
-		if err := w.append(&rangeRecord{Range: rid, Agg: testAgg(rid), EnumMS: float64(10 * (i + 1))}); err != nil {
+		if err := w.Append(&rangeRecord{Range: rid, Agg: testAgg(rid), EnumMS: float64(10 * (i + 1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,8 +43,8 @@ func TestRangeWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.truncated || rep.lastSeq != 3 || rep.enumMS != 30 {
-		t.Fatalf("replay = truncated=%v lastSeq=%d enumMS=%v", rep.truncated, rep.lastSeq, rep.enumMS)
+	if rep.Truncated || rep.LastSeq != 3 || rep.enumMS != 30 {
+		t.Fatalf("replay = truncated=%v lastSeq=%d enumMS=%v", rep.Truncated, rep.LastSeq, rep.enumMS)
 	}
 	if len(rep.aggs) != 3 {
 		t.Fatalf("replayed %d ranges, want 3", len(rep.aggs))
@@ -77,15 +59,15 @@ func TestRangeWALRoundTrip(t *testing.T) {
 
 func TestRangeWALDuplicateFirstWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), rangeWALName)
-	w, err := openRangeWAL(path, 0)
+	w, err := jobs.OpenLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, second := testAgg(0), testAgg(100)
-	if err := w.append(&rangeRecord{Range: 0, Agg: first}); err != nil {
+	if err := w.Append(&rangeRecord{Range: 0, Agg: first}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(&rangeRecord{Range: 0, Agg: second}); err != nil {
+	if err := w.Append(&rangeRecord{Range: 0, Agg: second}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -97,89 +79,8 @@ func TestRangeWALDuplicateFirstWins(t *testing.T) {
 	if len(rep.aggs) != 1 || rep.aggs[0].PlexDigest() != first.PlexDigest() {
 		t.Fatalf("duplicate replay kept digest %s, want the first record's %s", rep.aggs[0].PlexDigest(), first.PlexDigest())
 	}
-	if rep.lastSeq != 2 {
-		t.Fatalf("lastSeq = %d, want 2 (the duplicate still advances the sequence)", rep.lastSeq)
-	}
-}
-
-func TestRangeWALTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), rangeWALName)
-	w, err := openRangeWAL(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.append(&rangeRecord{Range: 1, Agg: testAgg(1)}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	intact, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`deadbeef {"v":1,"seq":2,"tor`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	rep, err := replayRangeWAL(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.truncated || rep.validBytes != intact.Size() || len(rep.aggs) != 1 {
-		t.Fatalf("torn replay = truncated=%v validBytes=%d (intact %d) aggs=%d",
-			rep.truncated, rep.validBytes, intact.Size(), len(rep.aggs))
-	}
-
-	// The coordinator's repair path: truncate to the intact prefix, append
-	// a new record, and the full log replays cleanly.
-	if err := os.Truncate(path, rep.validBytes); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := openRangeWAL(path, rep.lastSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.append(&rangeRecord{Range: 0, Agg: testAgg(0)}); err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	rep2, err := replayRangeWAL(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.truncated || len(rep2.aggs) != 2 || rep2.lastSeq != 2 {
-		t.Fatalf("repaired replay = truncated=%v aggs=%d lastSeq=%d", rep2.truncated, len(rep2.aggs), rep2.lastSeq)
-	}
-}
-
-func TestRangeWALSeqGapOrphansTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), rangeWALName)
-	writeRawRecord(t, path, &rangeRecord{Ver: 1, Seq: 1, Range: 0, Agg: testAgg(0)})
-	writeRawRecord(t, path, &rangeRecord{Ver: 1, Seq: 3, Range: 1, Agg: testAgg(1)}) // 2 lost
-
-	rep, err := replayRangeWAL(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.truncated || len(rep.aggs) != 1 || rep.lastSeq != 1 {
-		t.Fatalf("gap replay = truncated=%v aggs=%d lastSeq=%d, want the prefix only", rep.truncated, len(rep.aggs), rep.lastSeq)
-	}
-}
-
-// TestRangeWALRejectsFutureVersion: a CRC-valid record stamped by a newer
-// binary is a hard error (routed to job failure), never silent truncation.
-func TestRangeWALRejectsFutureVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), rangeWALName)
-	writeRawRecord(t, path, &rangeRecord{Ver: 1, Seq: 1, Range: 0, Agg: testAgg(0)})
-	writeRawRecord(t, path, &rangeRecord{Ver: rangeWALVersion + 1, Seq: 2, Range: 1, Agg: testAgg(1)})
-
-	if _, err := replayRangeWAL(path, 2); err == nil {
-		t.Fatal("future-version record replayed without error")
+	if rep.LastSeq != 2 {
+		t.Fatalf("lastSeq = %d, want 2 (the duplicate still advances the sequence)", rep.LastSeq)
 	}
 }
 
@@ -188,7 +89,14 @@ func TestRangeWALRejectsFutureVersion(t *testing.T) {
 // decomposition; replay must refuse rather than mis-merge.
 func TestRangeWALRejectsForeignRange(t *testing.T) {
 	path := filepath.Join(t.TempDir(), rangeWALName)
-	writeRawRecord(t, path, &rangeRecord{Ver: 1, Seq: 1, Range: 5, Agg: testAgg(5)})
+	w, err := jobs.OpenLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&rangeRecord{Range: 5, Agg: testAgg(5)}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
 
 	if _, err := replayRangeWAL(path, 2); err == nil {
 		t.Fatal("out-of-partition record replayed without error")
@@ -210,17 +118,17 @@ func TestRangeWALFixtureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.truncated || rep.lastSeq != 3 || len(rep.aggs) != 3 {
-		t.Fatalf("fixture replay truncated=%v lastSeq=%d ranges=%d", rep.truncated, rep.lastSeq, len(rep.aggs))
+	if rep.Truncated || rep.LastSeq != 3 || len(rep.aggs) != 3 {
+		t.Fatalf("fixture replay truncated=%v lastSeq=%d ranges=%d", rep.Truncated, rep.LastSeq, len(rep.aggs))
 	}
-	merged := jobs.NewAggregate(5)
+	merged := kplex.NewAggregate(5)
 	for rid := 0; rid < 3; rid++ {
 		merged.Merge(rep.aggs[rid])
 	}
 	assertSameResultSet(t, merged, refAggregate(t, "corpus:planted-a", 2, 6, 5))
 
 	out := filepath.Join(t.TempDir(), rangeWALName)
-	w, err := openRangeWAL(out, 0)
+	w, err := jobs.OpenLog(out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +138,7 @@ func TestRangeWALFixtureReplay(t *testing.T) {
 		if err := json.Unmarshal([]byte(payload), &rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.append(&rec); err != nil {
+		if err := w.Append(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}

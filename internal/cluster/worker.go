@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/internal/kplex"
 	"repro/internal/obs"
 )
 
@@ -48,7 +48,7 @@ func workerBackoff(fails int) time.Duration {
 // the worker records its share of the coordinator's trace). Any transport
 // error, in-band error line, or stream that ends without a Done line
 // fails the lease.
-func callRange(ctx context.Context, hc *http.Client, workerURL string, req *RangeRequest, traceparent string, onSeeds func(int)) (*jobs.Aggregate, []obs.SpanData, error) {
+func callRange(ctx context.Context, hc *http.Client, workerURL string, req *RangeRequest, traceparent string, onSeeds func(int)) (*kplex.Aggregate, []obs.SpanData, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, err

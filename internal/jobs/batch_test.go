@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/kplex"
 )
 
 // assertItemMatches compares one batch item's result against the engine
 // ground truth for its cell.
-func assertItemMatches(t *testing.T, item *ItemResult, ref *Aggregate) {
+func assertItemMatches(t *testing.T, item *ItemResult, ref *kplex.Aggregate) {
 	t.Helper()
 	if item.Count != ref.Count {
 		t.Errorf("item k=%d q=%d: count = %d, want %d", item.K, item.Q, item.Count, ref.Count)

@@ -18,7 +18,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -111,19 +110,14 @@ func (s *Spec) queries(defaultThreads int) ([]SpecItem, []kplex.BatchGroup, erro
 		if o.Threads <= 0 {
 			o.Threads = defaultThreads
 		}
-		switch s.Scheduler {
-		case "", "stages":
-			o.Scheduler = kplex.SchedulerStages
-		case "global-queue":
-			o.Scheduler = kplex.SchedulerGlobalQueue
-		case "steal":
-			o.Scheduler = kplex.SchedulerSteal
-		default:
-			return nil, nil, fmt.Errorf("jobs: unknown scheduler %q", s.Scheduler)
+		sched, err := kplex.ParseScheduler(s.Scheduler)
+		if err != nil {
+			return nil, nil, fmt.Errorf("jobs: %w", err)
 		}
+		o.Scheduler = sched
 		if o.Threads > 1 {
 			// Same straggler-splitting default as the interactive query path.
-			o.TaskTimeout = 2 * time.Millisecond
+			o.TaskTimeout = kplex.DefaultTaskTimeout
 		}
 		qs[i] = kplex.BatchQuery{Opts: o}
 	}
@@ -480,24 +474,15 @@ func (m *Manager) recover() error {
 // — when the durable state is unusable. Single-threaded recovery context;
 // no locks held.
 func (m *Manager) wireResume(j *job) bool {
-	walPath := filepath.Join(j.dir, walName)
-	rep, err := replayWAL(walPath)
+	rep, err := replayWAL(filepath.Join(j.dir, walName))
 	if err != nil {
 		m.failRecovered(j, fmt.Errorf("unrecoverable WAL: %w", err))
 		return false
 	}
-	if rep.truncated {
-		// Cut the torn tail off now: the next incarnation opens the log
-		// with O_APPEND, and writing after a partial line would weld the
-		// two into one CRC-failing line that hides every later record from
-		// every future replay.
-		m.cfg.Logf("jobs: %s: discarding torn WAL tail; resuming from seq %d (%d seeds)", j.man.ID, rep.lastSeq, len(rep.doneSeeds))
-		if err := os.Truncate(walPath, rep.validBytes); err != nil {
-			m.failRecovered(j, fmt.Errorf("truncating torn WAL tail: %w", err))
-			return false
-		}
+	if rep.Truncated {
+		m.cfg.Logf("jobs: %s: discarded torn WAL tail; resuming from seq %d (%d seeds)", j.man.ID, rep.LastSeq, len(rep.doneSeeds))
 	}
-	if rep.lastSeq == 0 {
+	if rep.LastSeq == 0 {
 		return true // nothing durable yet; the rerun starts from scratch
 	}
 	j.resume = rep
@@ -520,7 +505,7 @@ func (m *Manager) failRecovered(j *job, cause error) {
 	j.man.FinishedAt = time.Now()
 	j.progress.State = StateFailed
 	j.progress.Error = j.man.Error
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := WriteManifest(j.dir, &j.man); err != nil {
 		m.cfg.Logf("jobs: %s: %v", j.man.ID, err)
 	}
 	m.counters.Failed.Add(1)
@@ -569,7 +554,7 @@ func (m *Manager) Submit(spec Spec) (*Manifest, error) {
 // progress is written as the job's first WAL record before the job is
 // queued, so a crash between submission and the first run loses nothing.
 // An empty done-set (or nil aggregate) degenerates to a plain Submit.
-func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, doneSeeds []int, agg *Aggregate, enumMS float64) (*Manifest, error) {
+func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, doneSeeds []int, agg *kplex.Aggregate, enumMS float64) (*Manifest, error) {
 	if len(spec.Items) > 0 {
 		return nil, errors.New("jobs: a resumable submission must be a single query")
 	}
@@ -593,13 +578,13 @@ func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, done
 		return nil, err
 	}
 	seeds := append([]int(nil), doneSeeds...)
-	snap := agg.snapshot() // sealed private copy: the WAL payload and the armed runtime state
+	snap := agg.Snapshot() // private copy: the WAL payload and the armed runtime state
 	return m.persistAndEnqueue(spec, func(j *job) error {
-		w, err := openWAL(filepath.Join(j.dir, walName), 0)
+		w, err := OpenLog(filepath.Join(j.dir, walName), 0)
 		if err != nil {
 			return err
 		}
-		if err := w.append(&walRecord{Seeds: seeds, Agg: snap, EnumMS: enumMS}); err != nil {
+		if err := w.Append(&walRecord{Seeds: seeds, Agg: snap, EnumMS: enumMS}); err != nil {
 			w.Close() //nolint:errcheck // append already failed
 			return err
 		}
@@ -616,7 +601,7 @@ func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, done
 		j.progress.TotalSeeds = totalSeeds
 		// Arm the runner directly instead of re-reading the record it just
 		// wrote; the WAL stays the durable twin for a restart in between.
-		j.resume = &walReplay{doneSeeds: seeds, aggs: []*Aggregate{snap}, lastSeq: 1, enumMS: enumMS}
+		j.resume = &walReplay{LogReplay: LogReplay{LastSeq: 1}, doneSeeds: seeds, aggs: []*kplex.Aggregate{snap}, enumMS: enumMS}
 		return nil
 	})
 }
@@ -693,7 +678,7 @@ func (m *Manager) persistAndEnqueue(spec Spec, init func(j *job) error) (*Manife
 			return nil, err
 		}
 	}
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := WriteManifest(j.dir, &j.man); err != nil {
 		return nil, err
 	}
 
@@ -817,15 +802,7 @@ func (m *Manager) Result(id string) (*Result, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, state)
 	}
-	data, err := os.ReadFile(filepath.Join(j.dir, "result.json"))
-	if err != nil {
-		return nil, err
-	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return ReadResult(j.dir)
 }
 
 // Cancel stops a queued or running job. Terminal jobs return ErrNotActive.
@@ -946,7 +923,7 @@ func (m *Manager) finishLocked(j *job, state State, cause error) {
 	}
 	j.progress.State = state
 	j.progress.Error = j.man.Error
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if err := WriteManifest(j.dir, &j.man); err != nil {
 		m.cfg.Logf("jobs: %s: persisting terminal state: %v", j.man.ID, err)
 	}
 	j.publishLocked()
@@ -1015,54 +992,5 @@ func (q *jobQueue) Pop() any {
 
 // readManifest loads dir/manifest.json.
 func readManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("corrupt manifest: %w", err)
-	}
-	if man.ID == "" {
-		return nil, errors.New("manifest has no job id")
-	}
-	return &man, nil
-}
-
-// writeManifest atomically replaces dir/manifest.json (tmp + rename +
-// fsync), so a crash mid-write leaves the previous version intact.
-func writeManifest(dir string, man *Manifest) error {
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, ".manifest.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, "manifest.json")); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory (best effort: not all platforms support it).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck
-		d.Close()
-	}
+	return ReadManifest(dir, func(m *Manifest) string { return m.ID })
 }

@@ -27,14 +27,14 @@ func testLoader(name string) (graph.CSR, string, func(), error) {
 
 // refAggregate computes the uninterrupted ground truth for a (graph, k, q,
 // topn) cell through the same Aggregate arithmetic the job layer uses.
-func refAggregate(t *testing.T, graphName string, k, q, topn int) *Aggregate {
+func refAggregate(t *testing.T, graphName string, k, q, topn int) *kplex.Aggregate {
 	t.Helper()
 	g, _, release, err := testLoader(graphName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	agg := NewAggregate(topn)
+	agg := kplex.NewAggregate(topn)
 	opts := kplex.NewOptions(k, q)
 	opts.OnPlex = func(p []int) { agg.AddPlex(p) }
 	res, err := kplex.Run(context.Background(), g, opts)
@@ -45,7 +45,7 @@ func refAggregate(t *testing.T, graphName string, k, q, topn int) *Aggregate {
 	return agg
 }
 
-func assertMatchesReference(t *testing.T, res *Result, ref *Aggregate) {
+func assertMatchesReference(t *testing.T, res *Result, ref *kplex.Aggregate) {
 	t.Helper()
 	if res.Count != ref.Count {
 		t.Errorf("count = %d, want %d", res.Count, ref.Count)
@@ -376,7 +376,7 @@ func TestTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.truncated {
+	if rep.Truncated {
 		t.Fatal("resumed WAL still has a corrupt line; the tail was not truncated before appending")
 	}
 	if len(rep.doneSeeds) != v.TotalSeeds {

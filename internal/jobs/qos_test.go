@@ -103,7 +103,7 @@ func TestSubmitResumableExactRemainder(t *testing.T) {
 			skip.Add(s)
 		}
 	}
-	agg := NewAggregate(topn)
+	agg := kplex.NewAggregate(topn)
 	var mu sync.Mutex
 	opts.OnPlex = func(px []int) {
 		mu.Lock()
@@ -144,7 +144,7 @@ func TestSubmitResumableExactRemainder(t *testing.T) {
 func TestSubmitResumableValidation(t *testing.T) {
 	m := openTestManager(t, t.TempDir(), nil)
 	defer m.Close()
-	agg := NewAggregate(5)
+	agg := kplex.NewAggregate(5)
 	spec := Spec{Graph: "corpus:planted-a", K: 2, Q: 6}
 	if _, err := m.SubmitResumable(spec, "", 10, []int{1}, agg, 0); err == nil {
 		t.Error("missing digest accepted")
@@ -175,15 +175,16 @@ func TestSubmitResumableValidation(t *testing.T) {
 // 1.1ms/seed a naive seedsDone/elapsed division would claim.
 func TestProgressETAUsesIncarnationRate(t *testing.T) {
 	r := &jobRun{
-		wal:         &wal{},
-		buffers:     make([]seedBuffer, 110),
-		seedsDone:   100, // 90 inherited + 10 this run
+		wal:         &Log{},
+		total:       110,
 		doneThisRun: 10,
 		started:     time.Now().Add(-100 * time.Millisecond),
 	}
-	r.mu.Lock()
-	p := r.progressLocked()
-	r.mu.Unlock()
+	done := kplex.NewSeedSet()
+	for s := 0; s < 100; s++ { // 90 inherited + 10 this run
+		done.Add(s)
+	}
+	p := r.progressLocked(nil, done)
 	if p.SeedsDone != 100 || p.TotalSeeds != 110 {
 		t.Fatalf("progress %d/%d, want 100/110", p.SeedsDone, p.TotalSeeds)
 	}

@@ -2,12 +2,9 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -19,50 +16,35 @@ import (
 // is a vector of query items answered by one or more shared seed-space
 // traversals (see Spec.queries); seed ids are global across the
 // traversal groups — group g's local seed s is offsets[g] + s — which is
-// what lets one WAL checkpoint the whole per-seed × per-item progress.
+// what lets one SeedCollector and one WAL cover the whole per-seed ×
+// per-item progress.
 type jobRun struct {
 	m   *Manager
 	j   *job
-	wal *wal
+	wal *Log
 
-	items   []SpecItem
-	groups  []kplex.BatchGroup
 	offsets []int // group index -> global seed-id offset
+	total   int   // global seed-space size
+	col     *kplex.SeedCollector
 
-	// buffers[seed] accumulates the seed group's contributions until
-	// OnSeedDone commits them; indexed by global seed id, so the per-plex
-	// hot path is a slice access plus one cold per-seed mutex.
-	buffers []seedBuffer
-
-	mu           sync.Mutex
-	aggs         []*Aggregate // cumulative per item (incl. resumed); aggs[0].Stats carries the walk counters
-	pendingSeeds []int        // committed in memory, not yet in the WAL (global ids)
-	seedsDone    int          // committed seeds, incl. resumed ones
+	// Guarded by col's lock (onCommit and col.Locked).
+	pendingSeeds []int // committed in memory, not yet in the WAL (global ids)
 	doneThisRun  int
 	lastCkpt     time.Time
 	lastPublish  time.Time
-	started      time.Time
-	baseEnumMS   float64 // enumeration time of previous incarnations
 	crashed      bool
 
-	trace  *obs.Trace // this incarnation's trace (nil when untraced)
-	cancel context.CancelCauseFunc
+	started    time.Time
+	baseEnumMS float64    // enumeration time of previous incarnations
+	trace      *obs.Trace // this incarnation's trace (nil when untraced)
+	cancel     context.CancelCauseFunc
 }
 
-// seedBuffer holds one seed group's uncommitted contributions: one
-// aggregate per member of the owning traversal group (positionally
-// aligned with that group's Members), allocated lazily — most seed groups
-// contribute nothing.
-type seedBuffer struct {
-	mu   sync.Mutex
-	aggs []*Aggregate
-}
-
-// plexesLocked sums the committed plex deliveries across items; caller
-// holds r.mu. For a single-query job this is exactly the plex count.
-func (r *jobRun) plexesLocked() int64 {
+// plexes sums the committed plex deliveries across items. For a
+// single-query job this is exactly the plex count.
+func plexes(aggs []*kplex.Aggregate) int64 {
 	var n int64
-	for _, a := range r.aggs {
+	for _, a := range aggs {
 		n += a.Count
 	}
 	return n
@@ -198,53 +180,43 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 		defer releaseSlot()
 	}
 
+	members := make([]kplex.CollectMember, len(items))
+	for i, it := range items {
+		members[i] = kplex.CollectMember{Q: it.Q, TopN: it.TopN}
+	}
 	r := &jobRun{
 		m:       m,
 		j:       j,
-		items:   items,
-		groups:  groups,
 		offsets: offsets,
-		buffers: make([]seedBuffer, totalSeeds),
-		aggs:    make([]*Aggregate, len(items)),
+		total:   totalSeeds,
 		started: time.Now(),
 		trace:   t,
 		cancel:  cancel,
 	}
-	for i, it := range items {
-		r.aggs[i] = NewAggregate(it.TopN)
-	}
+	r.col = kplex.NewSeedCollector(totalSeeds, members, r.onCommit)
 	r.lastCkpt = r.started
 
 	// Rebuild the durable state of previous incarnations. The global skip
 	// set localises into one per-group set, since each group's engine run
 	// speaks its own seed-id space.
 	skips := make([]*kplex.SeedSet, len(groups))
-	if resume != nil && len(resume.doneSeeds) > 0 {
+	seedsDone, lastSeq := 0, 0
+	if resume != nil {
+		if err := r.col.Resume(resume.doneSeeds, resume.aggs); err != nil {
+			return fmt.Errorf("checkpoint does not fit the job: %w; delete and resubmit", err)
+		}
 		for _, s := range resume.doneSeeds {
-			if s >= totalSeeds {
-				return fmt.Errorf("checkpoint names seed %d outside the %d-seed space; delete and resubmit", s, totalSeeds)
-			}
 			gi := r.groupOf(s)
 			if skips[gi] == nil {
 				skips[gi] = &kplex.SeedSet{}
 			}
 			skips[gi].Add(s - offsets[gi])
 		}
-		if len(resume.aggs) != len(items) {
-			return fmt.Errorf("checkpoint holds %d item aggregates but the spec has %d items; delete and resubmit", len(resume.aggs), len(items))
-		}
-		r.aggs = resume.aggs
-		for i := range r.aggs {
-			r.aggs[i].TopN = items[i].TopN
-		}
-		r.seedsDone = len(resume.doneSeeds)
+		seedsDone = len(resume.doneSeeds)
+		lastSeq = resume.LastSeq
 		r.baseEnumMS = resume.enumMS
 	}
-	lastSeq := 0
-	if resume != nil {
-		lastSeq = resume.lastSeq
-	}
-	r.wal, err = openWAL(filepath.Join(j.dir, walName), lastSeq)
+	r.wal, err = OpenLog(filepath.Join(j.dir, walName), lastSeq)
 	if err != nil {
 		return err
 	}
@@ -253,7 +225,7 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 
 	j.mu.Lock()
 	j.man.State = StateRunning
-	if resume != nil && r.seedsDone > 0 {
+	if seedsDone > 0 {
 		j.man.State = StateCheckpointed // durable progress exists already
 	}
 	if j.man.StartedAt.IsZero() {
@@ -261,11 +233,13 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 	}
 	j.progress = Progress{
 		State:      j.man.State,
-		SeedsDone:  r.seedsDone,
+		SeedsDone:  seedsDone,
 		TotalSeeds: totalSeeds,
-		Plexes:     r.plexesLocked(),
 	}
-	if err := writeManifest(j.dir, &j.man); err != nil {
+	if resume != nil {
+		j.progress.Plexes = plexes(resume.aggs)
+	}
+	if err := WriteManifest(j.dir, &j.man); err != nil {
 		m.cfg.Logf("jobs: %s: %v", j.man.ID, err)
 	}
 	j.publishLocked()
@@ -283,11 +257,11 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 			case <-runCtx.Done():
 				return
 			case <-t.C:
-				r.mu.Lock()
-				if len(r.pendingSeeds) > 0 && time.Since(r.lastCkpt) >= m.cfg.CheckpointInterval {
-					r.flushLocked()
-				}
-				r.mu.Unlock()
+				r.col.Locked(func(aggs []*kplex.Aggregate, done *kplex.SeedSet) {
+					if len(r.pendingSeeds) > 0 && time.Since(r.lastCkpt) >= m.cfg.CheckpointInterval {
+						r.flushLocked(aggs, done)
+					}
+				})
 			}
 		}
 	}()
@@ -300,9 +274,7 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 	for gi := range groups {
 		opts := groups[gi].Cell
 		opts.SkipSeeds = skips[gi]
-		gi := gi
-		opts.OnPlexSeed = func(seed int, plex []int) { r.onPlex(gi, seed, plex) }
-		opts.OnSeedDone = func(seed int, partial kplex.Stats) { r.onSeedDone(gi, seed, partial) }
+		r.col.Install(&opts, offsets[gi], groups[gi].Members...)
 		if _, runErr = kplex.RunPrepared(runCtx, prepared[gi], opts); runErr != nil {
 			break
 		}
@@ -315,20 +287,21 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 	// graceful shutdown should cost zero completed seeds. The crash
 	// failpoint deliberately skips this so recovery is exercised against
 	// lost (completed but never flushed) seed groups, like a real crash.
-	r.mu.Lock()
-	crashed := r.crashed
-	if !crashed {
-		r.flushLocked()
-	}
-	r.mu.Unlock()
-
+	var crashed bool
+	r.col.Locked(func(aggs []*kplex.Aggregate, done *kplex.SeedSet) {
+		crashed = r.crashed
+		if !crashed {
+			r.flushLocked(aggs, done)
+		}
+	})
 	if runErr != nil || crashed {
 		return m.interruptCause(runCtx, runErr)
 	}
 
 	// Sanity: every seed must have reported (completed groups + resumed).
-	if r.seedsDone != totalSeeds {
-		return fmt.Errorf("internal accounting error: %d of %d seeds reported done", r.seedsDone, totalSeeds)
+	aggs, done := r.col.Snapshot()
+	if done.Len() != totalSeeds {
+		return fmt.Errorf("internal accounting error: %d of %d seeds reported done", done.Len(), totalSeeds)
 	}
 
 	// Feed the host's cost calibrator one clean (features, runtime) pair.
@@ -348,16 +321,16 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 	// the final numbers, not the last throttled snapshot.
 	j.progress = Progress{
 		State:       StateRunning, // finishLocked sets the terminal state
-		SeedsDone:   r.seedsDone,
+		SeedsDone:   totalSeeds,
 		TotalSeeds:  totalSeeds,
 		Checkpoints: int64(r.wal.seq),
-		Plexes:      r.plexesLocked(),
+		Plexes:      plexes(aggs),
 		ElapsedMS:   float64(time.Since(r.started)) / float64(time.Millisecond),
 	}
 	j.mu.Unlock()
 
 	final := Result{
-		Stats:     r.aggs[0].Stats,
+		Stats:     aggs[0].Stats,
 		ElapsedMS: elapsedMS,
 		Resumes:   resumes,
 	}
@@ -365,14 +338,14 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 		// A single-query spec keeps the original result shape. A batch spec
 		// fills Items even when it holds one item — clients that submitted
 		// a vector read a vector back.
-		a := r.aggs[0]
+		a := aggs[0]
 		final.Count = a.Count
 		final.MaxSize = a.MaxSize
 		final.TopK = a.TopK
 		final.Histogram = a.Histogram
 		final.PlexDigest = a.PlexDigest()
 	} else {
-		for i, a := range r.aggs {
+		for i, a := range aggs {
 			item := ItemResult{
 				K:          items[i].K,
 				Q:          items[i].Q,
@@ -402,7 +375,7 @@ func (m *Manager) runJobInner(j *job, runCtx context.Context, cancel context.Can
 	if final.Histogram == nil {
 		final.Histogram = map[int]int64{}
 	}
-	return writeResult(j.dir, &final)
+	return WriteResult(j.dir, &final)
 }
 
 // prepared resolves the run prologue through the host's cache when one is
@@ -431,50 +404,11 @@ func (m *Manager) interruptCause(ctx context.Context, fallback error) error {
 	}
 }
 
-// onPlex buffers one plex into its seed group's pending aggregates: one
-// per member of the owning traversal group whose size threshold the plex
-// meets (the walk runs at the group's loosest q, so stricter members see
-// a filtered view).
-func (r *jobRun) onPlex(gi, seed int, plex []int) {
-	members := r.groups[gi].Members
-	buf := &r.buffers[r.offsets[gi]+seed]
-	buf.mu.Lock()
-	if buf.aggs == nil {
-		buf.aggs = make([]*Aggregate, len(members))
-	}
-	for pos, item := range members {
-		if len(plex) < r.items[item].Q {
-			continue
-		}
-		if buf.aggs[pos] == nil {
-			buf.aggs[pos] = NewAggregate(r.items[item].TopN)
-		}
-		buf.aggs[pos].AddPlex(plex)
-	}
-	buf.mu.Unlock()
-}
-
-// onSeedDone commits a completed seed group to the cumulative per-item
-// aggregates and checkpoints when the batch or interval threshold is
-// reached.
-func (r *jobRun) onSeedDone(gi, seed int, partial kplex.Stats) {
-	members := r.groups[gi].Members
-	global := r.offsets[gi] + seed
-	buf := &r.buffers[global]
-	buf.mu.Lock()
-	pending := buf.aggs
-	buf.aggs = nil
-	buf.mu.Unlock()
-
-	r.mu.Lock()
-	for pos, a := range pending {
-		if a != nil {
-			r.aggs[members[pos]].Merge(a)
-		}
-	}
-	r.aggs[0].Stats.Add(partial)
-	r.pendingSeeds = append(r.pendingSeeds, global)
-	r.seedsDone++
+// onCommit runs under the collector's lock for every committed seed
+// group: it queues the seed for the next checkpoint, which it takes when
+// the batch or interval threshold is reached.
+func (r *jobRun) onCommit(seed int, _ int64, aggs []*kplex.Aggregate, done *kplex.SeedSet) {
+	r.pendingSeeds = append(r.pendingSeeds, seed)
 	r.doneThisRun++
 	r.m.counters.SeedsDone.Add(1)
 	// Seed-count trigger, rate-limited so fast seeds don't turn every
@@ -483,21 +417,15 @@ func (r *jobRun) onSeedDone(gi, seed int, partial kplex.Stats) {
 	gap := time.Since(r.lastCkpt)
 	if (len(r.pendingSeeds) >= r.m.cfg.CheckpointSeeds && gap >= r.m.cfg.MinCheckpointGap) ||
 		gap >= r.m.cfg.CheckpointInterval {
-		r.flushLocked()
+		r.flushLocked(aggs, done)
 	}
 	if fp := r.m.cfg.CrashAfterSeeds; fp > 0 && r.doneThisRun >= fp && !r.crashed {
 		r.crashed = true
 		r.cancel(errCrashpoint)
 	}
-	publish := time.Since(r.lastPublish) >= 200*time.Millisecond
-	var progress Progress
-	if publish {
+	if time.Since(r.lastPublish) >= 200*time.Millisecond {
 		r.lastPublish = time.Now()
-		progress = r.progressLocked()
-	}
-	r.mu.Unlock()
-
-	if publish {
+		progress := r.progressLocked(aggs, done)
 		r.j.mu.Lock()
 		r.j.progress = progress
 		r.j.publishLocked()
@@ -505,14 +433,15 @@ func (r *jobRun) onSeedDone(gi, seed int, partial kplex.Stats) {
 	}
 }
 
-// progressLocked snapshots live progress; caller holds r.mu.
-func (r *jobRun) progressLocked() Progress {
+// progressLocked snapshots live progress; caller holds the collector's
+// lock.
+func (r *jobRun) progressLocked(aggs []*kplex.Aggregate, done *kplex.SeedSet) Progress {
 	elapsed := time.Since(r.started)
 	p := Progress{
 		State:      StateRunning,
-		SeedsDone:  r.seedsDone,
-		TotalSeeds: len(r.buffers),
-		Plexes:     r.plexesLocked(),
+		SeedsDone:  done.Len(),
+		TotalSeeds: r.total,
+		Plexes:     plexes(aggs),
 		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
 	}
 	if r.wal.seq > 0 {
@@ -520,7 +449,7 @@ func (r *jobRun) progressLocked() Progress {
 	}
 	p.Checkpoints = int64(r.wal.seq)
 	if r.doneThisRun > 0 {
-		remaining := len(r.buffers) - r.seedsDone
+		remaining := r.total - done.Len()
 		perSeed := float64(elapsed) / float64(r.doneThisRun)
 		p.ETAMS = perSeed * float64(remaining) / float64(time.Millisecond)
 	}
@@ -528,9 +457,10 @@ func (r *jobRun) progressLocked() Progress {
 }
 
 // flushLocked appends a WAL checkpoint covering the pending seeds and
-// updates the manifest. Caller holds r.mu. Errors are logged, not fatal:
-// the job keeps running and the seeds stay pending for the next flush.
-func (r *jobRun) flushLocked() {
+// updates the manifest. Caller holds the collector's lock, so aggs cover
+// exactly the done-set. Errors are logged, not fatal: the job keeps
+// running and the seeds stay pending for the next flush.
+func (r *jobRun) flushLocked(aggs []*kplex.Aggregate, done *kplex.SeedSet) {
 	if len(r.pendingSeeds) == 0 {
 		return
 	}
@@ -539,18 +469,18 @@ func (r *jobRun) flushLocked() {
 		Seeds:  r.pendingSeeds,
 		EnumMS: enumMS,
 	}
-	if len(r.aggs) == 1 {
+	if len(aggs) == 1 {
 		// The original single-aggregate format: logs stay replayable by (and
 		// byte-compatible with) the pre-batch layout.
-		rec.Agg = r.aggs[0].snapshot()
+		rec.Agg = aggs[0].Snapshot()
 	} else {
-		rec.Items = make([]*Aggregate, len(r.aggs))
-		for i, a := range r.aggs {
-			rec.Items[i] = a.snapshot()
+		rec.Items = make([]*kplex.Aggregate, len(aggs))
+		for i, a := range aggs {
+			rec.Items[i] = a.Snapshot()
 		}
 	}
 	ckptSpan := r.trace.StartSpan("checkpoint").Attr("seeds", fmt.Sprint(len(r.pendingSeeds)))
-	if err := r.wal.append(rec); err != nil {
+	if err := r.wal.Append(rec); err != nil {
 		ckptSpan.EndErr(err)
 		r.m.cfg.Logf("jobs: %s: checkpoint write failed (retrying next flush): %v", r.j.man.ID, err)
 		return
@@ -564,33 +494,16 @@ func (r *jobRun) flushLocked() {
 	j.mu.Lock()
 	first := j.man.State != StateCheckpointed
 	j.man.State = StateCheckpointed
-	j.man.SeedsDone = r.seedsDone
+	j.man.SeedsDone = done.Len()
 	j.man.EnumMS = enumMS
 	if first {
 		// Only the first checkpoint needs the manifest rewrite (the state
 		// transition). SeedsDone on disk may go stale after that — recovery
 		// derives it from the WAL replay, and live listings read Progress —
 		// so steady-state checkpoints cost exactly one fsync, the WAL's.
-		if err := writeManifest(j.dir, &j.man); err != nil {
+		if err := WriteManifest(j.dir, &j.man); err != nil {
 			r.m.cfg.Logf("jobs: %s: %v", j.man.ID, err)
 		}
 	}
 	j.mu.Unlock()
-}
-
-// writeResult persists the final answer next to the manifest.
-func writeResult(dir string, res *Result) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, ".result.tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, "result.json")); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
 }

@@ -1,38 +1,19 @@
 package jobs
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"strings"
-	"time"
+
+	"repro/internal/kplex"
 )
 
-// The per-job write-ahead log: an append-only NDJSON file in the job
-// directory whose records are checkpoints. Each record carries the seed
-// groups completed since the previous record and a full snapshot of the
-// cumulative aggregate at that point, so replay is "union the seed deltas,
-// keep the last aggregate" — the aggregate in record i by construction
-// covers exactly the union of seeds in records 1..i. Every line is
-// prefixed with a CRC32 of its JSON payload; replay stops at the first
-// line that fails the check, which is how a torn tail from a crash mid-
-// write degrades into "resume from the previous checkpoint" instead of a
-// corrupt job.
+// The per-job write-ahead log: a Log (see durable.go) in the job directory
+// whose records are checkpoints. Each record carries the seed groups
+// completed since the previous record and a full snapshot of the
+// cumulative aggregates at that point, so replay is "union the seed
+// deltas, keep the last aggregates" — the aggregates in record i by
+// construction cover exactly the union of seeds in records 1..i.
 
 const walName = "wal.ndjson"
-
-// walVersion is the schema version stamped on every record this binary
-// writes. Replay accepts records up to and including it (older records,
-// written before the field existed, carry 0 and mean the original layout);
-// a record with a HIGHER version was written by a newer binary over a
-// shared job dir — a coordinator and a worker on skewed releases, say —
-// and its payload cannot be assumed to merge under these rules, so replay
-// rejects the whole log instead of silently mis-merging or truncating
-// valid newer data.
-const walVersion = 1
 
 // walRecord is one fsynced checkpoint. Single-item jobs persist their one
 // cumulative aggregate as Agg (the original format, so logs written before
@@ -41,181 +22,69 @@ const walVersion = 1
 // spec's items. Seed ids are global across the job's traversal groups
 // (group g's local seed s is recorded as offset_g + s).
 type walRecord struct {
-	Ver   int          `json:"v,omitempty"` // schema version (0: pre-versioned layout)
-	Seq   int          `json:"seq"`
-	Seeds []int        `json:"seeds"`           // completed since the previous record
-	Agg   *Aggregate   `json:"agg,omitempty"`   // cumulative, covering all seeds so far
-	Items []*Aggregate `json:"items,omitempty"` // multi-item jobs: one cumulative aggregate per item
+	LogHeader
+	Seeds []int              `json:"seeds"`           // completed since the previous record
+	Agg   *kplex.Aggregate   `json:"agg,omitempty"`   // cumulative, covering all seeds so far
+	Items []*kplex.Aggregate `json:"items,omitempty"` // multi-item jobs: one cumulative aggregate per item
 	// EnumMS is the cumulative enumeration wall-clock of the job across
 	// incarnations up to this checkpoint, for honest elapsed reporting
 	// after a resume.
 	EnumMS float64 `json:"enumMs"`
 }
 
-// wal appends checkpoint records durably.
-type wal struct {
-	f   *os.File
-	seq int
-	// onSync, when non-nil, receives the wall-clock duration of each
-	// successful fsync — the observability feed for the fsync latency
-	// histogram. Failures are not reported: the append error path is the
-	// signal there.
-	onSync func(d time.Duration)
-}
-
-// openWAL opens (creating if needed) the job's log for appending and
-// returns it positioned after the existing records.
-func openWAL(path string, lastSeq int) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &wal{f: f, seq: lastSeq}, nil
-}
-
-// append writes rec with the next sequence number and fsyncs. The record's
-// aggregate must already be sealed (see Aggregate.seal). The sequence
-// number only advances on success, so a failed append is simply retried at
-// the next flush — after truncating back to the pre-append size, because a
-// short write would otherwise leave a newline-less partial line that the
-// retry welds into one CRC-failing line, hiding every later record from
-// replay. (If even the truncate fails the disk is gone; crash recovery's
-// torn-tail handling is the remaining backstop.)
-func (w *wal) append(rec *walRecord) error {
-	rec.Ver = walVersion
-	rec.Seq = w.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	st, err := w.f.Stat()
-	if err != nil {
-		return err
-	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
-	if _, err := w.f.WriteString(line); err != nil {
-		w.f.Truncate(st.Size()) //nolint:errcheck // best effort, see above
-		return err
-	}
-	syncStart := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.f.Truncate(st.Size()) //nolint:errcheck
-		return err
-	}
-	if w.onSync != nil {
-		w.onSync(time.Since(syncStart))
-	}
-	w.seq++
-	return nil
-}
-
-func (w *wal) Close() error { return w.f.Close() }
-
 // walReplay is the durable state reconstructed from a log.
 type walReplay struct {
-	doneSeeds  []int
-	aggs       []*Aggregate // per-item cumulative aggregates; nil when the log holds no valid record
-	lastSeq    int
-	enumMS     float64
-	truncated  bool  // a torn or corrupt tail was discarded
-	validBytes int64 // length of the intact record prefix
+	LogReplay
+	doneSeeds []int
+	aggs      []*kplex.Aggregate // per-item cumulative aggregates; nil when the log holds no valid record
+	enumMS    float64
 }
 
-// replayWAL reads the log at path, verifying each line's checksum and
-// stopping at the first damaged one. A missing file is an empty log. A
-// final line without its trailing newline is torn even when its CRC
-// happens to pass — the record's durability ends at the newline, and
-// leaving it in place would let the next O_APPEND incarnation weld its
-// first record onto it into one unreadable line.
+// replayWAL reads the job log at path and cuts off a torn tail. Shape
+// errors in CRC-valid records — both layouts at once, an item-arity flip,
+// a repeated or negative seed — are hard errors, not torn-tail truncation:
+// the record is exactly what some binary durably wrote, just not
+// something this binary can merge.
 func replayWAL(path string) (*walReplay, error) {
 	rep := &walReplay{}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	seen := make(map[int]bool)
-	rest := data
-	for len(rest) > 0 {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			rep.truncated = true // unterminated tail
-			break
-		}
-		line := rest[:idx]
-		crcHex, payload, ok := strings.Cut(string(line), " ")
-		if !ok || len(crcHex) != 8 {
-			rep.truncated = true
-			break
-		}
-		var want uint32
-		if _, err := fmt.Sscanf(crcHex, "%08x", &want); err != nil {
-			rep.truncated = true
-			break
-		}
-		if crc32.ChecksumIEEE([]byte(payload)) != want {
-			rep.truncated = true
-			break
-		}
-		var rec walRecord
-		if err := json.Unmarshal([]byte(payload), &rec); err != nil || (rec.Agg == nil && len(rec.Items) == 0) {
-			rep.truncated = true
-			break
-		}
-		// Version and shape checks are hard errors, not torn-tail
-		// truncation: the record passed its CRC, so it is exactly what some
-		// binary durably wrote — just not something this binary can merge.
-		// Truncating it would silently resume from an older checkpoint and
-		// then append colliding sequence numbers after valid newer data.
-		if rec.Ver > walVersion {
-			return nil, fmt.Errorf("jobs: WAL record %d has schema version %d, but this binary understands at most %d (job dir shared with a newer binary?)", rec.Seq, rec.Ver, walVersion)
+	var err error
+	rep.LogReplay, err = ReplayLog(path, func(rec *walRecord) error {
+		if rec.Agg == nil && len(rec.Items) == 0 {
+			return ErrTornRecord
 		}
 		if rec.Agg != nil && len(rec.Items) > 0 {
-			return nil, fmt.Errorf("jobs: WAL record %d sets both agg and items; the log mixes single-query and batch layouts", rec.Seq)
-		}
-		if rec.Seq != rep.lastSeq+1 {
-			// A sequence gap means an earlier record was lost; everything
-			// after it is unusable.
-			rep.truncated = true
-			break
+			return fmt.Errorf("jobs: WAL record %d sets both agg and items; the log mixes single-query and batch layouts", rec.Seq)
 		}
 		aggs := rec.Items
 		if aggs == nil {
-			aggs = []*Aggregate{rec.Agg}
+			aggs = []*kplex.Aggregate{rec.Agg}
 		}
 		if rep.aggs != nil && len(aggs) != len(rep.aggs) {
 			// Checkpoints of one job all describe the same item vector; an
 			// arity flip mid-log means records from a different job (or a
 			// rewritten spec) were spliced in. Merging across the flip would
 			// attribute aggregates to the wrong items.
-			return nil, fmt.Errorf("jobs: WAL record %d carries %d item aggregates, earlier records carry %d", rec.Seq, len(aggs), len(rep.aggs))
+			return fmt.Errorf("jobs: WAL record %d carries %d item aggregates, earlier records carry %d", rec.Seq, len(aggs), len(rep.aggs))
 		}
-		unsealOK := true
 		for _, a := range aggs {
-			if a == nil || a.unseal() != nil {
-				unsealOK = false
-				break
+			if a == nil || a.Unseal() != nil {
+				return ErrTornRecord
 			}
-		}
-		if !unsealOK {
-			rep.truncated = true
-			break
 		}
 		for _, s := range rec.Seeds {
 			if s < 0 || seen[s] {
-				return nil, fmt.Errorf("jobs: WAL record %d repeats or corrupts seed %d", rec.Seq, s)
+				return fmt.Errorf("jobs: WAL record %d repeats or corrupts seed %d", rec.Seq, s)
 			}
 			seen[s] = true
-			rep.doneSeeds = append(rep.doneSeeds, s)
 		}
+		rep.doneSeeds = append(rep.doneSeeds, rec.Seeds...)
 		rep.aggs = aggs
-		rep.lastSeq = rec.Seq
 		rep.enumMS = rec.EnumMS
-		rep.validBytes += int64(idx) + 1
-		rest = rest[idx+1:]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

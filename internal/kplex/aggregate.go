@@ -1,38 +1,37 @@
-package jobs
+package kplex
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strconv"
-
-	"repro/internal/kplex"
 )
 
 // Aggregate is the mergeable summary of (part of) an enumeration: the plex
 // count, the size histogram, a bounded list of the largest plexes, an
 // order-independent digest of the plex set, and the accrued search
 // counters. Merging is associative and commutative over disjoint plex
-// sets, which is what lets the job layer commit per-seed contributions in
-// whatever order the schedulers complete them and still converge to the
-// result of an uninterrupted run.
+// sets, which is what lets a SeedCollector commit per-seed contributions
+// in whatever order the schedulers complete them — and the cluster layer
+// merge per-range ones — and still converge to the result of an
+// uninterrupted run.
 type Aggregate struct {
 	Count     int64         `json:"count"`
 	MaxSize   int           `json:"maxSize"`
 	TopN      int           `json:"topn"`
 	TopK      [][]int       `json:"topk,omitempty"` // size desc, then lex asc; len <= TopN
 	Histogram map[int]int64 `json:"hist,omitempty"`
-	// PlexXor is the hex form of xor. Maintained by seal()/unseal() around
-	// serialization; runtime updates go through xor directly.
-	PlexXor string      `json:"plexXor,omitempty"`
-	Stats   kplex.Stats `json:"stats"`
+	// PlexXor is the hex form of xor, filled by Snapshot and read back by
+	// Unseal around serialization; runtime updates go through xor directly.
+	PlexXor string `json:"plexXor,omitempty"`
+	Stats   Stats  `json:"stats"`
 
 	xor [sha256.Size]byte
 }
 
 // NewAggregate returns an empty aggregate keeping the topN largest plexes.
-// The histogram map is allocated lazily: the job layer creates one
-// aggregate per seed group, and most groups contribute few (often zero)
+// The histogram map is allocated lazily: a SeedCollector creates one
+// aggregate per productive seed group, and most groups contribute few
 // plexes.
 func NewAggregate(topN int) *Aggregate {
 	return &Aggregate{TopN: topN}
@@ -134,48 +133,30 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.Stats.Add(b.Stats)
 }
 
-// seal syncs the serialized digest field from the runtime state; call
-// before marshalling.
-func (a *Aggregate) seal() {
-	a.PlexXor = hex.EncodeToString(a.xor[:])
-}
-
-// Seal syncs the serialized digest field from the runtime state, making
-// the aggregate safe to marshal. It exists for other packages that ship
-// aggregates across process boundaries (the cluster layer's per-range
-// snapshots); the WAL seals internally.
-func (a *Aggregate) Seal() { a.seal() }
-
 // Unseal restores the runtime digest from the serialized field after
-// unmarshalling an aggregate received from another process.
-func (a *Aggregate) Unseal() error { return a.unseal() }
-
-// Snapshot returns a sealed deep copy safe to marshal while the original
-// keeps mutating.
-func (a *Aggregate) Snapshot() *Aggregate { return a.snapshot() }
-
-// unseal restores the runtime digest from the serialized field; call after
-// unmarshalling.
-func (a *Aggregate) unseal() error {
+// unmarshalling an aggregate written by Snapshot (a log record, a
+// worker's range answer).
+func (a *Aggregate) Unseal() error {
 	if a.PlexXor == "" {
 		a.xor = [sha256.Size]byte{}
 		return nil
 	}
 	raw, err := hex.DecodeString(a.PlexXor)
 	if err != nil || len(raw) != sha256.Size {
-		return fmt.Errorf("jobs: corrupt plex digest %q", a.PlexXor)
+		return fmt.Errorf("kplex: corrupt plex digest %q", a.PlexXor)
 	}
 	copy(a.xor[:], raw)
 	return nil
 }
 
-// snapshot returns a sealed deep copy safe to hand to the WAL encoder
-// while the original keeps mutating.
-func (a *Aggregate) snapshot() *Aggregate {
+// Snapshot returns a deep copy with the serialized digest filled in: safe
+// to marshal while the original keeps mutating.
+func (a *Aggregate) Snapshot() *Aggregate {
 	cp := &Aggregate{
 		Count:   a.Count,
 		MaxSize: a.MaxSize,
 		TopN:    a.TopN,
+		PlexXor: a.PlexDigest(),
 		Stats:   a.Stats,
 		xor:     a.xor,
 	}
@@ -191,7 +172,6 @@ func (a *Aggregate) snapshot() *Aggregate {
 			cp.Histogram[s] = c
 		}
 	}
-	cp.seal()
 	return cp
 }
 

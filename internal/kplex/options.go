@@ -136,6 +136,25 @@ func (s SchedulerStyle) String() string {
 	}
 }
 
+// ParseScheduler resolves a scheduler name as the service surfaces accept
+// it: "stages" (or empty), "global-queue" or "steal".
+func ParseScheduler(name string) (SchedulerStyle, error) {
+	switch name {
+	case "", "stages":
+		return SchedulerStages, nil
+	case "global-queue":
+		return SchedulerGlobalQueue, nil
+	case "steal":
+		return SchedulerSteal, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q", name)
+}
+
+// DefaultTaskTimeout is the τ_time the service surfaces (queries, jobs,
+// cluster ranges) run multi-threaded enumerations with: short enough that
+// one deep subtree cannot pin a worker while its siblings idle.
+const DefaultTaskTimeout = 2 * time.Millisecond
+
 // Options configures one enumeration run. The zero value is not valid; use
 // NewOptions or fill K and Q explicitly. The ablation variants of the
 // paper's Tables 5-6 are expressed by toggling UpperBound, UseSubtaskBound
@@ -159,15 +178,6 @@ type Options struct {
 	Branching BranchingStyle
 	// Partition selects the task decomposition (see PartitionStyle).
 	Partition PartitionStyle
-	// SerializeSeedBuild is a deprecated no-op, kept so existing presets
-	// keep compiling. It used to force seed-subgraph construction through a
-	// global lock as a workaround for allocation pressure in parallel runs
-	// (reproducing the bottleneck of FP's parallel implementation that the
-	// paper's Table 4 discussion calls out); the seed pipeline now builds
-	// from per-worker scratch and pooled storage without heap allocation,
-	// so there is no contention left to serialise away.
-	SerializeSeedBuild bool
-
 	// Threads is the number of workers; values < 1 mean 1 (sequential).
 	Threads int
 	// Scheduler selects the parallel work-distribution scheme; the zero

@@ -24,13 +24,13 @@ import (
 )
 
 // clusterRef computes the single-node ground truth for a corpus cell.
-func clusterRef(t *testing.T, name string, k, q, topn int) *jobs.Aggregate {
+func clusterRef(t *testing.T, name string, k, q, topn int) *kplex.Aggregate {
 	t.Helper()
 	cg := gen.CorpusGraphByName(strings.TrimPrefix(name, "corpus:"))
 	if cg == nil {
 		t.Fatalf("unknown corpus graph %q", name)
 	}
-	agg := jobs.NewAggregate(topn)
+	agg := kplex.NewAggregate(topn)
 	opts := kplex.NewOptions(k, q)
 	opts.OnPlex = func(p []int) { agg.AddPlex(p) }
 	if _, err := kplex.Run(context.Background(), cg.Build(), opts); err != nil {
@@ -39,7 +39,7 @@ func clusterRef(t *testing.T, name string, k, q, topn int) *jobs.Aggregate {
 	return agg
 }
 
-func assertClusterResult(t *testing.T, res *jobs.Result, ref *jobs.Aggregate) {
+func assertClusterResult(t *testing.T, res *jobs.Result, ref *kplex.Aggregate) {
 	t.Helper()
 	if res.Count != ref.Count || res.MaxSize != ref.MaxSize {
 		t.Errorf("result count=%d maxSize=%d, want %d/%d", res.Count, res.MaxSize, ref.Count, ref.MaxSize)

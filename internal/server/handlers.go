@@ -215,19 +215,15 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 	if opts.Threads <= 0 {
 		opts.Threads = s.cfg.DefaultThreads
 	}
-	switch req.Scheduler {
-	case "", "stages":
-		opts.Scheduler = kplex.SchedulerStages
-	case "global-queue":
-		opts.Scheduler = kplex.SchedulerGlobalQueue
-	case "steal":
-		opts.Scheduler = kplex.SchedulerSteal
-	case "auto":
-		// Provisional: finalized against the predicted cost once the
-		// prepared prologue (and with it the cost features) is resident.
-		opts.Scheduler = kplex.SchedulerStages
-	default:
-		return kplex.Options{}, fmt.Errorf("unknown scheduler %q", req.Scheduler)
+	// "auto" keeps the provisional stages default, finalized against the
+	// predicted cost once the prepared prologue (and with it the cost
+	// features) is resident.
+	if req.Scheduler != "auto" {
+		sched, err := kplex.ParseScheduler(req.Scheduler)
+		if err != nil {
+			return kplex.Options{}, err
+		}
+		opts.Scheduler = sched
 	}
 	switch req.Route {
 	case "", "sync":
@@ -258,7 +254,7 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 	if opts.Threads > 1 {
 		// Straggler splitting: a service must not let one deep subtree pin
 		// a worker while its siblings idle (Section 6's τ_time).
-		opts.TaskTimeout = 2 * time.Millisecond
+		opts.TaskTimeout = kplex.DefaultTaskTimeout
 	}
 	if err := opts.Validate(); err != nil {
 		return kplex.Options{}, err

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/jobs"
+	"repro/internal/kplex"
 	"repro/internal/obs"
 )
 
@@ -159,7 +160,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	enumSpan := wt.StartSpan("enumerate").Attr("range", rangeAttr)
 	type rangeOut struct {
-		agg *jobs.Aggregate
+		agg *kplex.Aggregate
 		err error
 	}
 	outc := make(chan rangeOut, 1)
@@ -188,7 +189,6 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			enumSpan.Attr("seeds", fmt.Sprint(req.Hi-req.Lo)).End()
-			out.agg.Seal()
 			emit(&cluster.RangeLine{
 				SeedsDone: int(seedsDone.Load()),
 				Done:      true,

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/jobs"
@@ -77,91 +76,15 @@ func (s *Server) reject429(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusTooManyRequests, err.Error())
 }
 
-// partialAgg accumulates an enumeration into a jobs.Aggregate with the
-// WAL's commit discipline: per-seed contributions buffer through
-// OnPlexSeed and merge only when the seed group's OnSeedDone fires.
-// Because the engine suppresses OnSeedDone for groups interrupted by
-// cancellation, the committed aggregate after a deadline-cancelled run
-// summarises exactly the fully-enumerated seed groups — a true lower
-// bound, and (with the done-set) precisely the resume token
-// jobs.SubmitResumable accepts.
-type partialAgg struct {
-	mu        sync.Mutex
-	pending   map[int]*jobs.Aggregate
-	committed *jobs.Aggregate
-	done      *kplex.SeedSet
-	topN      int
-}
-
-func newPartialAgg(topN int) *partialAgg {
-	return &partialAgg{
-		pending:   make(map[int]*jobs.Aggregate),
-		committed: jobs.NewAggregate(topN),
-		done:      kplex.NewSeedSet(),
-		topN:      topN,
-	}
-}
-
-// install chains the aggregate's buffering into o's hooks, preserving any
-// hooks already set (they run after the aggregate records the event).
-func (pa *partialAgg) install(o *kplex.Options) {
-	prevPlex := o.OnPlexSeed
-	o.OnPlexSeed = func(seed int, plex []int) {
-		pa.onPlex(seed, plex)
-		if prevPlex != nil {
-			prevPlex(seed, plex)
-		}
-	}
-	prevDone := o.OnSeedDone
-	o.OnSeedDone = func(seed int, partial kplex.Stats) {
-		pa.onDone(seed, partial)
-		if prevDone != nil {
-			prevDone(seed, partial)
-		}
-	}
-}
-
-func (pa *partialAgg) onPlex(seed int, plex []int) {
-	pa.mu.Lock()
-	a := pa.pending[seed]
-	if a == nil {
-		a = jobs.NewAggregate(pa.topN)
-		pa.pending[seed] = a
-	}
-	a.AddPlex(plex)
-	pa.mu.Unlock()
-}
-
-func (pa *partialAgg) onDone(seed int, partial kplex.Stats) {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	if pa.done.Contains(seed) {
-		return
-	}
-	pa.done.Add(seed)
-	pa.committed.Stats.Add(partial)
-	if a := pa.pending[seed]; a != nil {
-		delete(pa.pending, seed)
-		pa.committed.Merge(a) // a carries no Stats; only the engine's partial do
-	}
-}
-
-// snapshot returns the committed aggregate and done-set, safe against the
-// still-running enumeration.
-func (pa *partialAgg) snapshot() (*jobs.Aggregate, *kplex.SeedSet) {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	return pa.committed.Snapshot(), kplex.NewSeedSet(pa.done.Seeds()...)
-}
-
 // executeDeadline answers a deadlineMs-bounded query: the enumeration is
 // tied to the requesting client and to the deadline, and a deadline expiry
-// is not an error — the committed seed groups answer as an HTTP 200 with
-// partial:true, the count a true lower bound, the completed-seed fraction,
-// and (when the job subsystem is enabled) a durable resume job already
-// enumerating the remainder. A run that beats its deadline caches and
-// answers exactly like the synchronous path. Partial results never enter
-// the result cache or the singleflight group.
+// is not an error but a run that stopped early. Its SeedCollector's
+// committed seed groups answer as an HTTP 200 with partial:true, the count
+// a true lower bound, the completed-seed fraction, and (when the job
+// subsystem is enabled) their aggregate and done-set become a durable
+// resume job already enumerating the remainder. A run that beats its
+// deadline caches and answers exactly like the synchronous path. Partial
+// results never enter the result cache or the singleflight group.
 func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.Trace, inf *obs.InflightEntry, entry *GraphEntry, req *queryRequest, opts kplex.Options, tenant, key string) {
 	inf.SetStage("admission")
 	admSpan := t.StartSpan("admission")
@@ -191,10 +114,10 @@ func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.
 	if req.Mode == "topk" {
 		topN = req.TopN
 	}
-	pa := newPartialAgg(topN)
+	col := kplex.NewSeedCollector(p.SeedSpace(), []kplex.CollectMember{{TopN: topN}},
+		func(int, int64, []*kplex.Aggregate, *kplex.SeedSet) { inf.SeedDone() })
 	opts.PhaseTimers = true
-	opts.OnSeedDone = func(int, kplex.Stats) { inf.SeedDone() }
-	pa.install(&opts)
+	col.Install(&opts, 0)
 
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline > s.cfg.QueryTimeout {
@@ -208,7 +131,8 @@ func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.
 	started := time.Now()
 	res, runErr := kplex.RunPrepared(ctx, p, opts)
 	elapsed := time.Since(started)
-	agg, doneSeeds := pa.snapshot()
+	aggs, doneSeeds := col.Snapshot()
+	agg := aggs[0]
 
 	if runErr == nil {
 		// Beat the deadline: the committed aggregate is the complete answer.
@@ -256,7 +180,7 @@ func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.
 
 // resultFromAggregate renders a completed commit-disciplined run as a
 // cacheable queryResult (mode-specific payloads only, like execute).
-func resultFromAggregate(req *queryRequest, agg *jobs.Aggregate, digest string, elapsed time.Duration) *queryResult {
+func resultFromAggregate(req *queryRequest, agg *kplex.Aggregate, digest string, elapsed time.Duration) *queryResult {
 	val := &queryResult{
 		Mode:       req.Mode,
 		Count:      agg.Count,
@@ -282,7 +206,7 @@ func resultFromAggregate(req *queryRequest, agg *jobs.Aggregate, digest string, 
 
 // partialResponse renders the 200 partial:true body of a deadline-hit
 // query.
-func partialResponse(req *queryRequest, entry *GraphEntry, agg *jobs.Aggregate, seedsDone, totalSeeds int, elapsed time.Duration) *queryResponse {
+func partialResponse(req *queryRequest, entry *GraphEntry, agg *kplex.Aggregate, seedsDone, totalSeeds int, elapsed time.Duration) *queryResponse {
 	resp := &queryResponse{
 		Graph:      req.Graph,
 		Digest:     entry.Digest,
@@ -350,18 +274,15 @@ func (s *Server) executeSampled(t *obs.Trace, inf *obs.InflightEntry, entry *Gra
 	}
 	inf.SetSeedsTotal(int64(kept))
 
-	var mu sync.Mutex
-	perSeed := make(map[int]int64, kept)
-	hist := make(map[int]int64)
+	perSeed := make([]int64, total)
+	col := kplex.NewSeedCollector(total, []kplex.CollectMember{{}},
+		func(seed int, plexes int64, _ []*kplex.Aggregate, _ *kplex.SeedSet) {
+			perSeed[seed] = plexes
+			inf.SeedDone()
+		})
 	opts.SkipSeeds = skip
 	opts.PhaseTimers = true
-	opts.OnPlexSeed = func(seed int, plex []int) {
-		mu.Lock()
-		perSeed[seed]++
-		hist[len(plex)]++
-		mu.Unlock()
-	}
-	opts.OnSeedDone = func(int, kplex.Stats) { inf.SeedDone() }
+	col.Install(&opts, 0)
 
 	inf.SetStage("enumerate")
 	enumSpan := t.StartSpan("enumerate").Attr("mode", req.Mode).
@@ -396,6 +317,8 @@ func (s *Server) executeSampled(t *obs.Trace, inf *obs.InflightEntry, entry *Gra
 	}
 	if req.Mode == "histogram" {
 		// Per-bucket counts scale by the same unbiased N/n factor.
+		aggs, _ := col.Snapshot()
+		hist := aggs[0].Histogram
 		val.Histogram = make(map[int]int64, len(hist))
 		scale := 1.0
 		if len(counts) > 0 {

@@ -145,6 +145,6 @@ func tuneFor(pred time.Duration, explicitThreads, defaultThreads int, opts *kple
 	case opts.Scheduler == kplex.SchedulerSteal:
 		opts.TaskTimeout = time.Millisecond // long runs: split aggressively
 	default:
-		opts.TaskTimeout = 2 * time.Millisecond
+		opts.TaskTimeout = kplex.DefaultTaskTimeout
 	}
 }
