@@ -1,14 +1,17 @@
 package cluster
 
 // Tests for the coordinator's per-range write-ahead log records: round
-// trip, first-completion-wins dedupe, foreign ranges, and the committed
-// fixture that pins the format. The framing rules shared with the job WAL
-// (torn tails, sequence gaps, schema versions) are covered by the jobs
-// package's TestLogFraming.
+// trip, first-completion-wins dedupe, foreign ranges, the hard rejection
+// of records from a newer schema version, and the committed fixture that
+// pins the format. The other framing rules shared with the job WAL
+// (torn tails, sequence gaps) are covered by the jobs package's
+// TestLogFraming.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,6 +84,39 @@ func TestRangeWALDuplicateFirstWins(t *testing.T) {
 	}
 	if rep.LastSeq != 2 {
 		t.Fatalf("lastSeq = %d, want 2 (the duplicate still advances the sequence)", rep.LastSeq)
+	}
+}
+
+// TestRangeWALRejectsFutureVersion: a CRC-valid range record stamped by a
+// newer binary is a hard error (routed to job failure), never silent
+// truncation.
+func TestRangeWALRejectsFutureVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), rangeWALName)
+	w, err := jobs.OpenLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&rangeRecord{Range: 0, Agg: testAgg(0)}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	future := &rangeRecord{LogHeader: jobs.LogHeader{Ver: jobs.LogVersion + 1, Seq: 2}, Range: 1, Agg: testAgg(1)}
+	payload, err := json.Marshal(future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := replayRangeWAL(path, 2); err == nil {
+		t.Fatal("future-version record replayed without error")
 	}
 }
 

@@ -42,6 +42,25 @@ func writeWALLine(t *testing.T, path, payload string) {
 	}
 }
 
+// TestWALReplayRejectsFutureVersion: a CRC-valid job record stamped by a
+// newer binary is a hard error, never silent truncation.
+func TestWALReplayRejectsFutureVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), walName)
+	w, err := OpenLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&walRecord{Seeds: []int{0}, Agg: sealedAgg(0)}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	writeWALLine(t, path, fmt.Sprintf(`{"v":%d,"seq":2,"seeds":[1],"agg":{"count":1,"topn":3},"enumMs":1}`, LogVersion+1))
+
+	if _, err := replayWAL(path); err == nil {
+		t.Fatal("future-version record replayed without error")
+	}
+}
+
 func TestWALReplayRejectsAggAndItemsTogether(t *testing.T) {
 	path := filepath.Join(t.TempDir(), walName)
 	writeWALLine(t, path, `{"v":1,"seq":1,"seeds":[0],"agg":{"count":1,"topn":3},"items":[{"count":1,"topn":3}],"enumMs":1}`)
