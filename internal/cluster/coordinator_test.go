@@ -145,6 +145,25 @@ func assertResultMatchesRef(t *testing.T, res *jobs.Result, ref *kplex.Aggregate
 	}
 }
 
+// openTestCoordinator opens a coordinator over dir leasing to workers,
+// with a lease timeout no healthy test worker reaches and stealing off.
+func openTestCoordinator(t *testing.T, dir string, workers ...string) *Coordinator {
+	t.Helper()
+	c, err := Open(Config{
+		Dir:          dir,
+		Load:         testLoader,
+		Workers:      workers,
+		LeaseTimeout: 10 * time.Second,
+		StealAfter:   time.Hour,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
 func waitDone(t *testing.T, c *Coordinator, id string) *View {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
