@@ -6,10 +6,11 @@
 // last checkpoint when reinvoked).
 //
 // With -cluster the same commands drive a coordinator kplexd's
-// distributed jobs (/cluster/jobs) instead: submit fans the enumeration
-// out across the coordinator's registered workers, wait follows
-// range-level progress, and result fetches the merged aggregate — which
-// is byte-identical to what a single-node run of the same query returns.
+// distributed jobs (/cluster/jobs, the same API as /jobs) instead: submit
+// fans the enumeration out across the coordinator's registered workers,
+// wait follows range-level progress, and result fetches the merged
+// aggregate — which is byte-identical to what a single-node run of the
+// same query returns.
 //
 // Usage:
 //
@@ -48,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/server"
@@ -61,16 +61,13 @@ func main() {
 	}
 }
 
-// backend abstracts "talk to kplexd" vs "run the manager in-process" vs
-// "talk to a cluster coordinator". list/status return `any` because the
-// cluster backend's views carry range-level fields the jobs types don't;
-// the commands only print them. wait reports the terminal state plus the
-// job's own error text; result is *jobs.Result everywhere because the
-// coordinator merges into the same result shape single-node jobs use.
+// backend abstracts "talk to kplexd" (its /jobs or /cluster/jobs API) vs
+// "run the manager in-process". wait reports the terminal state plus the
+// job's own error text.
 type backend interface {
-	submit(spec jobs.Spec) (id string, man any, err error)
-	list() (any, error)
-	status(id string) (any, error)
+	submit(spec jobs.Spec) (*jobs.Manifest, error)
+	list() ([]jobs.View, error)
+	status(id string) (*jobs.View, error)
 	wait(id string) (jobs.State, string, error)
 	result(id string) (*jobs.Result, error)
 	cancel(id string) error
@@ -118,9 +115,9 @@ func run() error {
 		}
 		b = &localBackend{m: m}
 	} else if *clust {
-		b = &clusterBackend{h: &httpBackend{base: strings.TrimRight(*addr, "/")}}
+		b = &httpBackend{base: strings.TrimRight(*addr, "/"), jobs: "/cluster/jobs"}
 	} else {
-		b = &httpBackend{base: strings.TrimRight(*addr, "/")}
+		b = &httpBackend{base: strings.TrimRight(*addr, "/"), jobs: "/jobs"}
 	}
 	defer b.close()
 
@@ -231,7 +228,7 @@ func cmdSubmit(b backend, local bool, args []string) error {
 	fs.StringVar(&spec.Scheduler, "scheduler", "", "stages | global-queue | steal")
 	fs.IntVar(&spec.Priority, "priority", 0, "higher runs first")
 	items := fs.String("items", "", `batch job: comma-separated "k:q[:topn]" cells (leave -k/-q/-topn unset); cells with equal k share one traversal`)
-	ranges := fs.Int("ranges", 0, "seed ranges the job is split into (-cluster only; default: coordinator's ranges-per-worker × workers)")
+	fs.IntVar(&spec.Ranges, "ranges", 0, "seed ranges the job is split into (-cluster only; default: coordinator's ranges-per-worker × workers)")
 	wait := fs.Bool("wait", false, "watch progress and print the result")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -242,22 +239,17 @@ func cmdSubmit(b backend, local bool, args []string) error {
 			return err
 		}
 	}
-	if cb, ok := b.(*clusterBackend); ok {
-		cb.ranges = *ranges
-	} else if *ranges != 0 {
-		return errors.New("-ranges applies only with -cluster")
-	}
-	id, man, err := b.submit(spec)
+	man, err := b.submit(spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "submitted", id)
+	fmt.Fprintln(os.Stderr, "submitted", man.ID)
 	// A local manager dies with this process, so submitting without
 	// waiting would leave the job queued forever; always wait.
 	if !*wait && !local {
 		return printJSON(man)
 	}
-	return waitAndReport(b, id)
+	return waitAndReport(b, man.ID)
 }
 
 // parseItems decodes the -items flag: comma-separated "k:q" or "k:q:topn"
@@ -320,17 +312,11 @@ func localLoader(dataDir string) jobs.GraphLoader {
 // localBackend drives an in-process manager.
 type localBackend struct{ m *jobs.Manager }
 
-func (l *localBackend) submit(spec jobs.Spec) (string, any, error) {
-	man, err := l.m.Submit(spec)
-	if err != nil {
-		return "", nil, err
-	}
-	return man.ID, man, nil
-}
-func (l *localBackend) list() (any, error)                     { return l.m.List(), nil }
-func (l *localBackend) status(id string) (any, error)          { return l.m.Get(id) }
-func (l *localBackend) result(id string) (*jobs.Result, error) { return l.m.Result(id) }
-func (l *localBackend) cancel(id string) error                 { return l.m.Cancel(id) }
+func (l *localBackend) submit(spec jobs.Spec) (*jobs.Manifest, error) { return l.m.Submit(spec) }
+func (l *localBackend) list() ([]jobs.View, error)                    { return l.m.List(), nil }
+func (l *localBackend) status(id string) (*jobs.View, error)          { return l.m.Get(id) }
+func (l *localBackend) result(id string) (*jobs.Result, error)        { return l.m.Result(id) }
+func (l *localBackend) cancel(id string) error                        { return l.m.Cancel(id) }
 func (l *localBackend) remove(id string) error {
 	if err := l.m.Cancel(id); err == nil {
 		return nil
@@ -357,8 +343,8 @@ func (l *localBackend) wait(id string) (jobs.State, string, error) {
 	return v.State, v.Error, nil
 }
 
-// httpBackend talks to a running kplexd.
-type httpBackend struct{ base string }
+// httpBackend talks to a running kplexd's job API under the jobs path.
+type httpBackend struct{ base, jobs string }
 
 func (h *httpBackend) close() {}
 
@@ -392,28 +378,26 @@ func (h *httpBackend) do(method, path string, body io.Reader, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-func (h *httpBackend) submit(spec jobs.Spec) (string, any, error) {
+func (h *httpBackend) submit(spec jobs.Spec) (*jobs.Manifest, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	var man jobs.Manifest
-	if err := h.do(http.MethodPost, "/jobs", strings.NewReader(string(body)), &man); err != nil {
-		return "", nil, err
+	if err := h.do(http.MethodPost, h.jobs, strings.NewReader(string(body)), &man); err != nil {
+		return nil, err
 	}
-	return man.ID, &man, nil
+	return &man, nil
 }
 
-func (h *httpBackend) list() (any, error) {
+func (h *httpBackend) list() ([]jobs.View, error) {
 	var views []jobs.View
-	return views, h.do(http.MethodGet, "/jobs", nil, &views)
+	return views, h.do(http.MethodGet, h.jobs, nil, &views)
 }
 
-func (h *httpBackend) status(id string) (any, error) { return h.view(id) }
-
-func (h *httpBackend) view(id string) (*jobs.View, error) {
+func (h *httpBackend) status(id string) (*jobs.View, error) {
 	var v jobs.View
-	if err := h.do(http.MethodGet, "/jobs/"+id, nil, &v); err != nil {
+	if err := h.do(http.MethodGet, h.jobs+"/"+id, nil, &v); err != nil {
 		return nil, err
 	}
 	return &v, nil
@@ -421,7 +405,7 @@ func (h *httpBackend) view(id string) (*jobs.View, error) {
 
 func (h *httpBackend) result(id string) (*jobs.Result, error) {
 	var res jobs.Result
-	if err := h.do(http.MethodGet, "/jobs/"+id+"/result", nil, &res); err != nil {
+	if err := h.do(http.MethodGet, h.jobs+"/"+id+"/result", nil, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -430,26 +414,27 @@ func (h *httpBackend) result(id string) (*jobs.Result, error) {
 func (h *httpBackend) cancel(id string) error {
 	// The dedicated endpoint refuses terminal jobs; DELETE would purge
 	// them (and their results) instead.
-	return h.do(http.MethodPost, "/jobs/"+id+"/cancel", nil, nil)
+	return h.do(http.MethodPost, h.jobs+"/"+id+"/cancel", nil, nil)
 }
 
 func (h *httpBackend) remove(id string) error {
 	// DELETE cancels active jobs; a second DELETE purges the terminal one.
-	return h.do(http.MethodDelete, "/jobs/"+id, nil, nil)
+	return h.do(http.MethodDelete, h.jobs+"/"+id, nil, nil)
 }
 
-// wait follows the NDJSON events feed; if the feed drops (kplexd restart),
-// it falls back to polling until the job is terminal.
+// wait follows the NDJSON events feed; if the feed drops (a kplexd
+// restart parks running jobs and resumes them on reopen), it re-attaches
+// until the job is terminal.
 func (h *httpBackend) wait(id string) (jobs.State, string, error) {
 	for {
-		resp, err := http.Get(h.base + "/jobs/" + id + "/events")
+		resp, err := http.Get(h.base + h.jobs + "/" + id + "/events")
 		if err != nil {
 			return "", "", err
 		}
 		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
 			// 404 etc.: let the status fetch produce the error.
-			v, err := h.view(id)
+			v, err := h.status(id)
 			if err != nil {
 				return "", "", err
 			}
@@ -468,12 +453,11 @@ func (h *httpBackend) wait(id string) (jobs.State, string, error) {
 			}
 		}
 		resp.Body.Close()
-		v, err := h.view(id)
+		v, err := h.status(id)
 		if err != nil {
 			return "", "", err
 		}
-		switch v.State {
-		case jobs.StateDone, jobs.StateFailed, jobs.StateCancelled:
+		if v.State.Terminal() {
 			return v.State, v.Error, nil
 		}
 		// Feed ended but the job is still live (server restarting and
@@ -482,127 +466,22 @@ func (h *httpBackend) wait(id string) (jobs.State, string, error) {
 	}
 }
 
-// clusterBackend drives a coordinator kplexd's distributed jobs: same
-// verbs, /cluster/jobs paths, range-level progress.
-type clusterBackend struct {
-	h      *httpBackend
-	ranges int // submit's -ranges (0: coordinator default)
-}
-
-func (c *clusterBackend) close() {}
-
-func (c *clusterBackend) submit(spec jobs.Spec) (string, any, error) {
-	if spec.Priority != 0 || len(spec.Items) != 0 {
-		return "", nil, errors.New("-priority and -items do not apply to distributed jobs")
-	}
-	body, err := json.Marshal(cluster.Spec{
-		Graph:     spec.Graph,
-		K:         spec.K,
-		Q:         spec.Q,
-		TopN:      spec.TopN,
-		Ranges:    c.ranges,
-		Threads:   spec.Threads,
-		Scheduler: spec.Scheduler,
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	var man cluster.Manifest
-	if err := c.h.do(http.MethodPost, "/cluster/jobs", strings.NewReader(string(body)), &man); err != nil {
-		return "", nil, err
-	}
-	return man.ID, &man, nil
-}
-
-func (c *clusterBackend) list() (any, error) {
-	var views []cluster.View
-	return views, c.h.do(http.MethodGet, "/cluster/jobs", nil, &views)
-}
-
-func (c *clusterBackend) status(id string) (any, error) { return c.view(id) }
-
-func (c *clusterBackend) view(id string) (*cluster.View, error) {
-	var v cluster.View
-	if err := c.h.do(http.MethodGet, "/cluster/jobs/"+id, nil, &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-func (c *clusterBackend) result(id string) (*jobs.Result, error) {
-	var res jobs.Result
-	if err := c.h.do(http.MethodGet, "/cluster/jobs/"+id+"/result", nil, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-func (c *clusterBackend) cancel(id string) error {
-	return c.h.do(http.MethodPost, "/cluster/jobs/"+id+"/cancel", nil, nil)
-}
-
-func (c *clusterBackend) remove(id string) error {
-	return c.h.do(http.MethodDelete, "/cluster/jobs/"+id, nil, nil)
-}
-
-// wait mirrors httpBackend.wait over the coordinator's events feed. A
-// coordinator restart parks running jobs as checkpointed and resumes
-// them on reopen, so a dropped feed re-attaches rather than giving up.
-func (c *clusterBackend) wait(id string) (jobs.State, string, error) {
-	for {
-		resp, err := http.Get(c.h.base + "/cluster/jobs/" + id + "/events")
-		if err != nil {
-			return "", "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			v, err := c.view(id)
-			if err != nil {
-				return "", "", err
-			}
-			return v.State, v.Error, nil
-		}
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || line == "{}" {
-				continue
-			}
-			var p cluster.Progress
-			if json.Unmarshal([]byte(line), &p) == nil {
-				reportClusterProgress(p)
-			}
-		}
-		resp.Body.Close()
-		v, err := c.view(id)
-		if err != nil {
-			return "", "", err
-		}
-		if v.State.Terminal() {
-			return v.State, v.Error, nil
-		}
-		time.Sleep(time.Second)
-	}
-}
-
-func reportClusterProgress(p cluster.Progress) {
-	extra := ""
-	if p.Reassigned > 0 {
-		extra += fmt.Sprintf("  reassigned %d", p.Reassigned)
-	}
-	if p.Stolen > 0 {
-		extra += fmt.Sprintf("  stolen %d", p.Stolen)
-	}
-	fmt.Fprintf(os.Stderr, "%-12s ranges %d/%d  seeds %d/%d  leased %d%s\n",
-		p.State, p.RangesDone, p.RangesTotal, p.SeedsDone, p.TotalSeeds, p.Leased, extra)
-}
-
 func reportProgress(p jobs.Progress) {
-	eta := ""
-	if p.ETAMS > 0 {
-		eta = fmt.Sprintf(" eta=%s", (time.Duration(p.ETAMS) * time.Millisecond).Round(time.Second))
+	extra := ""
+	if p.RangesTotal > 0 {
+		extra = fmt.Sprintf("  ranges %d/%d  leased %d", p.RangesDone, p.RangesTotal, p.Leased)
+		if p.Reassigned > 0 {
+			extra += fmt.Sprintf("  reassigned %d", p.Reassigned)
+		}
+		if p.Stolen > 0 {
+			extra += fmt.Sprintf("  stolen %d", p.Stolen)
+		}
+	} else {
+		extra = fmt.Sprintf("  checkpoints %d", p.Checkpoints)
 	}
-	fmt.Fprintf(os.Stderr, "%-12s seeds %d/%d  plexes %d  checkpoints %d%s\n",
-		p.State, p.SeedsDone, p.TotalSeeds, p.Plexes, p.Checkpoints, eta)
+	if p.ETAMS > 0 {
+		extra += fmt.Sprintf(" eta=%s", (time.Duration(p.ETAMS) * time.Millisecond).Round(time.Second))
+	}
+	fmt.Fprintf(os.Stderr, "%-12s seeds %d/%d  plexes %d%s\n",
+		p.State, p.SeedsDone, p.TotalSeeds, p.Plexes, extra)
 }

@@ -28,6 +28,10 @@
 // ranges are recorded in a CRC-guarded write-ahead log under the
 // coordinator's state dir, so a coordinator restart resumes a distributed
 // job without re-running finished ranges.
+//
+// The coordinator is a jobs.Manager with a range executor: distributed
+// jobs share the job lifecycle, types and HTTP surface of local jobs, and
+// differ only in what a running incarnation does.
 package cluster
 
 import (
@@ -39,78 +43,6 @@ import (
 	"repro/internal/kplex"
 	"repro/internal/obs"
 )
-
-// Spec is what a client submits to the coordinator: the result-defining
-// query plus distribution knobs. Distributed jobs are single-query only —
-// batch items fan out across ranges poorly (every member would ride every
-// range) and can always be submitted as one distributed job per cell.
-type Spec struct {
-	Graph string `json:"graph"`
-	K     int    `json:"k"`
-	Q     int    `json:"q"`
-	TopN  int    `json:"topn,omitempty"` // largest plexes kept (default 10)
-	// Ranges is the number of seed ranges the job is split into (default
-	// RangesPerWorker × registered workers). More ranges mean finer-grained
-	// reassignment and stealing at the cost of more per-range prologue
-	// verification round trips.
-	Ranges int `json:"ranges,omitempty"`
-	// Threads is the engine parallelism each worker runs its ranges with
-	// (0: the worker's own default).
-	Threads   int    `json:"threads,omitempty"`
-	Scheduler string `json:"scheduler,omitempty"` // "", stages, global-queue, steal
-}
-
-// Range is one contiguous slice [Lo, Hi) of a job's seed id space. A
-// range's identity is its index in the manifest's pinned partition.
-type Range struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// Manifest is the durable per-job metadata. The partition (Ranges), graph
-// digest and seed-space size are pinned at first run: every later
-// incarnation — and every worker — must agree on them or the per-range
-// checkpoints would describe a different decomposition.
-type Manifest struct {
-	ID         string     `json:"id"`
-	Spec       Spec       `json:"spec"`
-	State      jobs.State `json:"state"`
-	Digest     string     `json:"digest,omitempty"`
-	TotalSeeds int        `json:"totalSeeds,omitempty"`
-	Ranges     []Range    `json:"ranges,omitempty"`
-	RangesDone int        `json:"rangesDone"`
-	Resumes    int        `json:"resumes"`
-	Error      string     `json:"error,omitempty"`
-	CreatedAt  time.Time  `json:"createdAt"`
-	StartedAt  time.Time  `json:"startedAt,omitzero"`
-	FinishedAt time.Time  `json:"finishedAt,omitzero"`
-	// EnumMS is cumulative distributed enumeration wall-clock across
-	// coordinator incarnations.
-	EnumMS float64 `json:"enumMs,omitempty"`
-	// TraceID names the job's stitched trace in the coordinator's
-	// /debug/traces ring; pinned at first run.
-	TraceID string `json:"traceId,omitempty"`
-}
-
-// Progress is the live view streamed to watchers.
-type Progress struct {
-	State       jobs.State `json:"state"`
-	RangesDone  int        `json:"rangesDone"`
-	RangesTotal int        `json:"rangesTotal"`
-	SeedsDone   int        `json:"seedsDone"` // completed ranges + live lease progress
-	TotalSeeds  int        `json:"totalSeeds"`
-	Leased      int        `json:"leased"`               // ranges currently out on lease
-	Reassigned  int64      `json:"reassigned,omitempty"` // leases lost to failure or expiry
-	Stolen      int64      `json:"stolen,omitempty"`     // speculative straggler re-leases
-	ElapsedMS   float64    `json:"elapsedMs"`
-	Error       string     `json:"error,omitempty"`
-}
-
-// View is one distributed job in listings.
-type View struct {
-	Manifest
-	Progress Progress `json:"progress"`
-}
 
 // WorkerView is one registered worker in GET /cluster/workers listings.
 type WorkerView struct {
@@ -203,7 +135,7 @@ func RunRange(ctx context.Context, p *kplex.Prepared, opts kplex.Options, req *R
 // partition splits a seed space of total seeds into n contiguous ranges
 // of near-equal size (the first total%n ranges are one seed longer). n is
 // clamped to [1, total]; a zero-seed space has no ranges.
-func partition(total, n int) []Range {
+func partition(total, n int) []jobs.Range {
 	if total <= 0 {
 		return nil
 	}
@@ -213,7 +145,7 @@ func partition(total, n int) []Range {
 	if n > total {
 		n = total
 	}
-	out := make([]Range, n)
+	out := make([]jobs.Range, n)
 	base, extra := total/n, total%n
 	lo := 0
 	for i := range out {
@@ -221,7 +153,7 @@ func partition(total, n int) []Range {
 		if i < extra {
 			size++
 		}
-		out[i] = Range{Lo: lo, Hi: lo + size}
+		out[i] = jobs.Range{Lo: lo, Hi: lo + size}
 		lo += size
 	}
 	return out
@@ -247,7 +179,3 @@ func BuildOptions(req *RangeRequest, defaultThreads int) (kplex.Options, error) 
 	}
 	return o, nil
 }
-
-// GraphLoader is the coordinator's graph resolver; identical contract to
-// jobs.GraphLoader.
-type GraphLoader = jobs.GraphLoader

@@ -224,7 +224,7 @@ func TestRunRangeRejectsBadGeometry(t *testing.T) {
 	if _, _, err := RunRange(context.Background(), p, opts, &RangeRequest{TotalSeeds: total + 1, Lo: 0, Hi: 1}, nil); err == nil {
 		t.Error("seed-space mismatch accepted")
 	}
-	for _, r := range []Range{{-1, 1}, {0, total + 1}, {3, 3}, {5, 2}} {
+	for _, r := range []struct{ Lo, Hi int }{{-1, 1}, {0, total + 1}, {3, 3}, {5, 2}} {
 		if _, _, err := RunRange(context.Background(), p, opts, &RangeRequest{TotalSeeds: total, Lo: r.Lo, Hi: r.Hi}, nil); err == nil {
 			t.Errorf("range %+v accepted", r)
 		}

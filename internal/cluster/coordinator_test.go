@@ -149,13 +149,10 @@ func assertResultMatchesRef(t *testing.T, res *jobs.Result, ref *kplex.Aggregate
 // with a lease timeout no healthy test worker reaches and stealing off.
 func openTestCoordinator(t *testing.T, dir string, workers ...string) *Coordinator {
 	t.Helper()
-	c, err := Open(Config{
-		Dir:          dir,
-		Load:         testLoader,
+	c, err := Open(jobs.Config{Dir: dir, Load: testLoader, Logf: t.Logf}, Config{
 		Workers:      workers,
 		LeaseTimeout: 10 * time.Second,
 		StealAfter:   time.Hour,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +161,7 @@ func openTestCoordinator(t *testing.T, dir string, workers ...string) *Coordinat
 	return c
 }
 
-func waitDone(t *testing.T, c *Coordinator, id string) *View {
+func waitDone(t *testing.T, c *Coordinator, id string) *jobs.View {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -198,20 +195,17 @@ func TestDistributedKillWorkerMatchesSingleNode(t *testing.T) {
 			})
 			healthy := newFakeWorker(t)
 
-			c, err := Open(Config{
-				Dir:          t.TempDir(),
-				Load:         testLoader,
+			c, err := Open(jobs.Config{Dir: t.TempDir(), Load: testLoader, Logf: t.Logf}, Config{
 				Workers:      []string{killer.url(), healthy.url()},
 				LeaseTimeout: 10 * time.Second,
 				StealAfter:   time.Hour, // isolate reassignment from stealing
-				Logf:         t.Logf,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
 
-			man, err := c.Submit(Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: nRanges})
+			man, err := c.Submit(jobs.Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: nRanges})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,20 +250,17 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 		return false
 	})
 
-	c, err := Open(Config{
-		Dir:          t.TempDir(),
-		Load:         testLoader,
+	c, err := Open(jobs.Config{Dir: t.TempDir(), Load: testLoader, Logf: t.Logf}, Config{
 		Workers:      []string{fw.url()},
 		LeaseTimeout: 300 * time.Millisecond,
 		StealAfter:   time.Hour,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 
-	man, err := c.Submit(Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 2})
+	man, err := c.Submit(jobs.Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,20 +307,17 @@ func TestStealReassignsStraggler(t *testing.T) {
 	healthy := newFakeWorker(t)
 
 	// The straggler is listed first, so the tie-break hands it the lease.
-	c, err := Open(Config{
-		Dir:          t.TempDir(),
-		Load:         testLoader,
+	c, err := Open(jobs.Config{Dir: t.TempDir(), Load: testLoader, Logf: t.Logf}, Config{
 		Workers:      []string{straggler.url(), healthy.url()},
 		LeaseTimeout: 10 * time.Second, // heartbeats keep the watchdog quiet
 		StealAfter:   200 * time.Millisecond,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 
-	man, err := c.Submit(Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 1})
+	man, err := c.Submit(jobs.Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,19 +364,17 @@ func TestCoordinatorRestartResumesCompletedRanges(t *testing.T) {
 	})
 
 	dir := t.TempDir()
+	jc := jobs.Config{Dir: dir, Load: testLoader, Logf: t.Logf}
 	cfg := Config{
-		Dir:          dir,
-		Load:         testLoader,
 		Workers:      []string{fw.url()},
 		LeaseTimeout: time.Minute,
 		StealAfter:   time.Hour,
-		Logf:         t.Logf,
 	}
-	c1, err := Open(cfg)
+	c1, err := Open(jc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := c1.Submit(Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 4})
+	man, err := c1.Submit(jobs.Spec{Graph: graphName, K: k, Q: q, TopN: topn, Ranges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +395,7 @@ func TestCoordinatorRestartResumesCompletedRanges(t *testing.T) {
 	c1.Close() // interrupts the stalled lease and parks the job
 
 	jdir := filepath.Join(dir, man.ID)
-	man1, err := readManifest(jdir)
+	man1, err := jobs.ReadManifest(jdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +415,7 @@ func TestCoordinatorRestartResumesCompletedRanges(t *testing.T) {
 	}
 
 	close(gate)
-	c2, err := Open(cfg)
+	c2, err := Open(jc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,6 +445,19 @@ func TestCoordinatorRestartResumesCompletedRanges(t *testing.T) {
 	}
 }
 
+// fakeJob stands in for the running job a dispatcher reports to.
+type fakeJob struct {
+	t   *testing.T
+	man jobs.Manifest
+}
+
+func (f *fakeJob) Publish(jobs.Progress) {}
+func (f *fakeJob) Update(fn func(*jobs.Manifest)) error {
+	fn(&f.man)
+	return nil
+}
+func (f *fakeJob) Logf(format string, args ...any) { f.t.Logf(format, args...) }
+
 // TestDoubleCompletionIdempotent drives the dispatcher's completion path
 // directly with two racing leases for the same range: the first report
 // must be committed and checkpointed, the second counted and dropped, and
@@ -470,19 +469,15 @@ func TestDoubleCompletionIdempotent(t *testing.T) {
 		return a
 	}
 
-	c := &Coordinator{cfg: Config{Logf: t.Logf}.withDefaults()}
-	j := &djob{
-		dir:  t.TempDir(),
-		man:  Manifest{ID: "dtest", State: jobs.StateRunning},
-		subs: make(map[int]chan Progress),
-	}
+	c := &Coordinator{cfg: Config{}.withDefaults()}
+	j := &fakeJob{t: t, man: jobs.Manifest{ID: "dtest", State: jobs.StateRunning}}
 	ranges := partition(20, 2)
-	walPath := filepath.Join(j.dir, rangeWALName)
+	walPath := filepath.Join(t.TempDir(), rangeWALName)
 	w, err := jobs.OpenLog(walPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDispatcher(c, j, &Spec{Graph: "g", K: 2, Q: 6, TopN: 5}, "digest", 20, ranges,
+	d := newDispatcher(c, j, j.man.ID, RangeRequest{Graph: "g", Digest: "digest", TotalSeeds: 20, K: 2, Q: 6, TopN: 5}, ranges,
 		&rangeReplay{aggs: make(map[int]*kplex.Aggregate)}, w)
 
 	// Range 0 is out on two leases at once: a speculation race in flight.
@@ -514,10 +509,7 @@ func TestDoubleCompletionIdempotent(t *testing.T) {
 	if d.inflight != 0 {
 		t.Errorf("inflight = %d after both leases retired, want 0", d.inflight)
 	}
-	j.mu.Lock()
-	rangesDone := j.man.RangesDone
-	j.mu.Unlock()
-	if rangesDone != 1 {
+	if rangesDone := j.man.RangesDone; rangesDone != 1 {
 		t.Errorf("manifest rangesDone = %d, want 1", rangesDone)
 	}
 	w.Close()
@@ -533,36 +525,11 @@ func TestDoubleCompletionIdempotent(t *testing.T) {
 	}
 }
 
-func TestSubmitValidation(t *testing.T) {
-	c, err := Open(Config{Dir: t.TempDir(), Load: testLoader, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	for _, spec := range []Spec{
-		{K: 2, Q: 6},                           // no graph
-		{Graph: "g", K: 0, Q: 6},               // bad k
-		{Graph: "g", K: 2, Q: 2},               // q < 2k-1
-		{Graph: "g", K: 2, Q: 6, TopN: 100000}, // topn over MaxTopN
-		{Graph: "g", K: 2, Q: 6, Ranges: maxSpecRanges + 1},
-		{Graph: "g", K: 2, Q: 6, Threads: 300},
-		{Graph: "g", K: 2, Q: 6, Scheduler: "lifo"},
-	} {
-		if _, err := c.Submit(spec); err == nil {
-			t.Errorf("spec %+v accepted", spec)
-		}
-	}
-}
-
 // TestUnknownGraphFailsJob: a graph the coordinator cannot resolve fails
 // the job at run time with a useful error, not a hang.
 func TestUnknownGraphFailsJob(t *testing.T) {
-	c, err := Open(Config{Dir: t.TempDir(), Load: testLoader, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	man, err := c.Submit(Spec{Graph: "corpus:no-such-graph", K: 2, Q: 6})
+	c := openTestCoordinator(t, t.TempDir())
+	man, err := c.Submit(jobs.Spec{Graph: "corpus:no-such-graph", K: 2, Q: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,68 +539,5 @@ func TestUnknownGraphFailsJob(t *testing.T) {
 	}
 	if c.Counters().Failed.Load() != 1 {
 		t.Errorf("failed counter = %d, want 1", c.Counters().Failed.Load())
-	}
-}
-
-// TestCancelAndDelete cancels a running job mid-lease, then deletes it.
-func TestCancelAndDelete(t *testing.T) {
-	fw := newFakeWorker(t)
-	fw.setIntercept(func(w http.ResponseWriter, r *http.Request, req *RangeRequest) bool {
-		enc := json.NewEncoder(w)
-		fl := w.(http.Flusher)
-		tick := time.NewTicker(30 * time.Millisecond)
-		defer tick.Stop()
-		for { // heartbeat forever; only cancellation ends the range
-			enc.Encode(RangeLine{SeedsDone: 1}) //nolint:errcheck
-			fl.Flush()
-			select {
-			case <-tick.C:
-			case <-r.Context().Done():
-				return true
-			}
-		}
-	})
-	c, err := Open(Config{
-		Dir: t.TempDir(), Load: testLoader, Workers: []string{fw.url()},
-		LeaseTimeout: 10 * time.Second, StealAfter: time.Hour, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	man, err := c.Submit(Spec{Graph: "corpus:planted-overlap", K: 2, Q: 6, Ranges: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Get(man.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Progress.Leased >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no lease started (state %s)", v.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := c.Cancel(man.ID); err != nil {
-		t.Fatal(err)
-	}
-	v := waitDone(t, c, man.ID)
-	if v.State != jobs.StateCancelled {
-		t.Fatalf("state = %s, want cancelled", v.State)
-	}
-	if _, err := c.Result(man.ID); err == nil {
-		t.Error("cancelled job served a result")
-	}
-	if err := c.Delete(man.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(man.ID); err != jobs.ErrNotFound {
-		t.Errorf("get after delete = %v, want ErrNotFound", err)
 	}
 }

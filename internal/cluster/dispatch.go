@@ -38,11 +38,19 @@ type lease struct {
 	seeds   int         // live progress, guarded by the dispatcher's mutex
 }
 
+// jobHandle is the dispatcher's view of the job it runs (a *jobs.Run).
+type jobHandle interface {
+	Publish(p jobs.Progress)
+	Update(fn func(man *jobs.Manifest)) error
+	Logf(format string, args ...any)
+}
+
 type dispatcher struct {
 	c      *Coordinator
-	j      *djob
+	job    jobHandle
+	id     string       // the job id, for log lines
 	req    RangeRequest // template; Lo/Hi filled per lease
-	ranges []Range
+	ranges []jobs.Range
 	wal    *jobs.Log
 
 	mu        sync.Mutex
@@ -69,14 +77,9 @@ type dispatcher struct {
 	trace *obs.Trace
 }
 
-func newDispatcher(c *Coordinator, j *djob, spec *Spec, digest string, total int, ranges []Range, rep *rangeReplay, w *jobs.Log) *dispatcher {
+func newDispatcher(c *Coordinator, job jobHandle, id string, req RangeRequest, ranges []jobs.Range, rep *rangeReplay, w *jobs.Log) *dispatcher {
 	d := &dispatcher{
-		c: c, j: j,
-		req: RangeRequest{
-			Graph: spec.Graph, Digest: digest, TotalSeeds: total,
-			K: spec.K, Q: spec.Q, TopN: spec.TopN,
-			Threads: spec.Threads, Scheduler: spec.Scheduler,
-		},
+		c: c, job: job, id: id, req: req,
 		ranges:     ranges,
 		wal:        w,
 		status:     make([]rangeStatus, len(ranges)),
@@ -237,7 +240,7 @@ func (d *dispatcher) runLease(ctx context.Context, l *lease) {
 	if l.stolen {
 		span.Attr("stolen", "true")
 	}
-	agg, spans, err := callRange(lctx, d.c.client, l.w.url, &req, obs.Traceparent(d.trace.ID()), func(n int) {
+	agg, spans, err := callRange(lctx, d.c.cfg.Client, l.w.url, &req, obs.Traceparent(d.trace.ID()), func(n int) {
 		watchdog.Reset(d.c.cfg.LeaseTimeout)
 		d.noteProgress(l, n)
 	})
@@ -296,7 +299,7 @@ func (d *dispatcher) complete(l *lease, agg *kplex.Aggregate) {
 	if err := d.wal.Append(rec); err != nil {
 		// Not fatal: the range result is in memory and the job can finish;
 		// only a restart would re-run this range.
-		d.c.cfg.Logf("cluster: %s: range %d checkpoint failed (a restart would re-run it): %v", d.j.man.ID, l.rid, err)
+		d.job.Logf("cluster: %s: range %d checkpoint failed (a restart would re-run it): %v", d.id, l.rid, err)
 	}
 	// Cancel the speculation losers still running this range.
 	for _, sib := range d.leases[l.rid] {
@@ -304,11 +307,26 @@ func (d *dispatcher) complete(l *lease, agg *kplex.Aggregate) {
 			sib.cancel()
 		}
 	}
-	done, enumMS := d.doneCount, d.enumMS()
+	// Write-through, under d.mu so concurrent completions persist in
+	// order: the manifest counts the checkpointed ranges, and the first
+	// one moves the job to checkpointed.
+	seeds := 0
+	for rid, r := range d.ranges {
+		if d.status[rid] == rangeDone {
+			seeds += r.Hi - r.Lo
+		}
+	}
+	if err := d.job.Update(func(man *jobs.Manifest) {
+		man.State = jobs.StateCheckpointed
+		man.RangesDone = d.doneCount
+		man.SeedsDone = seeds
+		man.EnumMS = d.enumMS()
+	}); err != nil {
+		d.job.Logf("cluster: %s: persisting range progress: %v", d.id, err)
+	}
 	d.publishLocked(true)
 	d.retireLocked()
 	d.mu.Unlock()
-	d.j.noteRangeDone(done, enumMS, d.c.cfg.Logf)
 }
 
 // fail retires a lost lease. If the range has no other lease in flight it
@@ -332,8 +350,8 @@ func (d *dispatcher) fail(ctx context.Context, l *lease, err error) {
 		if l.expired.Load() {
 			d.c.counters.Expired.Add(1)
 		}
-		d.c.cfg.Logf("cluster: %s: lease on range %d [%d, %d) lost (worker %s, %d seeds in, attempt %d): %v",
-			d.j.man.ID, l.rid, d.ranges[l.rid].Lo, d.ranges[l.rid].Hi, l.w.url, l.seeds, d.attempts[l.rid], err)
+		d.job.Logf("cluster: %s: lease on range %d [%d, %d) lost (worker %s, %d seeds in, attempt %d): %v",
+			d.id, l.rid, d.ranges[l.rid].Lo, d.ranges[l.rid].Hi, l.w.url, l.seeds, d.attempts[l.rid], err)
 		if d.attempts[l.rid] >= d.c.cfg.MaxRangeAttempts && d.fatal == nil {
 			d.fatal = fmt.Errorf("cluster: range %d [%d, %d) lost %d leases; last error: %w",
 				l.rid, d.ranges[l.rid].Lo, d.ranges[l.rid].Hi, d.attempts[l.rid], err)
@@ -377,10 +395,12 @@ func (d *dispatcher) publishLocked(force bool) {
 	d.lastPub = now
 	seeds := 0
 	leased := 0
+	var plexes int64
 	for rid, r := range d.ranges {
 		switch d.status[rid] {
 		case rangeDone:
 			seeds += r.Hi - r.Lo
+			plexes += d.aggs[rid].Count
 		case rangeLeased:
 			leased++
 			best := 0
@@ -392,19 +412,18 @@ func (d *dispatcher) publishLocked(force bool) {
 			seeds += best
 		}
 	}
-	p := Progress{
-		State:       jobs.StateRunning,
+	// Inline delivery: the job's lock is cheap, is never held while
+	// calling into the dispatcher, and keeping it synchronous keeps
+	// progress updates ordered.
+	d.job.Publish(jobs.Progress{
 		RangesDone:  d.doneCount,
 		RangesTotal: len(d.ranges),
 		SeedsDone:   seeds,
 		TotalSeeds:  d.req.TotalSeeds,
+		Plexes:      plexes,
 		Leased:      leased,
 		Reassigned:  d.reassigned,
 		Stolen:      d.stolen,
 		ElapsedMS:   d.enumMS(),
-	}
-	// Inline delivery: the djob lock is cheap, is never held while calling
-	// into the dispatcher, and keeping it synchronous keeps progress
-	// updates ordered.
-	d.j.publish(p)
+	})
 }

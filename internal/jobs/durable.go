@@ -1,9 +1,9 @@
 package jobs
 
-// Durable files shared by the job manager and the cluster coordinator:
-// the CRC-framed append log both checkpoint into (a job's wal.ndjson, a
-// distributed job's ranges.ndjson) and the fsynced atomic writer behind
-// every manifest and result. Only the record types differ per caller.
+// Durable files shared by the executors: the CRC-framed append log both
+// checkpoint into (a local job's wal.ndjson, a distributed job's
+// ranges.ndjson) and the fsynced atomic writer behind every manifest and
+// result. Only the record types differ per executor.
 //
 // Every log line is "%08x <json>\n": the CRC32 of the JSON payload, then
 // the payload, whose first two fields are the schema version "v" and the
@@ -185,22 +185,21 @@ func decodeLogLine(line string, rec any) bool {
 }
 
 // WriteManifest atomically replaces dir/manifest.json with man.
-func WriteManifest(dir string, man any) error {
+func WriteManifest(dir string, man *Manifest) error {
 	return writeJSONAtomic(dir, "manifest.json", man)
 }
 
-// ReadManifest loads dir/manifest.json; id returns the job id a valid
-// manifest must carry.
-func ReadManifest[M any](dir string, id func(*M) string) (*M, error) {
+// ReadManifest loads dir/manifest.json.
+func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, err
 	}
-	man := new(M)
+	man := new(Manifest)
 	if err := json.Unmarshal(data, man); err != nil {
 		return nil, fmt.Errorf("corrupt manifest: %w", err)
 	}
-	if id(man) == "" {
+	if man.ID == "" {
 		return nil, errors.New("manifest has no job id")
 	}
 	return man, nil

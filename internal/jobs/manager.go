@@ -2,15 +2,23 @@
 // long-running k-plex enumerations into persistent, observable, resumable
 // background work. Each job lives in its own directory under the manager's
 // jobs dir as a JSON manifest (the state machine: queued → running →
-// checkpointed → done/failed/cancelled) plus an append-only WAL of
-// fsynced seed-level checkpoints (see wal.go). The engine's seed hooks
-// (Options.OnSeedDone / OnPlexSeed / SkipSeeds) make the seed group the
-// unit of recovery: contributions are buffered per seed, committed to the
-// cumulative aggregate only when the group completes, and flushed to the
-// WAL every CheckpointSeeds seeds or CheckpointInterval. A manager opened
-// over a directory with interrupted jobs replays their WALs and re-queues
-// them with the completed seeds skipped, so a crash or deploy costs at
-// most one checkpoint interval of work — never the whole run.
+// checkpointed → done/failed/cancelled) plus the durable progress of its
+// executor. The Manager owns the lifecycle — ids, the weighted-fair
+// queue, recovery, cancellation, subscriptions and the shared run
+// prologue — and hands each running incarnation to an Executor (see
+// runner.go).
+//
+// The default executor runs the job on this node (see local.go): the
+// engine's seed hooks (Options.OnSeedDone / OnPlexSeed / SkipSeeds) make
+// the seed group the unit of recovery, contributions are committed to the
+// cumulative aggregate only when the group completes, and flushed to an
+// append-only WAL of fsynced checkpoints (see wal.go) every
+// CheckpointSeeds seeds or CheckpointInterval. A manager opened over a
+// directory with interrupted jobs replays their WALs and re-queues them
+// with the completed seeds skipped, so a crash or deploy costs at most one
+// checkpoint interval of work — never the whole run. The cluster package
+// supplies a second executor that leases contiguous seed ranges to worker
+// processes instead.
 package jobs
 
 import (
@@ -53,8 +61,7 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Terminal is the exported form of terminal, for the layers that reuse
-// this state machine (the cluster coordinator).
+// Terminal is the exported form of terminal, for clients of the views.
 func (s State) Terminal() bool { return s.terminal() }
 
 // Spec is what a client submits: the result-defining query plus execution
@@ -78,6 +85,9 @@ type Spec struct {
 	Scheduler string     `json:"scheduler,omitempty"` // "", stages, global-queue, steal
 	Priority  int        `json:"priority,omitempty"`  // higher runs first
 	Tenant    string     `json:"tenant,omitempty"`    // QoS tenant the job belongs to ("" = default)
+	// Ranges is the number of seed ranges a distributed job is split into
+	// (0: the coordinator's default). Only the range executor accepts it.
+	Ranges int `json:"ranges,omitempty"`
 }
 
 // SpecItem is one query of a batch job: a (k, q) cell with its own top-k
@@ -88,11 +98,11 @@ type SpecItem struct {
 	TopN int `json:"topn,omitempty"` // default 10, capped by Config.MaxTopN
 }
 
-// resolvedItems returns the job's query items: the batch spec's Items, or
+// ResolvedItems returns the job's query items: the batch spec's Items, or
 // the single-query fields as a 1-item list. Top-k defaults are applied at
 // Submit time, so recovered manifests replay with the budgets they were
 // created with.
-func (s *Spec) resolvedItems() []SpecItem {
+func (s *Spec) ResolvedItems() []SpecItem {
 	if len(s.Items) > 0 {
 		return s.Items
 	}
@@ -102,7 +112,7 @@ func (s *Spec) resolvedItems() []SpecItem {
 // queries builds the engine configuration of every item and the
 // shared-traversal grouping for one incarnation of the job.
 func (s *Spec) queries(defaultThreads int) ([]SpecItem, []kplex.BatchGroup, error) {
-	items := s.resolvedItems()
+	items := s.ResolvedItems()
 	qs := make([]kplex.BatchQuery, len(items))
 	for i, it := range items {
 		o := kplex.NewOptions(it.K, it.Q)
@@ -147,18 +157,46 @@ type Manifest struct {
 	// TraceID names the job's trace in the host's /debug/traces ring.
 	// Pinned at first run so resumed incarnations extend one trace id.
 	TraceID string `json:"traceId,omitempty"`
+	// Ranges is a distributed job's partition of the seed space, pinned at
+	// first run: every later incarnation and every worker must agree on it
+	// or the per-range checkpoints would describe a different split.
+	Ranges []Range `json:"ranges,omitempty"`
+	// RangesDone counts a distributed job's completed ranges.
+	RangesDone int `json:"rangesDone"`
 }
 
-// Progress is the live view streamed to watchers.
+// Range is one contiguous slice [Lo, Hi) of a job's seed id space. A
+// range's identity is its index in the manifest's pinned partition.
+type Range struct {
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
+}
+
+// Progress is the live view streamed to watchers. The range fields are
+// the distributed executor's; a local job leaves them zero.
 type Progress struct {
 	State       State   `json:"state"`
 	SeedsDone   int     `json:"seedsDone"` // completed in-memory (≥ durably checkpointed)
 	TotalSeeds  int     `json:"totalSeeds"`
 	Checkpoints int64   `json:"checkpoints"`
 	Plexes      int64   `json:"plexes"`
-	ElapsedMS   float64 `json:"elapsedMs"` // this incarnation
+	ElapsedMS   float64 `json:"elapsedMs"` // this incarnation (distributed: cumulative)
 	ETAMS       float64 `json:"etaMs,omitempty"`
 	Error       string  `json:"error,omitempty"`
+
+	RangesDone  int   `json:"rangesDone"`
+	RangesTotal int   `json:"rangesTotal"`
+	Leased      int   `json:"leased"`               // ranges currently out on lease
+	Reassigned  int64 `json:"reassigned,omitempty"` // leases lost to failure or expiry
+	Stolen      int64 `json:"stolen,omitempty"`     // speculative straggler re-leases
+}
+
+// progressOf is the progress a job shows before its next run publishes.
+func progressOf(man *Manifest) Progress {
+	return Progress{
+		State: man.State, SeedsDone: man.SeedsDone, TotalSeeds: man.TotalSeeds, Error: man.Error,
+		RangesDone: man.RangesDone, RangesTotal: len(man.Ranges),
+	}
 }
 
 // Result is the completed job's answer, persisted as result.json. A
@@ -258,6 +296,10 @@ type Config struct {
 	ObserveCost func(f kplex.CostFeatures, elapsed time.Duration)
 	// Logf receives operational log lines (default: discarded).
 	Logf func(format string, args ...any)
+	// Executor runs each job incarnation once the manager has resolved its
+	// prologue (default: the local seed-level executor). The checkpoint
+	// and crash-failpoint settings below apply to the local executor only.
+	Executor Executor
 
 	// Tracer, when non-nil, records one trace per job incarnation
 	// (admission, prepare, enumerate and checkpoint spans) under the
@@ -308,6 +350,9 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+	if c.Executor == nil {
+		c.Executor = localExecutor{}
+	}
 	return c
 }
 
@@ -327,16 +372,23 @@ type Counters struct {
 
 // Snapshot returns the counters as a map for JSON/Prometheus encoding.
 func (c *Counters) Snapshot() map[string]int64 {
+	m := c.Lifecycle("jobs_")
+	m["jobs_checkpoints"] = c.Checkpoints.Load()
+	m["jobs_seeds_done"] = c.SeedsDone.Load()
+	return m
+}
+
+// Lifecycle renders the executor-independent counters (submitted through
+// queued) with their names under prefix.
+func (c *Counters) Lifecycle(prefix string) map[string]int64 {
 	return map[string]int64{
-		"jobs_submitted":   c.Submitted.Load(),
-		"jobs_completed":   c.Completed.Load(),
-		"jobs_failed":      c.Failed.Load(),
-		"jobs_cancelled":   c.Cancelled.Load(),
-		"jobs_resumed":     c.Resumed.Load(),
-		"jobs_checkpoints": c.Checkpoints.Load(),
-		"jobs_seeds_done":  c.SeedsDone.Load(),
-		"jobs_running":     c.Running.Load(),
-		"jobs_queued":      c.Queued.Load(),
+		prefix + "submitted": c.Submitted.Load(),
+		prefix + "completed": c.Completed.Load(),
+		prefix + "failed":    c.Failed.Load(),
+		prefix + "cancelled": c.Cancelled.Load(),
+		prefix + "resumed":   c.Resumed.Load(),
+		prefix + "running":   c.Running.Load(),
+		prefix + "queued":    c.Queued.Load(),
 	}
 }
 
@@ -350,7 +402,7 @@ type job struct {
 	cancel   context.CancelCauseFunc // non-nil while running
 	subs     map[int]chan Progress
 	nextSub  int
-	resume   *walReplay // recovered durable state awaiting the next run
+	resume   any // recovered durable state awaiting the next run (see Executor.Recover)
 }
 
 // Manager runs and persists jobs. Create with Open, stop with Close.
@@ -420,20 +472,20 @@ func (m *Manager) recover() error {
 			continue
 		}
 		dir := filepath.Join(m.cfg.Dir, ent.Name())
-		man, err := readManifest(dir)
+		man, err := ReadManifest(dir)
 		if err != nil {
 			m.cfg.Logf("jobs: skipping %s: %v", dir, err)
 			continue
 		}
 		j := &job{dir: dir, man: *man, subs: make(map[int]chan Progress)}
-		j.progress = Progress{State: man.State, SeedsDone: man.SeedsDone, TotalSeeds: man.TotalSeeds, Error: man.Error}
+		j.progress = progressOf(man)
 		switch man.State {
 		case StateDone, StateFailed, StateCancelled:
 			// Terminal: index for listings and result retrieval only.
 		case StateRunning, StateCheckpointed:
-			// Interrupted mid-run: replay the WAL and resume. An empty WAL
-			// still counts as a recovered interruption — the incarnation
-			// just died before its first checkpoint.
+			// Interrupted mid-run: recover the durable progress and resume.
+			// None still counts as a recovered interruption — the
+			// incarnation just died before its first checkpoint.
 			if !m.wireResume(j) {
 				m.jobs[man.ID] = j
 				continue
@@ -441,18 +493,19 @@ func (m *Manager) recover() error {
 			m.markResumed(j)
 			// In-memory only: the on-disk state stays checkpointed/running
 			// so that dying again before the rerun starts loses nothing —
-			// the next Open simply replays the same WAL. (Persisting
+			// the next Open simply replays the same checkpoints. (Persisting
 			// "queued" here would make that next Open treat the job as
 			// never-run and discard the checkpoints.)
 			j.man.State = StateQueued
 			j.man.Error = ""
-			j.progress = Progress{State: StateQueued, SeedsDone: j.man.SeedsDone, TotalSeeds: j.man.TotalSeeds}
+			j.progress = progressOf(&j.man)
 			m.enqueueLocked(j)
 		case StateQueued:
-			// A fresh job has no WAL; wireResume replays defensively anyway
-			// so a dir that somehow pairs a queued manifest with checkpoints
-			// (e.g. written by an older manager version) resumes rather than
-			// re-enumerating and appending colliding sequence numbers.
+			// A fresh job has no checkpoints; wireResume recovers
+			// defensively anyway so a dir that somehow pairs a queued
+			// manifest with a WAL (e.g. written by an older manager
+			// version) resumes rather than re-enumerating and appending
+			// colliding sequence numbers.
 			if !m.wireResume(j) {
 				m.jobs[man.ID] = j
 				continue
@@ -469,25 +522,17 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// wireResume replays j's WAL (if any), repairs a torn tail, and arms the
+// wireResume has the executor recover j's durable progress and arms the
 // in-memory resume state. It reports false — after marking the job failed
 // — when the durable state is unusable. Single-threaded recovery context;
 // no locks held.
 func (m *Manager) wireResume(j *job) bool {
-	rep, err := replayWAL(filepath.Join(j.dir, walName))
+	resume, err := m.cfg.Executor.Recover(j.dir, &j.man, m.cfg.Logf)
 	if err != nil {
-		m.failRecovered(j, fmt.Errorf("unrecoverable WAL: %w", err))
+		m.failRecovered(j, err)
 		return false
 	}
-	if rep.Truncated {
-		m.cfg.Logf("jobs: %s: discarded torn WAL tail; resuming from seq %d (%d seeds)", j.man.ID, rep.LastSeq, len(rep.doneSeeds))
-	}
-	if rep.LastSeq == 0 {
-		return true // nothing durable yet; the rerun starts from scratch
-	}
-	j.resume = rep
-	j.man.SeedsDone = len(rep.doneSeeds)
-	j.man.EnumMS = rep.enumMS
+	j.resume = resume
 	return true
 }
 
@@ -503,8 +548,7 @@ func (m *Manager) failRecovered(j *job, cause error) {
 	j.man.State = StateFailed
 	j.man.Error = cause.Error()
 	j.man.FinishedAt = time.Now()
-	j.progress.State = StateFailed
-	j.progress.Error = j.man.Error
+	j.progress = progressOf(&j.man)
 	if err := WriteManifest(j.dir, &j.man); err != nil {
 		m.cfg.Logf("jobs: %s: %v", j.man.ID, err)
 	}
@@ -555,6 +599,9 @@ func (m *Manager) Submit(spec Spec) (*Manifest, error) {
 // queued, so a crash between submission and the first run loses nothing.
 // An empty done-set (or nil aggregate) degenerates to a plain Submit.
 func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, doneSeeds []int, agg *kplex.Aggregate, enumMS float64) (*Manifest, error) {
+	if _, ok := m.cfg.Executor.(localExecutor); !ok {
+		return nil, errors.New("jobs: resumable submissions need the local executor")
+	}
 	if len(spec.Items) > 0 {
 		return nil, errors.New("jobs: a resumable submission must be a single query")
 	}
@@ -597,8 +644,7 @@ func (m *Manager) SubmitResumable(spec Spec, digest string, totalSeeds int, done
 		j.man.TotalSeeds = totalSeeds
 		j.man.SeedsDone = len(seeds)
 		j.man.EnumMS = enumMS
-		j.progress.SeedsDone = len(seeds)
-		j.progress.TotalSeeds = totalSeeds
+		j.progress = progressOf(&j.man)
 		// Arm the runner directly instead of re-reading the record it just
 		// wrote; the WAL stays the durable twin for a restart in between.
 		j.resume = &walReplay{LogReplay: LogReplay{LastSeq: 1}, doneSeeds: seeds, aggs: []*kplex.Aggregate{snap}, enumMS: enumMS}
@@ -642,7 +688,7 @@ func (m *Manager) normalizeSpec(spec *Spec) error {
 	if _, _, err := spec.queries(m.cfg.DefaultThreads); err != nil {
 		return err
 	}
-	return nil
+	return m.cfg.Executor.Validate(spec)
 }
 
 // persistAndEnqueue creates the job directory, runs init (if any) to lay
@@ -988,9 +1034,4 @@ func (q *jobQueue) Pop() any {
 	old[n-1] = nil
 	*q = old[:n-1]
 	return x
-}
-
-// readManifest loads dir/manifest.json.
-func readManifest(dir string) (*Manifest, error) {
-	return ReadManifest(dir, func(m *Manifest) string { return m.ID })
 }

@@ -218,7 +218,7 @@ func TestCrashResume(t *testing.T) {
 			m1.Close()
 
 			// The directory must show an interrupted, checkpointed job.
-			onDisk, err := readManifest(filepath.Join(dir, man.ID))
+			onDisk, err := ReadManifest(filepath.Join(dir, man.ID))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestShutdownResume(t *testing.T) {
 	<-started
 	m1.Close()
 
-	onDisk, err := readManifest(filepath.Join(dir, man.ID))
+	onDisk, err := ReadManifest(filepath.Join(dir, man.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

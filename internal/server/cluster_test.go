@@ -50,11 +50,11 @@ func assertClusterResult(t *testing.T, res *jobs.Result, ref *kplex.Aggregate) {
 }
 
 // waitClusterJob polls the coordinator until the job is terminal.
-func waitClusterJob(t *testing.T, base, id string) cluster.View {
+func waitClusterJob(t *testing.T, base, id string) jobs.View {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var v cluster.View
+		var v jobs.View
 		if code := getJSON(t, base+"/cluster/jobs/"+id, &v); code != http.StatusOK {
 			t.Fatalf("GET /cluster/jobs/%s: status %d", id, code)
 		}
@@ -188,7 +188,7 @@ func TestDistributedJobEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, body)
 	}
-	var man cluster.Manifest
+	var man jobs.Manifest
 	if err := json.Unmarshal(body, &man); err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +258,14 @@ func TestClusterWorkerRegistration(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, body)
 	}
-	var man cluster.Manifest
+	var man jobs.Manifest
 	if err := json.Unmarshal(body, &man); err != nil {
 		t.Fatal(err)
 	}
 
 	// No workers: the job runs but cannot lease anything.
 	time.Sleep(150 * time.Millisecond)
-	var v cluster.View
+	var v jobs.View
 	getJSON(t, coord.URL+"/cluster/jobs/"+man.ID, &v)
 	if v.State.Terminal() {
 		t.Fatalf("job reached %s with no workers registered", v.State)
@@ -327,7 +327,7 @@ func TestClusterDigestMismatchFailsJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, body)
 	}
-	var man cluster.Manifest
+	var man jobs.Manifest
 	if err := json.Unmarshal(body, &man); err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
 	s.mux.HandleFunc("GET /stream", s.handleStreamGet)
-	s.jobsRoutes()
+	s.jobRoutes("/jobs", s.jobs, "job subsystem disabled: start kplexd with -jobs <dir>")
 	s.clusterRoutes()
 	s.debugRoutes()
 }

@@ -2,14 +2,12 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/jobs"
 	"repro/internal/kplex"
 	"repro/internal/obs"
 )
@@ -20,38 +18,26 @@ import (
 //	                          NDJSON heartbeats and a final aggregate
 //
 // A kplexd started with -coordinator additionally serves the
-// coordinator surface (503 otherwise):
+// coordinator surface (503 otherwise): the job handler set of
+// handlers_jobs.go under /cluster/jobs, bound to the coordinator's job
+// manager, plus the worker registry:
 //
 //	POST   /cluster/workers          register a worker base URL
 //	GET    /cluster/workers          list workers
-//	POST   /cluster/jobs             submit a distributed job -> 202 + manifest
-//	GET    /cluster/jobs             list distributed jobs
-//	GET    /cluster/jobs/{id}        manifest + live progress
-//	GET    /cluster/jobs/{id}/events NDJSON progress feed until terminal
-//	GET    /cluster/jobs/{id}/result merged result (409 while active)
-//	POST   /cluster/jobs/{id}/cancel cancel an active job
-//	DELETE /cluster/jobs/{id}        cancel active / delete terminal
 
 func (s *Server) clusterRoutes() {
+	const disabled = "cluster coordinator disabled: start kplexd with -coordinator"
 	s.mux.HandleFunc("POST /cluster/run", s.handleClusterRun)
 	if s.cluster == nil {
-		disabled := func(w http.ResponseWriter, _ *http.Request) {
-			s.fail(w, http.StatusServiceUnavailable, "cluster coordinator disabled: start kplexd with -coordinator")
-		}
-		s.mux.HandleFunc("/cluster/jobs", disabled)
-		s.mux.HandleFunc("/cluster/jobs/", disabled)
-		s.mux.HandleFunc("/cluster/workers", disabled)
+		s.jobRoutes("/cluster/jobs", nil, disabled)
+		s.mux.HandleFunc("/cluster/workers", func(w http.ResponseWriter, _ *http.Request) {
+			s.fail(w, http.StatusServiceUnavailable, disabled)
+		})
 		return
 	}
 	s.mux.HandleFunc("POST /cluster/workers", s.handleAddWorker)
 	s.mux.HandleFunc("GET /cluster/workers", s.handleListWorkers)
-	s.mux.HandleFunc("POST /cluster/jobs", s.handleSubmitClusterJob)
-	s.mux.HandleFunc("GET /cluster/jobs", s.handleListClusterJobs)
-	s.mux.HandleFunc("GET /cluster/jobs/{id}", s.handleGetClusterJob)
-	s.mux.HandleFunc("GET /cluster/jobs/{id}/events", s.handleClusterJobEvents)
-	s.mux.HandleFunc("GET /cluster/jobs/{id}/result", s.handleClusterJobResult)
-	s.mux.HandleFunc("POST /cluster/jobs/{id}/cancel", s.handleCancelClusterJob)
-	s.mux.HandleFunc("DELETE /cluster/jobs/{id}", s.handleDeleteClusterJob)
+	s.jobRoutes("/cluster/jobs", s.cluster.Manager, disabled)
 }
 
 // handleClusterRun is the worker side of a lease: verify the digest
@@ -231,124 +217,4 @@ func (s *Server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListWorkers(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.cluster.Workers())
-}
-
-func (s *Server) handleSubmitClusterJob(w http.ResponseWriter, r *http.Request) {
-	var spec cluster.Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return
-	}
-	// The interactive ceilings apply to the distributed path too; each
-	// worker re-validates, but failing at submit beats failing leases.
-	if spec.K < 1 || spec.K > s.cfg.MaxK {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d], got %d", s.cfg.MaxK, spec.K))
-		return
-	}
-	if spec.Threads < 0 || spec.Threads > s.cfg.MaxThreads {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, spec.Threads))
-		return
-	}
-	if spec.TopN < 0 || spec.TopN > s.cfg.MaxTopN {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("topn must be in [0, %d], got %d", s.cfg.MaxTopN, spec.TopN))
-		return
-	}
-	// Resolve the graph eagerly: unknown names 404 at submit time.
-	if _, _, release, err := s.jobGraph(spec.Graph); err != nil {
-		s.fail(w, http.StatusNotFound, err.Error())
-		return
-	} else {
-		release()
-	}
-	man, err := s.cluster.Submit(spec)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, man)
-}
-
-func (s *Server) handleListClusterJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cluster.List())
-}
-
-func (s *Server) handleGetClusterJob(w http.ResponseWriter, r *http.Request) {
-	v, err := s.cluster.Get(r.PathValue("id"))
-	if err != nil {
-		s.failJob(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleClusterJobResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.cluster.Result(r.PathValue("id"))
-	if err != nil {
-		s.failJob(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleCancelClusterJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.cluster.Cancel(id); err != nil {
-		s.failJob(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"cancelled": id})
-}
-
-func (s *Server) handleDeleteClusterJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// Same two-phase verb as DELETE /jobs/{id}.
-	if err := s.cluster.Cancel(id); err == nil {
-		writeJSON(w, http.StatusOK, map[string]string{"cancelled": id})
-		return
-	} else if !errors.Is(err, jobs.ErrNotActive) {
-		s.failJob(w, err)
-		return
-	}
-	if err := s.cluster.Delete(id); err != nil {
-		s.failJob(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
-}
-
-// handleClusterJobEvents streams NDJSON progress until terminal, same
-// contract as /jobs/{id}/events.
-func (s *Server) handleClusterJobEvents(w http.ResponseWriter, r *http.Request) {
-	ch, stop, err := s.cluster.Subscribe(r.PathValue("id"))
-	if err != nil {
-		s.failJob(w, err)
-		return
-	}
-	defer stop()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher := ndjsonFlusher(w)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case p, ok := <-ch:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(p); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-time.After(15 * time.Second):
-			fmt.Fprintln(w, "{}")
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
 }

@@ -10,38 +10,50 @@ import (
 	"repro/internal/jobs"
 )
 
-// The /jobs endpoints: the durable async counterpart of /query. A
-// submitted job survives restarts — progress is checkpointed at seed
-// granularity under Config.JobsDir and an interrupted job resumes from its
-// last checkpoint when the server comes back.
+// The job endpoints: the durable async counterpart of /query. A
+// submitted job survives restarts — its progress is checkpointed and an
+// interrupted job resumes when the server comes back. One handler set
+// serves both job managers: /jobs (Config.JobsDir, jobs run on this node
+// with seed-level checkpoints) and, on a coordinator, /cluster/jobs
+// (Config.ClusterDir, jobs leased to workers as seed ranges).
 //
-//	POST   /jobs              submit  {"graph","k","q",...}  -> 202 + manifest
-//	GET    /jobs              list all jobs
-//	GET    /jobs/{id}         manifest + live progress
-//	GET    /jobs/{id}/events  NDJSON progress feed until terminal
-//	GET    /jobs/{id}/result  completed job's result (409 while active)
-//	POST   /jobs/{id}/cancel  cancel an active job (409 if terminal)
-//	DELETE /jobs/{id}         cancel an active job / delete a terminal one
+//	POST   {base}              submit  {"graph","k","q",...}  -> 202 + manifest
+//	GET    {base}              list all jobs
+//	GET    {base}/{id}         manifest + live progress
+//	GET    {base}/{id}/events  NDJSON progress feed until terminal
+//	GET    {base}/{id}/result  completed job's result (409 while active)
+//	POST   {base}/{id}/cancel  cancel an active job (409 if terminal)
+//	DELETE {base}/{id}         cancel an active job / delete a terminal one
 
-func (s *Server) jobsRoutes() {
-	if s.jobs == nil {
-		disabled := func(w http.ResponseWriter, _ *http.Request) {
-			s.fail(w, http.StatusServiceUnavailable, "job subsystem disabled: start kplexd with -jobs <dir>")
+// jobRoutes registers the job handler set under base, bound to m; a nil m
+// answers every route 503 with disabled.
+func (s *Server) jobRoutes(base string, m *jobs.Manager, disabled string) {
+	if m == nil {
+		off := func(w http.ResponseWriter, _ *http.Request) {
+			s.fail(w, http.StatusServiceUnavailable, disabled)
 		}
-		s.mux.HandleFunc("/jobs", disabled)
-		s.mux.HandleFunc("/jobs/", disabled)
+		s.mux.HandleFunc(base, off)
+		s.mux.HandleFunc(base+"/", off)
 		return
 	}
-	s.mux.HandleFunc("POST /jobs", s.handleSubmitJob)
-	s.mux.HandleFunc("GET /jobs", s.handleListJobs)
-	s.mux.HandleFunc("GET /jobs/{id}", s.handleGetJob)
-	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
-	s.mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancelJob)
-	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleDeleteJob)
+	api := &jobAPI{s: s, m: m}
+	s.mux.HandleFunc("POST "+base, api.submit)
+	s.mux.HandleFunc("GET "+base, api.list)
+	s.mux.HandleFunc("GET "+base+"/{id}", api.get)
+	s.mux.HandleFunc("GET "+base+"/{id}/events", api.events)
+	s.mux.HandleFunc("GET "+base+"/{id}/result", api.result)
+	s.mux.HandleFunc("POST "+base+"/{id}/cancel", api.cancel)
+	s.mux.HandleFunc("DELETE "+base+"/{id}", api.remove)
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+// jobAPI is the job handler set bound to one manager.
+type jobAPI struct {
+	s *Server
+	m *jobs.Manager
+}
+
+func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
+	s := a.s
 	var spec jobs.Spec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
 		s.fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
@@ -56,17 +68,23 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		spec.Tenant = tenantOf(r)
 	}
 	// The service-level ceilings that protect the interactive path protect
-	// the background path too.
-	if spec.K < 1 || spec.K > s.cfg.MaxK {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d], got %d", s.cfg.MaxK, spec.K))
-		return
+	// the background path too, item by item for a batch job.
+	for i, it := range spec.ResolvedItems() {
+		where := ""
+		if len(spec.Items) > 0 {
+			where = fmt.Sprintf("item %d: ", i)
+		}
+		if it.K < 1 || it.K > s.cfg.MaxK {
+			s.fail(w, http.StatusBadRequest, fmt.Sprintf("%sk must be in [1, %d], got %d", where, s.cfg.MaxK, it.K))
+			return
+		}
+		if it.TopN < 0 || it.TopN > s.cfg.MaxTopN {
+			s.fail(w, http.StatusBadRequest, fmt.Sprintf("%stopn must be in [0, %d], got %d", where, s.cfg.MaxTopN, it.TopN))
+			return
+		}
 	}
 	if spec.Threads < 0 || spec.Threads > s.cfg.MaxThreads {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, spec.Threads))
-		return
-	}
-	if spec.TopN < 0 || spec.TopN > s.cfg.MaxTopN {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("topn must be in [0, %d], got %d", s.cfg.MaxTopN, spec.TopN))
 		return
 	}
 	// Resolve the graph eagerly so an unknown name is a 404 at submit time
@@ -77,7 +95,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	} else {
 		release()
 	}
-	man, err := s.jobs.Submit(spec)
+	man, err := a.m.Submit(spec)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
@@ -85,64 +103,64 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, man)
 }
 
-func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.List())
+func (a *jobAPI) list(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, a.m.List())
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	v, err := s.jobs.Get(r.PathValue("id"))
+func (a *jobAPI) get(w http.ResponseWriter, r *http.Request) {
+	v, err := a.m.Get(r.PathValue("id"))
 	if err != nil {
-		s.failJob(w, err)
+		a.s.failJob(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.jobs.Result(r.PathValue("id"))
+func (a *jobAPI) result(w http.ResponseWriter, r *http.Request) {
+	res, err := a.m.Result(r.PathValue("id"))
 	if err != nil {
-		s.failJob(w, err)
+		a.s.failJob(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleCancelJob stops an active job and nothing else — unlike DELETE it
-// can never destroy a terminal job's persisted result, so clients can use
-// it without first checking the state.
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
+// cancel stops an active job and nothing else — unlike DELETE it can
+// never destroy a terminal job's persisted result, so clients can use it
+// without first checking the state.
+func (a *jobAPI) cancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.jobs.Cancel(id); err != nil {
-		s.failJob(w, err)
+	if err := a.m.Cancel(id); err != nil {
+		a.s.failJob(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"cancelled": id})
 }
 
-func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
+func (a *jobAPI) remove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// One verb, two phases: an active job is cancelled; a terminal job is
 	// removed along with its directory. Two DELETEs purge an active job.
-	if err := s.jobs.Cancel(id); err == nil {
+	if err := a.m.Cancel(id); err == nil {
 		writeJSON(w, http.StatusOK, map[string]string{"cancelled": id})
 		return
 	} else if !errors.Is(err, jobs.ErrNotActive) {
-		s.failJob(w, err)
+		a.s.failJob(w, err)
 		return
 	}
-	if err := s.jobs.Delete(id); err != nil {
-		s.failJob(w, err)
+	if err := a.m.Delete(id); err != nil {
+		a.s.failJob(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// handleJobEvents streams NDJSON progress updates until the job reaches a
+// events streams NDJSON progress updates until the job reaches a
 // terminal state or the client disconnects.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	ch, stop, err := s.jobs.Subscribe(r.PathValue("id"))
+func (a *jobAPI) events(w http.ResponseWriter, r *http.Request) {
+	ch, stop, err := a.m.Subscribe(r.PathValue("id"))
 	if err != nil {
-		s.failJob(w, err)
+		a.s.failJob(w, err)
 		return
 	}
 	defer stop()

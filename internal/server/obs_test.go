@@ -21,9 +21,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -368,7 +368,7 @@ func TestDistributedTracePropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
 	}
-	var man cluster.Manifest
+	var man jobs.Manifest
 	if err := json.Unmarshal(body, &man); err != nil {
 		t.Fatal(err)
 	}

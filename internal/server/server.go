@@ -305,6 +305,7 @@ func New(cfg Config) (*Server, error) {
 			CheckpointSeeds:    cfg.JobCheckpointSeeds,
 			CheckpointInterval: cfg.JobCheckpointInterval,
 			MinCheckpointGap:   cfg.JobMinCheckpointGap,
+			MaxTopN:            cfg.MaxTopN,
 			DefaultThreads:     cfg.DefaultThreads,
 			Admit:              s.admitJob,
 			TenantWeight:       tenantWeights(cfg.Tenants),
@@ -319,17 +320,19 @@ func New(cfg Config) (*Server, error) {
 		s.jobs = man
 	}
 	if cfg.ClusterDir != "" {
-		co, err := cluster.Open(cluster.Config{
-			Dir:              cfg.ClusterDir,
-			Load:             s.jobGraph,
-			Prepare:          s.jobPrepared,
+		co, err := cluster.Open(jobs.Config{
+			Dir:     cfg.ClusterDir,
+			Load:    s.jobGraph,
+			Prepare: s.jobPrepared,
+			MaxTopN: cfg.MaxTopN,
+			Logf:    cfg.Logf,
+			Tracer:  s.tracer,
+		}, cluster.Config{
 			Workers:          cfg.ClusterWorkers,
 			LeaseTimeout:     cfg.ClusterLeaseTimeout,
 			StealAfter:       cfg.ClusterStealAfter,
 			RangesPerWorker:  cfg.ClusterRangesPerWorker,
 			MaxRangeAttempts: cfg.ClusterMaxRangeAttempts,
-			MaxTopN:          cfg.MaxTopN,
-			Tracer:           s.tracer,
 			ObserveLease:     s.hist.lease.ObserveDuration,
 		})
 		if err != nil {
