@@ -34,11 +34,11 @@ func (localExecutor) Recover(dir string, man *Manifest, logf func(string, ...any
 	if rep.Truncated {
 		logf("jobs: %s: discarded torn WAL tail; resuming from seq %d (%d seeds)", man.ID, rep.LastSeq, len(rep.doneSeeds))
 	}
+	man.SeedsDone = len(rep.doneSeeds)
+	man.EnumMS = rep.enumMS
 	if rep.LastSeq == 0 {
 		return nil, nil // nothing durable yet; the rerun starts from scratch
 	}
-	man.SeedsDone = len(rep.doneSeeds)
-	man.EnumMS = rep.enumMS
 	return rep, nil
 }
 

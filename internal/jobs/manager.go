@@ -43,8 +43,8 @@ import (
 
 // State is a job's position in the lifecycle. Queued and running are
 // volatile; checkpointed means running with durable progress (a manager
-// restart resumes it from the WAL rather than from scratch); done, failed
-// and cancelled are terminal.
+// restart resumes it from its checkpoints rather than from scratch);
+// done, failed and cancelled are terminal.
 type State string
 
 const (

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -151,29 +150,6 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if res2.Count != res.Count || res2.PlexDigest != res.PlexDigest {
 		t.Fatal("result changed across reopen")
-	}
-}
-
-func TestSubmitValidation(t *testing.T) {
-	m := openTestManager(t, t.TempDir(), nil)
-	defer m.Close()
-	for _, spec := range []Spec{
-		{K: 2, Q: 6},                           // no graph
-		{Graph: "g", K: 0, Q: 6},               // bad k
-		{Graph: "g", K: 2, Q: 2},               // q < 2k-1
-		{Graph: "g", K: 2, Q: 6, TopN: -1},     // bad topn
-		{Graph: "g", K: 2, Q: 6, TopN: 100000}, // topn over cap
-		{Graph: "g", K: 2, Q: 6, Scheduler: "lifo"},
-	} {
-		if _, err := m.Submit(spec); err == nil {
-			t.Errorf("Submit(%+v) accepted", spec)
-		}
-	}
-	if _, err := m.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
-	}
-	if err := m.Cancel("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Cancel(unknown) = %v, want ErrNotFound", err)
 	}
 }
 
@@ -381,60 +357,6 @@ func TestTornWALTail(t *testing.T) {
 	}
 	if len(rep.doneSeeds) != v.TotalSeeds {
 		t.Fatalf("final WAL replay covers %d of %d seeds", len(rep.doneSeeds), v.TotalSeeds)
-	}
-}
-
-func TestCancelQueuedAndDelete(t *testing.T) {
-	dir := t.TempDir()
-	gate := make(chan struct{})
-	m := openTestManager(t, dir, func(c *Config) {
-		c.Admit = func(ctx context.Context, _ string) (func(), error) {
-			select {
-			case <-gate:
-				return func() {}, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-	})
-	defer m.Close()
-
-	running, err := m.Submit(Spec{Graph: "corpus:planted-a", K: 2, Q: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := m.Submit(Spec{Graph: "corpus:planted-a", K: 2, Q: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The second job sits in the queue behind the single admission-gated
-	// worker; cancelling it must not need the worker at all.
-	if err := m.Cancel(queued.ID); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Get(queued.ID); v.State != StateCancelled {
-		t.Fatalf("queued job state = %s, want cancelled", v.State)
-	}
-
-	// Cancel the admission-blocked job too, then let the gate go.
-	if err := m.Cancel(running.ID); err != nil {
-		t.Fatal(err)
-	}
-	v := waitDone(t, m, running.ID)
-	if v.State != StateCancelled {
-		t.Fatalf("running job state = %s, want cancelled", v.State)
-	}
-
-	// Delete works on terminal jobs only, and removes the directory.
-	if err := m.Delete(queued.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, queued.ID)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("job directory survived Delete")
-	}
-	if _, err := m.Get(queued.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatal("deleted job still listed")
 	}
 }
 

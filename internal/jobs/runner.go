@@ -55,7 +55,8 @@ type Run struct {
 	cancel context.CancelCauseFunc
 }
 
-// Update applies fn to the job's manifest and persists it atomically.
+// Update applies fn to the job's manifest and persists it atomically. fn
+// runs under the job's lock, so it must only edit the manifest.
 func (r *Run) Update(fn func(man *Manifest)) error {
 	r.j.mu.Lock()
 	defer r.j.mu.Unlock()
@@ -129,7 +130,7 @@ func (m *Manager) runJob(j *job) {
 // slot — followed by the executor's run and the result write.
 func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCauseFunc, j *job) error {
 	j.mu.Lock()
-	spec := j.man.Spec
+	id, spec := j.man.ID, j.man.Spec
 	resume := j.resume
 	j.resume = nil
 	// Pin the trace id with the manifest so a resumed incarnation extends
@@ -137,7 +138,7 @@ func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCause
 	if j.man.TraceID == "" && m.cfg.Tracer != nil {
 		j.man.TraceID = obs.NewTraceID()
 	}
-	t := m.cfg.Tracer.StartWithID(j.man.TraceID, "job "+j.man.ID)
+	t := m.cfg.Tracer.StartWithID(j.man.TraceID, "job "+id)
 	j.mu.Unlock()
 	defer t.Finish()
 
@@ -160,7 +161,7 @@ func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCause
 	// prologues entirely. Group offsets define the job's global seed-id
 	// space.
 	r := &Run{
-		Spec: spec, Items: items, Groups: groups, Digest: digest, Trace: t, Resume: resume,
+		ID: id, Dir: j.dir, Spec: spec, Items: items, Groups: groups, Digest: digest, Trace: t, Resume: resume,
 		Prepared: make([]*kplex.Prepared, len(groups)), Offsets: make([]int, len(groups)),
 		m: m, j: j, cancel: cancel,
 	}
@@ -180,7 +181,6 @@ func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCause
 	// refer to. A changed graph file or seed space makes every persisted
 	// seed id meaningless, so resuming would silently corrupt the result.
 	j.mu.Lock()
-	r.ID, r.Dir = j.man.ID, j.dir
 	switch {
 	case j.man.Digest == "":
 		j.man.Digest = digest

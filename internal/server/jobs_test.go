@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -206,5 +208,66 @@ func TestJobsSurviveServerRestart(t *testing.T) {
 	}
 	if res.Count == 0 {
 		t.Fatal("restarted job reported zero plexes")
+	}
+}
+
+// TestBatchJobOverHTTP submits a batch job through POST /jobs and pins
+// every item to the engine reference. The per-item service ceilings are
+// enforced at submit (k against MaxK, topn against MaxTopN, which also
+// reaches the job manager), and the coordinator refuses batch specs.
+func TestBatchJobOverHTTP(t *testing.T) {
+	const maxTopN = 50
+	s, hs := newTestServer(t, Config{
+		JobsDir:    t.TempDir(),
+		ClusterDir: filepath.Join(t.TempDir(), "cluster"),
+		MaxTopN:    maxTopN,
+	})
+	for _, tc := range []struct{ path, body string }{
+		{"/jobs", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6},{"k":99,"q":200}]}`},
+		{"/jobs", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6},{"k":3,"q":8,"topn":51}]}`},
+		{"/cluster/jobs", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6},{"k":3,"q":8}]}`},
+	} {
+		if resp, body := postJSON(t, hs.URL+tc.path, tc.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s = %d (%s), want 400", tc.path, tc.body, resp.StatusCode, body)
+		}
+	}
+	if _, err := s.Jobs().Submit(jobs.Spec{Graph: "corpus:planted-a", K: 2, Q: 6, TopN: maxTopN + 1}); err == nil {
+		t.Error("job manager accepted a topn above the server's MaxTopN")
+	}
+
+	resp, body := postJSON(t, hs.URL+"/jobs", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6},{"k":3,"q":8,"topn":4}]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch submit = %d (%s), want 202", resp.StatusCode, body)
+	}
+	var man jobs.Manifest
+	if err := json.Unmarshal(body, &man); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if v, err := s.Jobs().Wait(ctx, man.ID); err != nil || v.State != jobs.StateDone {
+		t.Fatalf("batch job: %v (view %+v)", err, v)
+	}
+	var res jobs.Result
+	if code := getJSON(t, hs.URL+"/jobs/"+man.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("GET result = %d", code)
+	}
+	cells := []struct{ k, q, topn int }{{2, 6, 10}, {3, 8, 4}}
+	if len(res.Items) != len(cells) {
+		t.Fatalf("result has %d items, want %d", len(res.Items), len(cells))
+	}
+	for i, c := range cells {
+		ref := clusterRef(t, "corpus:planted-a", c.k, c.q, c.topn)
+		it := res.Items[i]
+		if it.K != c.k || it.Q != c.q || it.TopN != c.topn {
+			t.Errorf("item %d is (k=%d q=%d topn=%d), want (%d, %d, %d)", i, it.K, it.Q, it.TopN, c.k, c.q, c.topn)
+		}
+		if it.Count != ref.Count || it.MaxSize != ref.MaxSize || it.PlexDigest != ref.PlexDigest() {
+			t.Errorf("item %d: count=%d maxSize=%d digest=%s, want %d/%d/%s",
+				i, it.Count, it.MaxSize, it.PlexDigest, ref.Count, ref.MaxSize, ref.PlexDigest())
+		}
+		if !reflect.DeepEqual(it.TopK, ref.TopK) || !reflect.DeepEqual(it.Histogram, ref.Histogram) {
+			t.Errorf("item %d: topk %v hist %v, want %v %v", i, it.TopK, it.Histogram, ref.TopK, ref.Histogram)
+		}
 	}
 }

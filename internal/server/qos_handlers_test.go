@@ -7,6 +7,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -198,10 +199,37 @@ func assertRetryAfter(t *testing.T, resp *http.Response) {
 // and converges on the exact result.
 func TestDeadlinePartialWithResume(t *testing.T) {
 	dir := t.TempDir()
-	// ~1s of enumeration single-threaded; a 100ms deadline lands mid-walk.
-	if err := graph.WriteFormatFile(filepath.Join(dir, "slow.bin"), gen.GNP(200, 0.3, 9), graph.FormatBinary); err != nil {
+	// ~0.5s of enumeration single-threaded (several times that under the
+	// race detector).
+	g := gen.GNP(150, 0.3, 9)
+	if err := graph.WriteFormatFile(filepath.Join(dir, "slow.bin"), g, graph.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
+	// Measure this host's seed-completion profile with the server's
+	// options and set the deadline at the geometric mean of the first
+	// seed's completion and the whole walk's. It then lands mid-walk with
+	// the same wide margin on either side, however fast the host is and
+	// whether or not the build is instrumented.
+	opts := kplex.NewOptions(2, 6)
+	opts.Threads = 1
+	p, err := kplex.Prepare(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first time.Duration
+	start := time.Now()
+	opts.OnSeedDone = func(int, kplex.Stats) {
+		if first == 0 {
+			first = time.Since(start)
+		}
+	}
+	if _, err := kplex.RunPrepared(context.Background(), p, opts); err != nil {
+		t.Fatal(err)
+	}
+	walk := time.Since(start)
+	deadlineMS := max(1, int(math.Sqrt(float64(first)*float64(walk))/float64(time.Millisecond)))
+	t.Logf("first seed %v, whole walk %v: deadline %dms", first, walk, deadlineMS)
+
 	_, hs := newTestServer(t, Config{
 		DataDir:        dir,
 		JobsDir:        filepath.Join(dir, "jobs"),
@@ -209,12 +237,12 @@ func TestDeadlinePartialWithResume(t *testing.T) {
 	})
 
 	resp, partial := postQoS(t, hs.URL, "gold",
-		`{"graph":"slow.bin","k":2,"q":6,"mode":"count","deadlineMs":100}`)
+		fmt.Sprintf(`{"graph":"slow.bin","k":2,"q":6,"mode":"count","deadlineMs":%d}`, deadlineMS))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("deadline query: status = %d, want 200", resp.StatusCode)
 	}
 	if !partial.Partial {
-		t.Fatal("deadline query completed inside 100ms; expected partial:true (graph too fast for the test)")
+		t.Fatalf("deadline query completed inside %dms; expected partial:true", deadlineMS)
 	}
 	if partial.SeedsDone <= 0 || partial.SeedsDone >= partial.TotalSeeds {
 		t.Fatalf("seedsDone = %d of %d, want strictly between", partial.SeedsDone, partial.TotalSeeds)
