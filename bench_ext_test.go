@@ -16,7 +16,7 @@ import (
 )
 
 // BenchmarkTable5xColorUB adds the coloring-bound column to the Table 5
-// ablation (extension experiment; see DESIGN.md).
+// ablation (extension experiment; see README, "Benchmarks").
 func BenchmarkTable5xColorUB(b *testing.B) {
 	g := benchGraph("social")
 	const k, q = 4, 24

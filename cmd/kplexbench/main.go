@@ -5,21 +5,10 @@
 //
 //	kplexbench -all            # every table and figure (slow)
 //	kplexbench -table 3        # one table (2-7)
-//	kplexbench -figure 8       # one figure (7, 8, 9, 13)
+//	kplexbench -figure 8       # one figure (7, 8, 9, 13, 14, 15)
 //	kplexbench -ext ubcolor    # extension: coloring-bound ablation
 //	kplexbench -ext maximum    # extension: maximum k-plex solvers
 //	kplexbench -ext scheduler  # extension: parallel scheduler ablation
-//	kplexbench -ext jobs       # extension: job-subsystem checkpoint overhead
-//	kplexbench -ext prepare    # extension: prepared-graph prologue amortization
-//	kplexbench -ext batch      # extension: batched q-sweep amortization
-//	kplexbench -ext kernels    # extension: dense-vs-merge seed kernels
-//	kplexbench -ext store      # extension: out-of-core graph store
-//	kplexbench -ext qos        # extension: weighted-fair admission + sampling estimates
-//	kplexbench -json FILE      # write the selected extension's machine-readable
-//	                           # snapshot to FILE; alone it implies -ext jobs
-//	                           # (defaults: BENCH_jobs.json / BENCH_prepare.json /
-//	                           # BENCH_batch.json / BENCH_kernels.json /
-//	                           # BENCH_store.json)
 //	kplexbench -quick ...      # representative subset, ~1 minute total
 //	kplexbench -threads 8 ...  # worker count for the parallel experiments
 package main
@@ -36,42 +25,16 @@ import (
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "regenerate one table (2-7)")
-		figure   = flag.Int("figure", 0, "regenerate one figure (7, 8, 9, 13)")
-		ext      = flag.String("ext", "", "extension experiment: ubcolor, maximum, scheduler, jobs, prepare, batch, kernels, store or qos")
-		all      = flag.Bool("all", false, "regenerate everything")
-		quick    = flag.Bool("quick", false, "representative subset only")
-		threads  = flag.Int("threads", 0, "parallel worker count (default min(16, CPUs))")
-		jsonPath = flag.String("json", "", "write the selected extension's machine-readable snapshot to this file (alone it implies -ext jobs)")
+		table   = flag.Int("table", 0, "regenerate one table (2-7)")
+		figure  = flag.Int("figure", 0, "regenerate one figure (7, 8, 9, 13, 14, 15)")
+		ext     = flag.String("ext", "", "extension experiment: ubcolor, maximum or scheduler")
+		all     = flag.Bool("all", false, "regenerate everything")
+		quick   = flag.Bool("quick", false, "representative subset only")
+		threads = flag.Int("threads", 0, "parallel worker count (default min(16, CPUs))")
 	)
 	flag.Parse()
 
 	cfg := &bench.Config{Quick: *quick, Threads: *threads, Out: os.Stdout}
-
-	benchJSON := *jsonPath
-	if benchJSON == "" {
-		benchJSON = "BENCH_jobs.json"
-	}
-	prepareJSON := *jsonPath
-	if prepareJSON == "" {
-		prepareJSON = "BENCH_prepare.json"
-	}
-	batchJSON := *jsonPath
-	if batchJSON == "" {
-		batchJSON = "BENCH_batch.json"
-	}
-	kernelsJSON := *jsonPath
-	if kernelsJSON == "" {
-		kernelsJSON = "BENCH_kernels.json"
-	}
-	storeJSON := *jsonPath
-	if storeJSON == "" {
-		storeJSON = "BENCH_store.json"
-	}
-	qosJSON := *jsonPath
-	if qosJSON == "" {
-		qosJSON = "BENCH_qos.json"
-	}
 
 	type job struct {
 		name string
@@ -94,25 +57,15 @@ func main() {
 		"ubcolor":   {name: "Table 5x (extension)", run: cfg.TableUBColor, ext: true},
 		"maximum":   {name: "Table M (extension)", run: cfg.TableMaximum, ext: true},
 		"scheduler": {name: "Table S (extension)", run: cfg.TableScheduler, ext: true},
-		"jobs":      {name: "Jobs checkpoint overhead (extension)", run: func() error { return cfg.JobsBench(benchJSON) }, ext: true},
-		"prepare":   {name: "Prepared-graph amortization (extension)", run: func() error { return cfg.PrepareBench(prepareJSON) }, ext: true},
-		"batch":     {name: "Batched-sweep amortization (extension)", run: func() error { return cfg.BatchBench(batchJSON) }, ext: true},
-		"kernels":   {name: "Seed-kernel dense-vs-merge (extension)", run: func() error { return cfg.KernelsBench(kernelsJSON) }, ext: true},
-		"store":     {name: "Out-of-core graph store (extension)", run: func() error { return cfg.StoreBench(storeJSON) }, ext: true},
-		"qos":       {name: "Multi-tenant QoS (extension)", run: func() error { return cfg.QoSBench(qosJSON) }, ext: true},
 	}
 	order := []string{
 		"table2", "table3", "figure7", "table4", "figure8",
 		"table5", "table6", "figure9", "figure13", "figure14",
 		"figure15", "table7", "ubcolor", "maximum", "scheduler",
-		"jobs", "prepare", "batch", "kernels", "store", "qos",
 	}
 
 	var selected []string
 	switch {
-	case *jsonPath != "" && *ext == "":
-		// Backwards compatible: a bare -json means the jobs snapshot.
-		selected = []string{"jobs"}
 	case *all:
 		selected = order
 	case *table != 0:

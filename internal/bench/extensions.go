@@ -3,8 +3,8 @@ package bench
 // Extension experiments beyond the paper's own tables: the coloring upper
 // bound from the Maplex line of related work slotted into the Table 5
 // ablation grid, and a maximum-k-plex comparison between the binary-search
-// reduction and the incumbent branch-and-bound. Both are documented in
-// DESIGN.md as extensions, not reproductions.
+// reduction and the incumbent branch-and-bound. Both are extensions, not
+// reproductions (README, "Benchmarks").
 
 import (
 	"context"

@@ -124,16 +124,3 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	}
 	return bw.Flush()
 }
-
-// WriteEdgeListFile writes g to path, creating or truncating it.
-func WriteEdgeListFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteEdgeList(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

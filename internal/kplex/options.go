@@ -246,8 +246,9 @@ type Options struct {
 	// callback a safe commit point for crash recovery. Calls may arrive
 	// concurrently from different workers for different seeds. Incompatible
 	// with FirstOnly (an early stop abandons groups mid-flight). Enabling
-	// the hook adds per-task bookkeeping; see BENCH_jobs.json for the
-	// measured overhead.
+	// the hook adds per-task bookkeeping (each seed's outstanding tasks are
+	// tracked until the group retires), so leave it nil unless the caller
+	// commits per seed.
 	OnSeedDone func(seed int, partial Stats)
 
 	// earlyStop, when non-nil, is an additional engine stop flag the caller
@@ -278,10 +279,11 @@ type Options struct {
 }
 
 // DefaultDenseCrossover is the N¹-size ceiling for the dense bit-parallel
-// seed build when Options.DenseCrossover is zero. Chosen from the
-// BENCH_kernels grid: below it the Θ(|N¹|²/64)-word matrix peel beats the
-// merge path comfortably; above it matrix construction starts to dominate
-// on sparse hubs.
+// seed build when Options.DenseCrossover is zero. Chosen by timing
+// dense-only against merge-only seed-build passes on dense GNP, random
+// regular and hub-heavy Barabási–Albert graphs: below it the
+// Θ(|N¹|²/64)-word matrix peel beats the merge path comfortably; above it
+// matrix construction starts to dominate on sparse hubs.
 const DefaultDenseCrossover = 256
 
 // denseCrossover resolves the knob: the effective ceiling, with 0 meaning

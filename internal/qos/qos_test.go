@@ -101,84 +101,104 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-// TestWeightedFairGrants saturates a 1-slot pool with two tenants whose
+// TestWeightedFairGrants saturates a slot pool with two tenants whose
 // queues never drain and counts grants: stride scheduling must split them
 // 3:1 within 15% (the acceptance bound; the deterministic schedule is in
-// fact exact to ±1).
+// fact exact to ±1). The rows are a 1-slot pool with instant releases and
+// a 4-slot pool whose grants each hold their slot for 2 ms, with twice as
+// many waiters per tenant as slots.
 func TestWeightedFairGrants(t *testing.T) {
-	c := NewController(1, []TenantConfig{
-		{Name: "gold", Weight: 3},
-		{Name: "bronze", Weight: 1},
-	})
-	ctx := context.Background()
+	for _, tc := range []struct {
+		slots, waiters int
+		hold           time.Duration
+	}{
+		{slots: 1, waiters: 4},
+		{slots: 4, waiters: 8, hold: 2 * time.Millisecond},
+	} {
+		t.Run(fmt.Sprintf("slots=%d", tc.slots), func(t *testing.T) {
+			c := NewController(tc.slots, []TenantConfig{
+				{Name: "gold", Weight: 3},
+				{Name: "bronze", Weight: 1},
+			})
+			ctx := context.Background()
 
-	const total = 400
-	counts := map[string]int{}
-	var mu sync.Mutex
-	granted := 0
+			const total = 400
+			counts := map[string]int{}
+			var mu sync.Mutex
+			granted := 0
 
-	// Occupy the only slot so every worker queues up before the first
-	// counted grant: without the barrier, the first scheduled goroutine
-	// could race through all of `total` before the other tenant's workers
-	// even start, and the test would measure goroutine scheduling, not the
-	// stride scheduler.
-	blocker, err := c.Admit(ctx, "warmup")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Each tenant keeps 4 admissions pending at all times; every grant
-	// immediately releases and re-queues, so both queues stay saturated.
-	var wg sync.WaitGroup
-	for _, name := range []string{"gold", "bronze"} {
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(name string) {
-				defer wg.Done()
-				for {
-					rel, err := c.Admit(ctx, name)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					if granted < total {
-						counts[name]++
-						granted++
-					}
-					done := granted >= total
-					mu.Unlock()
-					rel()
-					if done {
-						return
-					}
+			// Occupy every slot so all workers queue up before the first
+			// counted grant: without the barrier, the first scheduled
+			// goroutines could race through all of `total` before the other
+			// tenant's workers even start, and the test would measure
+			// goroutine scheduling, not the stride scheduler.
+			var blockers []func()
+			for i := 0; i < tc.slots; i++ {
+				rel, err := c.Admit(ctx, "warmup")
+				if err != nil {
+					t.Fatal(err)
 				}
-			}(name)
-		}
-	}
+				blockers = append(blockers, rel)
+			}
 
-	// Release the slot only once both tenants are fully queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		queued := map[string]int{}
-		for _, ts := range c.Snapshot() {
-			queued[ts.Name] = ts.Queued
-		}
-		if queued["gold"] == 4 && queued["bronze"] == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers never queued: %+v", queued)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	blocker()
-	wg.Wait()
+			// Each tenant keeps tc.waiters admissions pending at all times;
+			// every grant holds its slot for tc.hold, then releases and
+			// re-queues, so both queues stay saturated.
+			var wg sync.WaitGroup
+			for _, name := range []string{"gold", "bronze"} {
+				for i := 0; i < tc.waiters; i++ {
+					wg.Add(1)
+					go func(name string) {
+						defer wg.Done()
+						for {
+							rel, err := c.Admit(ctx, name)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							mu.Lock()
+							if granted < total {
+								counts[name]++
+								granted++
+							}
+							done := granted >= total
+							mu.Unlock()
+							time.Sleep(tc.hold)
+							rel()
+							if done {
+								return
+							}
+						}
+					}(name)
+				}
+			}
 
-	share := float64(counts["gold"]) / float64(counts["gold"]+counts["bronze"])
-	if math.Abs(share-0.75) > 0.15*0.75 {
-		t.Errorf("gold share %.3f (gold=%d bronze=%d), want 0.75 within 15%%",
-			share, counts["gold"], counts["bronze"])
+			// Release the slots only once both tenants are fully queued.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				queued := map[string]int{}
+				for _, ts := range c.Snapshot() {
+					queued[ts.Name] = ts.Queued
+				}
+				if queued["gold"] == tc.waiters && queued["bronze"] == tc.waiters {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("workers never queued: %+v", queued)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for _, rel := range blockers {
+				rel()
+			}
+			wg.Wait()
+
+			share := float64(counts["gold"]) / float64(counts["gold"]+counts["bronze"])
+			if math.Abs(share-0.75) > 0.15*0.75 {
+				t.Errorf("gold share %.3f (gold=%d bronze=%d), want 0.75 within 15%%",
+					share, counts["gold"], counts["bronze"])
+			}
+		})
 	}
 }
 
