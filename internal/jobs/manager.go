@@ -869,6 +869,9 @@ func (m *Manager) Cancel(id string) error {
 		return nil
 	default:
 		// Still queued: mark terminal here; the worker discards it on pop.
+		if j.man.State == StateQueued {
+			m.counters.Queued.Add(-1)
+		}
 		m.finishLocked(j, StateCancelled, nil)
 		return nil
 	}
@@ -1004,11 +1007,7 @@ func (m *Manager) workerLoop() {
 		}
 		j := m.popLocked()
 		m.mu.Unlock()
-		m.counters.Queued.Add(-1)
-
-		m.counters.Running.Add(1)
 		m.runJob(j)
-		m.counters.Running.Add(-1)
 	}
 }
 

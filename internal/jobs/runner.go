@@ -94,11 +94,14 @@ func (m *Manager) runJob(j *job) {
 	defer cancel(nil)
 	j.mu.Lock()
 	if j.man.State != StateQueued {
-		// Cancelled while it sat in the queue.
+		// Cancelled while it sat in the queue (Cancel already left the
+		// queued gauge).
 		j.mu.Unlock()
 		return
 	}
 	j.cancel = cancel
+	m.counters.Queued.Add(-1)
+	m.counters.Running.Add(1)
 	j.mu.Unlock()
 
 	err := m.runIncarnation(runCtx, cancel, j)
@@ -106,6 +109,10 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cancel = nil
+	// Leave the running gauge under the lock that publishes the outcome,
+	// so a client that sees the job done never scrapes it as running.
+	// Parked incarnations (shutdown, crash failpoint) leave it here too.
+	m.counters.Running.Add(-1)
 	switch {
 	case err == nil:
 		m.finishLocked(j, StateDone, nil)

@@ -90,10 +90,12 @@ func Run(ctx context.Context, g graph.CSR, opts Options) (Result, error) {
 // the resume skip set and the seed-completion hooks; emit receives the
 // generated tasks (schedulers queue them, the sequential path runs them
 // inline). It is the single choke point all four run paths share, so skip
-// and checkpoint semantics cannot drift between schedulers.
-func (e *engine) processSeed(w *worker, s int, emit func(*task)) {
+// and checkpoint semantics cannot drift between schedulers. It reports
+// whether it built a group, which then emitted at least one task; skipped
+// seeds and seeds pruned before any task existed report false.
+func (e *engine) processSeed(w *worker, s int, emit func(*task)) bool {
 	if e.skipSeed(s) {
-		return
+		return false
 	}
 	if w.sc == nil {
 		w.sc = newSeedScratch(e.g.N())
@@ -112,7 +114,7 @@ func (e *engine) processSeed(w *worker, s int, emit func(*task)) {
 		// and its untouched storage goes straight back to the pool.
 		e.sgPool.Put(st)
 		e.seedDoneEmpty(s)
-		return
+		return false
 	}
 	if e.opts.OnSeedDone != nil {
 		// One outstanding unit for the generation phase; emitted tasks add
@@ -125,6 +127,7 @@ func (e *engine) processSeed(w *worker, s int, emit func(*task)) {
 		w.settleRelease(sg.track)
 	}
 	e.releaseSeed(sg) // the generation phase's reference
+	return true
 }
 
 // runSequential processes every seed group in order on the calling
@@ -142,11 +145,14 @@ func (e *engine) runSequential(ctx context.Context) Stats {
 	return w.stats
 }
 
-// runParallel implements the Section 6 scheme: stages of M seeds, one per
-// worker; each worker fills its own queue with its seed's sub-tasks and
-// drains it LIFO, stealing FIFO from other queues once empty. The timeout
-// mechanism inside Branch feeds long-running tasks back into the owner's
-// queue where they become stealable.
+// runParallel implements the Section 6 scheme: stages of M live seed
+// groups, one per worker; each worker fills its own queue with its group's
+// sub-tasks and drains it LIFO, stealing FIFO from other queues once empty.
+// Seeds are claimed from one cursor, and a worker keeps claiming until a
+// seed builds a group, so seeds pruned before any task exists and skipped
+// seeds take no stage slot and pay no barrier. The timeout mechanism inside
+// Branch feeds long-running tasks back into the owner's queue where they
+// become stealable.
 func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 	done := watchContext(ctx, e)
 	defer done()
@@ -158,24 +164,27 @@ func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 		e.queues[i] = &taskQueue{}
 	}
 
-	n := e.g.N()
+	n := int64(e.g.N())
+	var nextSeed atomic.Int64
 	var wg sync.WaitGroup
-	for stage := 0; stage*threads < n && !e.cancelled(); stage++ {
-		base := stage * threads
+	for nextSeed.Load() < n && !e.cancelled() {
 		e.seeding.Store(int64(threads))
 		for i := 0; i < threads; i++ {
 			wg.Add(1)
-			go func(w *worker, seed int) {
+			go func(w *worker) {
 				defer wg.Done()
-				if seed < n && !e.cancelled() {
-					e.processSeed(w, seed, func(t *task) {
-						e.pending.Add(1)
-						e.queues[w.id].push(t)
-					})
+				emit := func(t *task) {
+					e.pending.Add(1)
+					e.queues[w.id].push(t)
+				}
+				for !e.cancelled() {
+					if s := nextSeed.Add(1) - 1; s >= n || e.processSeed(w, int(s), emit) {
+						break
+					}
 				}
 				e.seeding.Add(-1)
 				e.drain(w)
-			}(workers[i], base+i)
+			}(workers[i])
 		}
 		wg.Wait()
 		// Stage barrier: all queues are empty here; the seed subgraphs of

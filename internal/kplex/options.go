@@ -103,10 +103,11 @@ func (s PartitionStyle) String() string {
 type SchedulerStyle int
 
 const (
-	// SchedulerStages is the paper's scheme: stages of M seeds, one per
-	// worker, each worker draining its own LIFO queue and stealing FIFO
-	// from others. Maximises cache locality on the shared seed subgraphs
-	// while stage barriers bound memory.
+	// SchedulerStages is the paper's scheme: stages of M live seed groups,
+	// one per worker, each worker draining its own LIFO queue and stealing
+	// FIFO from others. Seeds pruned before any task exists, and skipped
+	// seeds, take no stage slot. Maximises cache locality on the shared
+	// seed subgraphs while stage barriers bound memory to M live groups.
 	SchedulerStages SchedulerStyle = iota
 	// SchedulerGlobalQueue is the strawman ablation: one shared task queue
 	// that every worker pushes to and pops from. Load balancing is perfect

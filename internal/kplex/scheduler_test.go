@@ -2,10 +2,15 @@ package kplex
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestStealSchedulerBoundedDeque forces tiny deque bounds so the overflow
@@ -225,5 +230,154 @@ func TestGlobalQueueSchedulerSplits(t *testing.T) {
 	}
 	if res.Stats.Splits == 0 {
 		t.Log("no splits observed; timeout may exceed every task on this host")
+	}
+}
+
+// deadSeedGraph is a seed space that is almost all dead at k=2, q=10
+// without CTCP: 3,000 seed ids, of which only 5 build a group (the rest
+// are pruned before any task exists), holding 8 maximal 2-plexes.
+func deadSeedGraph(t *testing.T) (*graph.Graph, int) {
+	t.Helper()
+	g := gen.BarabasiAlbert(3000, 8, 21)
+	space, err := SeedSpace(g, NewOptions(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, space
+}
+
+// TestStagesSchedulerDeadSeedSpace pins the stage scheduler on a seed
+// space where dead seeds outnumber live groups by 600 to 1: a stage holds
+// M live groups, so workers claim past pruned and skipped seeds without
+// a barrier each. Counts, per-seed reporting and the skip-set partition
+// must be exactly those of the sequential run.
+func TestStagesSchedulerDeadSeedSpace(t *testing.T) {
+	g, space := deadSeedGraph(t)
+	want := mustRun(t, g, NewOptions(2, 10))
+	if want.Count != 8 {
+		t.Fatalf("sequential count %d, want 8", want.Count)
+	}
+	if space < 100*int(want.Stats.Seeds) {
+		t.Fatalf("seed space %d vs %d live groups: no longer a dead seed space", space, want.Stats.Seeds)
+	}
+	evens, odds := NewSeedSet(), NewSeedSet()
+	for s := 0; s < space; s++ {
+		if s%2 == 0 {
+			evens.Add(s)
+		} else {
+			odds.Add(s)
+		}
+	}
+	for _, threads := range []int{2, 3, 4} {
+		for _, tau := range []time.Duration{0, 50 * time.Microsecond} {
+			t.Run(fmt.Sprintf("threads=%d/tau=%v", threads, tau), func(t *testing.T) {
+				run := func(skip *SeedSet) (Result, *seedRecorder) {
+					opts := NewOptions(2, 10)
+					opts.Threads = threads
+					opts.TaskTimeout = tau
+					opts.Scheduler = SchedulerStages
+					opts.SkipSeeds = skip
+					rec := newSeedRecorder()
+					rec.install(&opts)
+					return mustRun(t, g, opts), rec
+				}
+				full, rec := run(nil)
+				if full.Count != want.Count {
+					t.Errorf("count %d, want %d", full.Count, want.Count)
+				}
+				if rec.repeats != 0 || len(rec.partials) != space {
+					t.Errorf("OnSeedDone reported %d distinct seeds (%d repeats), want each of %d once", len(rec.partials), rec.repeats, space)
+				}
+				for s := range rec.partials {
+					if s < 0 || s >= space {
+						t.Errorf("OnSeedDone reported seed %d outside [0, %d)", s, space)
+					}
+				}
+
+				oddRun, oddRec := run(evens)
+				evenRun, evenRec := run(odds)
+				if got := oddRun.Count + evenRun.Count; got != want.Count {
+					t.Errorf("halves sum to %d, want %d", got, want.Count)
+				}
+				for s := range oddRec.partials {
+					if evens.Contains(s) {
+						t.Errorf("skipped seed %d was reported", s)
+					}
+				}
+				for s := range evenRec.partials {
+					if odds.Contains(s) {
+						t.Errorf("skipped seed %d was reported", s)
+					}
+				}
+				if n := len(oddRec.partials) + len(evenRec.partials); n != space {
+					t.Errorf("halves reported %d seeds, want %d", n, space)
+				}
+			})
+		}
+	}
+}
+
+// TestStagesSchedulerCancelDeadSeeds cancels stage runs while the workers
+// are claiming through the dead seed space: the run must stop claiming,
+// return the context error and leave no goroutine behind. The live groups
+// are skipped, so no worker can leave the claim loop by building one, and
+// the seed hook sleeps briefly, so claiming the whole space takes far
+// longer than the cancellation needs to land.
+func TestStagesSchedulerCancelDeadSeeds(t *testing.T) {
+	g, space := deadSeedGraph(t)
+	p, err := Prepare(g, NewOptions(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewOptions(2, 10)
+	rec := newSeedRecorder()
+	rec.install(&probe)
+	if _, err := RunPrepared(context.Background(), p, probe); err != nil {
+		t.Fatal(err)
+	}
+	live := NewSeedSet()
+	for s, partial := range rec.partials {
+		if partial.Seeds > 0 {
+			live.Add(s)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		ctx     func() (context.Context, context.CancelFunc)
+		afterN  int64 // cancel from OnSeedDone after this many seeds (0: never)
+		wantErr error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Millisecond)
+		}, 0, context.DeadlineExceeded},
+		{"cancel-after-64-seeds", func() (context.Context, context.CancelFunc) {
+			return context.WithCancel(context.Background())
+		}, 64, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			var reported atomic.Int64
+			opts := NewOptions(2, 10)
+			opts.Threads = 4
+			opts.TaskTimeout = 50 * time.Microsecond
+			opts.Scheduler = SchedulerStages
+			opts.SkipSeeds = live
+			opts.OnSeedDone = func(int, Stats) {
+				if reported.Add(1) == tc.afterN {
+					cancel()
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			_, err := RunPrepared(ctx, p, opts)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if n := reported.Load(); n >= int64(space/2) {
+				t.Errorf("%d of %d seeds reported: the claim loop did not stop at the cancellation", n, space)
+			}
+			waitGoroutines(t, base, 0)
+		})
 	}
 }

@@ -271,3 +271,59 @@ func TestBatchJobOverHTTP(t *testing.T) {
 		}
 	}
 }
+
+// TestJobsRunningGaugeAtDone scrapes /metrics the moment each job's events
+// feed delivers its terminal line: a job the client already sees as done
+// must no longer count in kplexd_jobs_running (nor in the queued gauge).
+// Jobs run one at a time, so both gauges must read 0 at every scrape.
+func TestJobsRunningGaugeAtDone(t *testing.T) {
+	_, hs := newTestServer(t, Config{JobsDir: t.TempDir()})
+	gauge := func(prom, name string) string {
+		for _, line := range strings.Split(prom, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		return "missing"
+	}
+	for i := 0; i < 8; i++ {
+		resp, body := postJSON(t, hs.URL+"/jobs", `{"graph":"corpus:planted-a","k":2,"q":6,"threads":2}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d (%s), want 202", resp.StatusCode, body)
+		}
+		var man jobs.Manifest
+		if err := json.Unmarshal(body, &man); err != nil {
+			t.Fatal(err)
+		}
+		eventsResp, err := http.Get(hs.URL + "/jobs/" + man.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(eventsResp.Body)
+		var p jobs.Progress
+		for sc.Scan() {
+			if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+				t.Fatalf("bad event line %q: %v", sc.Text(), err)
+			}
+			if p.State.Terminal() {
+				break
+			}
+		}
+		if p.State != jobs.StateDone {
+			eventsResp.Body.Close()
+			t.Fatalf("job %d: events feed ended in state %q, want done", i, p.State)
+		}
+		mResp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom, _ := io.ReadAll(mResp.Body)
+		mResp.Body.Close()
+		eventsResp.Body.Close()
+		for _, name := range []string{"kplexd_jobs_running", "kplexd_jobs_queued"} {
+			if v := gauge(string(prom), name); v != "0" {
+				t.Fatalf("job %d: %s = %s at the moment the done event arrived, want 0", i, name, v)
+			}
+		}
+	}
+}
