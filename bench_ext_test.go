@@ -113,9 +113,9 @@ func BenchmarkOracleBaselines(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedulerAblation compares the paper's stage-based work-stealing
-// scheduler against the single global queue (the ablation backing the
-// Section 6 cache-locality argument).
+// BenchmarkSchedulerAblation compares the paper's stage scheduler against
+// the barrier-free work-stealing one; both run the same worker loop and
+// differ only in how seeds are claimed.
 func BenchmarkSchedulerAblation(b *testing.B) {
 	g := benchGraph("large")
 	const k, q = 2, 12
@@ -128,7 +128,7 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 		sched kplex.SchedulerStyle
 	}{
 		{"Stages", kplex.SchedulerStages},
-		{"GlobalQueue", kplex.SchedulerGlobal},
+		{"Steal", kplex.SchedulerSteal},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			opts := kplex.NewOptions(k, q)

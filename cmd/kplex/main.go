@@ -41,7 +41,7 @@ func main() {
 		q       = flag.Int("q", 0, "minimum k-plex size (default 2k-1)")
 		threads = flag.Int("threads", 1, "worker threads")
 		timeout = flag.Duration("timeout", 0, "task-split timeout τ_time for parallel runs (e.g. 100us; 0 = off)")
-		sched   = flag.String("sched", "stages", "parallel scheduler: stages | global | steal")
+		sched   = flag.String("sched", "stages", "parallel scheduler: stages | steal")
 		algo    = flag.String("algo", "ours", "algorithm: ours | ours_p | basic | listplex | fp")
 		doPrint = flag.Bool("print", false, "print every maximal k-plex (one per line)")
 		outPath = flag.String("o", "", "stream results to this file (.bin suffix = binary format)")
@@ -86,12 +86,10 @@ func main() {
 	switch *sched {
 	case "stages":
 		opts.Scheduler = kplex.SchedulerStages
-	case "global":
-		opts.Scheduler = kplex.SchedulerGlobalQueue
 	case "steal":
 		opts.Scheduler = kplex.SchedulerSteal
 	default:
-		fatal(fmt.Errorf("unknown -sched %q (have stages, global, steal)", *sched))
+		fatal(fmt.Errorf("unknown -sched %q (have stages, steal)", *sched))
 	}
 
 	var mu sync.Mutex

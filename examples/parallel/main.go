@@ -64,12 +64,12 @@ func main() {
 		fmt.Printf("%12v %12v %9d\n", tau, res.Elapsed.Round(time.Millisecond), res.Stats.Splits)
 	}
 
-	// Scheduler comparison at full threads: the paper's stage barriers, the
-	// global-queue strawman, and the barrier-free work-stealing scheme.
+	// Scheduler comparison at full threads: the paper's stage barriers and
+	// the barrier-free work-stealing scheme.
 	fmt.Printf("\nscheduler comparison (%d threads, τ=0.1ms):\n%14s %12s %9s %9s\n",
 		maxThreads, "scheduler", "time", "splits", "steals")
 	for _, sched := range []kplex.SchedulerStyle{
-		kplex.SchedulerStages, kplex.SchedulerGlobal, kplex.SchedulerSteal,
+		kplex.SchedulerStages, kplex.SchedulerSteal,
 	} {
 		opts := kplex.NewOptions(k, q)
 		opts.Threads = maxThreads

@@ -2,9 +2,8 @@
 // a few huge seed subgraphs (planted overlapping communities) creates
 // straggler tasks that serialise a naive parallel run. The example sweeps
 // the τ_time task-split threshold, prints the split counts alongside the
-// wall-clock times, and contrasts the paper's stage-based scheduler with
-// the single-global-queue strawman and the barrier-free work-stealing
-// scheduler (SchedulerSteal).
+// wall-clock times, and contrasts the paper's stage-based scheduler with the
+// barrier-free work-stealing scheduler (SchedulerSteal).
 package main
 
 import (
@@ -56,6 +55,5 @@ func main() {
 
 	fmt.Println("scheduler comparison (τ=0.1ms, the paper's default):")
 	run("stage barriers", 100*time.Microsecond, kplex.SchedulerStages)
-	run("single global queue", 100*time.Microsecond, kplex.SchedulerGlobal)
 	run("work stealing (steal-half)", 100*time.Microsecond, kplex.SchedulerSteal)
 }

@@ -70,8 +70,8 @@ func TestAlgoFamilies(t *testing.T) {
 			}
 		}
 	}
-	if got := len(SchedulerVariants()); got != 3 {
-		t.Fatalf("SchedulerVariants = %d, want 3", got)
+	if got := len(SchedulerVariants()); got != 2 {
+		t.Fatalf("SchedulerVariants = %d, want 2", got)
 	}
 	for _, v := range SchedulerVariants() {
 		o := kplex.NewOptions(2, 8)

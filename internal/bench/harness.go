@@ -77,12 +77,10 @@ type SchedulerVariant struct {
 }
 
 // SchedulerVariants returns the scheduler ablation grid in display order:
-// the paper's stage scheme, the global-queue strawman, and the
-// work-stealing extension.
+// the paper's stage scheme and the barrier-free work-stealing extension.
 func SchedulerVariants() []SchedulerVariant {
 	return []SchedulerVariant{
 		{"stages", kplex.SchedulerStages},
-		{"global", kplex.SchedulerGlobalQueue},
 		{"steal", kplex.SchedulerSteal},
 	}
 }

@@ -97,7 +97,7 @@ func TestBatchJobCrashResume(t *testing.T) {
 	// with a partially-skipped first group and with a fully-done group
 	// ahead of the interrupted one.
 	for _, crashAfter := range []int{40, 60} {
-		for _, sched := range []string{"stages", "global-queue", "steal"} {
+		for _, sched := range []string{"stages", "steal"} {
 			crashAfter, sched := crashAfter, sched
 			t.Run(fmt.Sprintf("%s/crash%d", sched, crashAfter), func(t *testing.T) {
 				dir := t.TempDir()

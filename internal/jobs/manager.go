@@ -82,7 +82,7 @@ type Spec struct {
 	TopN      int        `json:"topn,omitempty"`      // largest plexes kept (default 10)
 	Items     []SpecItem `json:"items,omitempty"`     // batch job: one entry per query
 	Threads   int        `json:"threads,omitempty"`   // 0: manager default
-	Scheduler string     `json:"scheduler,omitempty"` // "", stages, global-queue, steal
+	Scheduler string     `json:"scheduler,omitempty"` // "", stages, steal
 	Priority  int        `json:"priority,omitempty"`  // higher runs first
 	Tenant    string     `json:"tenant,omitempty"`    // QoS tenant the job belongs to ("" = default)
 	// Ranges is the number of seed ranges a distributed job is split into

@@ -177,7 +177,7 @@ func TestCrashResume(t *testing.T) {
 	const graphName, k, q, topn = "corpus:planted-overlap", 2, 6, 7
 	ref := refAggregate(t, graphName, k, q, topn)
 
-	for _, sched := range []string{"stages", "global-queue", "steal"} {
+	for _, sched := range []string{"stages", "steal"} {
 		t.Run(sched, func(t *testing.T) {
 			dir := t.TempDir()
 

@@ -98,7 +98,7 @@ func TestSeedBuildZeroAlloc(t *testing.T) {
 // routes around.
 func TestSeedBuildZeroAllocDense(t *testing.T) {
 	opts := NewOptions(2, 7) // q-2k = 3 > 0: the Corollary 5.2 peel is live
-	opts.DenseCrossover = 1 << 20
+	opts.denseCrossover = 1 << 20
 
 	g := gen.GNP(300, 0.15, 7)
 	p, err := Prepare(g, opts)

@@ -200,7 +200,8 @@ type BatchRunner struct {
 // Results are positionally aligned with queries. Each member's result is
 // identical to what the equivalent standalone Run / EnumerateTopK /
 // SizeHistogram call would report; the differential grid in batch_test.go
-// pins that equivalence across the corpus and all three schedulers.
+// pins that equivalence across the corpus, the sequential path and both
+// schedulers.
 func RunBatch(ctx context.Context, g graph.CSR, queries []BatchQuery) ([]BatchResult, error) {
 	return (&BatchRunner{}).Run(ctx, g, queries)
 }

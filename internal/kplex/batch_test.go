@@ -22,7 +22,6 @@ var batchSchedulers = []struct {
 }{
 	{"sequential", 1, SchedulerStages},
 	{"stages", 4, SchedulerStages},
-	{"global-queue", 4, SchedulerGlobalQueue},
 	{"steal", 4, SchedulerSteal},
 }
 
@@ -184,7 +183,7 @@ func TestBatchPropertyRandomMixes(t *testing.T) {
 			q := 2*k - 1 + rng.Intn(10)
 			opts := NewOptions(k, q)
 			opts.Threads = 1 + rng.Intn(4)
-			opts.Scheduler = []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue, SchedulerSteal}[rng.Intn(3)]
+			opts.Scheduler = []SchedulerStyle{SchedulerStages, SchedulerSteal}[rng.Intn(2)]
 			if opts.Threads > 1 {
 				opts.TaskTimeout = time.Duration(rng.Intn(100)) * time.Microsecond
 			}
@@ -303,7 +302,7 @@ func TestGroupBatchGrouping(t *testing.T) {
 		mk(3, 8, 2, SchedulerStages, false),
 		mk(2, 6, 8, SchedulerSteal, false),
 		mk(2, 6, 1, SchedulerStages, true),
-		mk(2, 12, 2, SchedulerGlobalQueue, false),
+		mk(2, 12, 2, SchedulerStages, false),
 	}
 	groups, err := GroupBatch(queries)
 	if err != nil {

@@ -18,7 +18,6 @@ var testSchedulers = []struct {
 }{
 	{"sequential", func(o *Options) {}, 1},
 	{"stages", func(o *Options) { o.Scheduler = SchedulerStages }, 4},
-	{"global-queue", func(o *Options) { o.Scheduler = SchedulerGlobalQueue }, 4},
 	{"steal", func(o *Options) { o.Scheduler = SchedulerSteal }, 4},
 }
 
@@ -194,7 +193,7 @@ func TestSeedHooksWithSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue, SchedulerSteal} {
+	for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
 		opts := NewOptions(2, 6)
 		opts.Threads = 4
 		opts.Scheduler = sched

@@ -1,6 +1,6 @@
 package kplex
 
-// Deadline-partial grid: across all three schedulers, a run cancelled
+// Deadline-partial grid: under both schedulers, a run cancelled
 // mid-flight must leave its SeedCollector with a true lower bound of the
 // exact golden count, and resuming with SkipSeeds = the collector's
 // done-set must produce exactly the remainder — count, histogram, max
@@ -22,7 +22,6 @@ func TestDeadlinePartialGrid(t *testing.T) {
 		style SchedulerStyle
 	}{
 		{"stages", SchedulerStages},
-		{"global-queue", SchedulerGlobalQueue},
 		{"steal", SchedulerSteal},
 	}
 	cells := []struct {

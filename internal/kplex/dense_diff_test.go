@@ -1,13 +1,13 @@
 package kplex
 
 // Differential grid pinning the dense bit-parallel seed kernel against the
-// merge kernel it replaces under DenseCrossover. Core-style peels are
-// confluent — the survivor set is the unique maximal subset meeting the
-// threshold — so the two paths must agree exactly: same counts, same
-// canonical plex-set digests, same top-k lists, on every corpus graph,
-// every (k, q) cell, and every scheduler. A dense-kernel bug that drops or
-// duplicates even one plex changes a digest here before it reaches the
-// committed golden files.
+// merge kernel it replaces under the dense ceiling (Options.denseCrossover).
+// Core-style peels are confluent — the survivor set is the unique maximal
+// subset meeting the threshold — so the two paths must agree exactly: same
+// counts, same canonical plex-set digests, same top-k lists, on every
+// corpus graph, every (k, q) cell, and every scheduler. A dense-kernel bug
+// that drops or duplicates even one plex changes a digest here before it
+// reaches the committed golden files.
 
 import (
 	"context"
@@ -34,7 +34,7 @@ func runDenseCell(t *testing.T, g *gen.CorpusGraph, k, q int, sched SchedulerSty
 	opts := NewOptions(k, q)
 	opts.Threads = threads
 	opts.Scheduler = sched
-	opts.DenseCrossover = crossover
+	opts.denseCrossover = crossover
 	var mu sync.Mutex
 	var plexes [][]int
 	opts.OnPlex = func(p []int) {
@@ -62,7 +62,7 @@ func runDenseCell(t *testing.T, g *gen.CorpusGraph, k, q int, sched SchedulerSty
 // TestDenseMergeDifferentialGrid sweeps corpus × (k, q) × scheduler,
 // running every cell once with the dense kernel forced on (the corpus
 // graphs all sit under DefaultDenseCrossover) and once with it disabled
-// (DenseCrossover = -1, merge only), and requires identical signatures.
+// (denseCrossover = -1, merge only), and requires identical signatures.
 // The (k, q) cells come from goldenCombos plus a q > 2k cell per graph so
 // the Corollary 5.2 peel — the code the two kernels actually disagree on
 // when buggy — is live (thrN1 = q-2k must be positive for either peel to
@@ -79,8 +79,15 @@ func TestDenseMergeDifferentialGrid(t *testing.T) {
 			cells := append(goldenCombos(cg.Name), [2]int{2, 7}) // q=7 > 2k=4: peel live
 			for _, kq := range cells {
 				k, q := kq[0], kq[1]
-				for si, sched := range []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue, SchedulerSteal} {
-					threads := 1 + si // 1, 2, 3: sequential and parallel drivers
+				for _, run := range []struct {
+					sched   SchedulerStyle
+					threads int
+				}{
+					{SchedulerStages, 1}, // sequential path
+					{SchedulerStages, 2},
+					{SchedulerSteal, 3},
+				} {
+					sched, threads := run.sched, run.threads
 					label := fmt.Sprintf("k=%d q=%d sched=%v threads=%d", k, q, sched, threads)
 
 					dense, denseStats := runDenseCell(t, g, k, q, sched, threads, 0)
@@ -93,7 +100,7 @@ func TestDenseMergeDifferentialGrid(t *testing.T) {
 						t.Errorf("%s: dense run built %d seeds through the merge path (DenseBuilds=0); the grid is not exercising the kernel", label, denseStats.Seeds)
 					}
 					if mergeStats.DenseBuilds != 0 {
-						t.Errorf("%s: DenseCrossover=-1 still took the dense path %d times", label, mergeStats.DenseBuilds)
+						t.Errorf("%s: denseCrossover=-1 still took the dense path %d times", label, mergeStats.DenseBuilds)
 					}
 				}
 			}
@@ -101,15 +108,15 @@ func TestDenseMergeDifferentialGrid(t *testing.T) {
 	}
 }
 
-// TestDenseCrossoverNotInResultKey pins that DenseCrossover is
+// TestDenseCrossoverNotInResultKey pins that the dense ceiling is
 // execution-only: two option sets differing only in kernel choice must
 // share a batch group (identical ResultKey), because the kernels are
 // equivalent by construction.
 func TestDenseCrossoverNotInResultKey(t *testing.T) {
 	a := NewOptions(2, 6)
 	b := NewOptions(2, 6)
-	b.DenseCrossover = -1
+	b.denseCrossover = -1
 	if a.ResultKey() != b.ResultKey() {
-		t.Fatal("DenseCrossover leaked into ResultKey; kernel routing must not change result identity")
+		t.Fatal("denseCrossover leaked into ResultKey; kernel routing must not change result identity")
 	}
 }

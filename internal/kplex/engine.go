@@ -2,7 +2,6 @@ package kplex
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,10 +23,9 @@ type engine struct {
 	// pipeline performs no heap allocation at all.
 	sgPool sync.Pool
 
-	queues  []*taskQueue  // stage / global-queue schedulers
-	deques  []*stealDeque // SchedulerSteal only (nil otherwise)
+	deques  []*stealDeque // one per worker; nil on the sequential path
 	pending atomic.Int64  // tasks pushed but not yet finished
-	seeding atomic.Int64  // workers still generating tasks this stage
+	seeding atomic.Int64  // workers inside a seed claim (see runParallel)
 	stop    atomic.Bool
 	// extStop, when non-nil, is an additional stop flag owned by the
 	// caller (Options.earlyStop). Unlike context cancellation, which is
@@ -89,10 +87,11 @@ func Run(ctx context.Context, g graph.CSR, opts Options) (Result, error) {
 // processSeed builds and enumerates one seed group on worker w, honouring
 // the resume skip set and the seed-completion hooks; emit receives the
 // generated tasks (schedulers queue them, the sequential path runs them
-// inline). It is the single choke point all four run paths share, so skip
-// and checkpoint semantics cannot drift between schedulers. It reports
-// whether it built a group, which then emitted at least one task; skipped
-// seeds and seeds pruned before any task existed report false.
+// inline). It is the single choke point the sequential and parallel run
+// paths share, so skip and checkpoint semantics cannot drift between
+// schedulers. It reports whether it built a group, which then emitted at
+// least one task; skipped seeds and seeds pruned before any task existed
+// report false.
 func (e *engine) processSeed(w *worker, s int, emit func(*task)) bool {
 	if e.skipSeed(s) {
 		return false
@@ -143,181 +142,6 @@ func (e *engine) runSequential(ctx context.Context) Stats {
 		e.processSeed(w, s, func(t *task) { w.runTask(t) })
 	}
 	return w.stats
-}
-
-// runParallel implements the Section 6 scheme: stages of M live seed
-// groups, one per worker; each worker fills its own queue with its group's
-// sub-tasks and drains it LIFO, stealing FIFO from other queues once empty.
-// Seeds are claimed from one cursor, and a worker keeps claiming until a
-// seed builds a group, so seeds pruned before any task exists and skipped
-// seeds take no stage slot and pay no barrier. The timeout mechanism inside
-// Branch feeds long-running tasks back into the owner's queue where they
-// become stealable.
-func (e *engine) runParallel(ctx context.Context, threads int) Stats {
-	done := watchContext(ctx, e)
-	defer done()
-
-	workers := make([]*worker, threads)
-	e.queues = make([]*taskQueue, threads)
-	for i := range workers {
-		workers[i] = &worker{id: i, eng: e, splitting: e.opts.TaskTimeout > 0}
-		e.queues[i] = &taskQueue{}
-	}
-
-	n := int64(e.g.N())
-	var nextSeed atomic.Int64
-	var wg sync.WaitGroup
-	for nextSeed.Load() < n && !e.cancelled() {
-		e.seeding.Store(int64(threads))
-		for i := 0; i < threads; i++ {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				emit := func(t *task) {
-					e.pending.Add(1)
-					e.queues[w.id].push(t)
-				}
-				for !e.cancelled() {
-					if s := nextSeed.Add(1) - 1; s >= n || e.processSeed(w, int(s), emit) {
-						break
-					}
-				}
-				e.seeding.Add(-1)
-				e.drain(w)
-			}(workers[i])
-		}
-		wg.Wait()
-		// Stage barrier: all queues are empty here; the seed subgraphs of
-		// this stage become garbage, bounding memory as in the paper.
-	}
-
-	var total Stats
-	for _, w := range workers {
-		total.Add(w.stats)
-	}
-	return total
-}
-
-// drain processes tasks until the stage has no pending work left.
-func (e *engine) drain(w *worker) {
-	myQ := e.queues[w.id]
-	idleSpins := 0
-	for {
-		if e.cancelled() {
-			return
-		}
-		if t := myQ.popBack(); t != nil {
-			w.runTask(t)
-			e.pending.Add(-1)
-			idleSpins = 0
-			continue
-		}
-		// Steal FIFO from another queue (oldest tasks first: they are the
-		// roots of the largest remaining subtrees).
-		stolen := false
-		for off := 1; off < len(e.queues); off++ {
-			q := e.queues[(w.id+off)%len(e.queues)]
-			if t := q.popFront(); t != nil {
-				w.runTask(t)
-				e.pending.Add(-1)
-				stolen = true
-				break
-			}
-		}
-		if stolen {
-			idleSpins = 0
-			continue
-		}
-		if e.pending.Load() == 0 && e.seeding.Load() == 0 {
-			return
-		}
-		idleSpins++
-		if idleSpins > 64 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
-
-// pushTask enqueues a timeout-split task on the worker's own queue (which
-// is the single shared queue under SchedulerGlobalQueue, and the worker's
-// bounded deque under SchedulerSteal).
-func (e *engine) pushTask(w *worker, t *task) {
-	// Register the split's storage reference before it becomes stealable;
-	// the currently running task still holds one, so the group cannot be
-	// recycled between this increment and the push.
-	t.sg.retain()
-	if tr := t.sg.track; tr != nil {
-		// Same ordering argument for the seed-completion tracker.
-		tr.addTask()
-	}
-	if e.deques != nil {
-		e.enqueueLocal(w, t)
-		return
-	}
-	e.pending.Add(1)
-	e.queues[w.id].push(t)
-}
-
-// runGlobalQueue is the SchedulerGlobalQueue ablation: every worker pulls
-// seeds from one shared counter and tasks from one shared queue. There are
-// no stages and no thread-local queues, so each core keeps switching
-// between unrelated seed subgraphs — the locality cost the stage scheme
-// avoids — and all pushes and pops contend on one lock.
-func (e *engine) runGlobalQueue(ctx context.Context, threads int) Stats {
-	done := watchContext(ctx, e)
-	defer done()
-
-	global := &taskQueue{}
-	e.queues = []*taskQueue{global}
-	var nextSeed atomic.Int64
-	n := e.g.N()
-
-	workers := make([]*worker, threads)
-	var wg sync.WaitGroup
-	for i := range workers {
-		// Every worker targets queue 0, the shared queue.
-		workers[i] = &worker{id: 0, eng: e, splitting: e.opts.TaskTimeout > 0}
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			idleSpins := 0
-			for !e.cancelled() {
-				if t := global.popBack(); t != nil {
-					w.runTask(t)
-					e.pending.Add(-1)
-					idleSpins = 0
-					continue
-				}
-				s := int(nextSeed.Add(1)) - 1
-				if s < n {
-					e.processSeed(w, s, func(t *task) {
-						e.pending.Add(1)
-						global.push(t)
-					})
-					idleSpins = 0
-					continue
-				}
-				if e.pending.Load() == 0 {
-					return
-				}
-				idleSpins++
-				if idleSpins > 64 {
-					time.Sleep(20 * time.Microsecond)
-				} else {
-					runtime.Gosched()
-				}
-			}
-		}(workers[i])
-	}
-	wg.Wait()
-
-	var total Stats
-	for _, w := range workers {
-		total.Add(w.stats)
-	}
-	return total
 }
 
 // watchContext mirrors ctx cancellation into the engine's stop flag without
@@ -394,6 +218,14 @@ func (e *engine) generateTasks(w *worker, sg *seedGraph, emit func(*task)) {
 	var rec func(startIdx int, CS, allowed *bitset.Set)
 	rec = func(startIdx int, CS, allowed *bitset.Set) {
 		for idx := startIdx; idx < len(sg.hop2); idx++ {
+			// A stopped run abandons the rest of the enumeration: tasks
+			// beyond a full deque run inline, and a small one may never
+			// reach branch's cancellation poll. The tracker's generation
+			// unit is then released under the stop flag, so the truncated
+			// group is never reported done.
+			if e.cancelled() {
+				return
+			}
 			u := sg.hop2[idx]
 			if !allowed.Contains(u) {
 				continue
@@ -469,40 +301,4 @@ func validSeedSet(sg *seedGraph, S []int, k int) bool {
 		}
 	}
 	return true
-}
-
-// taskQueue is a mutex-guarded deque. Owners pop from the back (LIFO keeps
-// the working set cache-hot); thieves pop from the front (FIFO hands over
-// the largest remaining subtrees).
-type taskQueue struct {
-	mu    sync.Mutex
-	tasks []*task
-}
-
-func (q *taskQueue) push(t *task) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.mu.Unlock()
-}
-
-func (q *taskQueue) popBack() *task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t
-}
-
-func (q *taskQueue) popFront() *task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
-	return t
 }

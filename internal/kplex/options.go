@@ -3,8 +3,8 @@
 // partitioning into seed-subgraph sub-tasks (Algorithm 2), the pivot-based
 // Branch procedure (Algorithm 3), the upper bounds of Theorems 5.3/5.5/5.7,
 // the vertex-pair pruning rules of Theorems 5.13-5.15, the Ours_P branching
-// variant (Eq 4-6), and the stage-based parallel engine with timeout task
-// splitting (Section 6).
+// variant (Eq 4-6), and the parallel engine with timeout task splitting
+// (Section 6) under its stage and work-stealing schedulers.
 package kplex
 
 import (
@@ -102,25 +102,21 @@ func (s PartitionStyle) String() string {
 // SchedulerStyle selects how parallel workers obtain work (Section 6).
 type SchedulerStyle int
 
+// Both schedulers run the same worker loop over per-worker bounded deques
+// (LIFO local pops, batched FIFO steal-half from random victims); they
+// differ only in when a worker claims seeds. See steal.go.
 const (
 	// SchedulerStages is the paper's scheme: stages of M live seed groups,
-	// one per worker, each worker draining its own LIFO queue and stealing
-	// FIFO from others. Seeds pruned before any task exists, and skipped
-	// seeds, take no stage slot. Maximises cache locality on the shared
-	// seed subgraphs while stage barriers bound memory to M live groups.
+	// one per worker, with a barrier between stages. Seeds pruned before
+	// any task exists, and skipped seeds, take no stage slot. Maximises
+	// cache locality on the shared seed subgraphs while stage barriers
+	// bound memory to M live groups.
 	SchedulerStages SchedulerStyle = iota
-	// SchedulerGlobalQueue is the strawman ablation: one shared task queue
-	// that every worker pushes to and pops from. Load balancing is perfect
-	// but tasks from many different seed subgraphs interleave on each core,
-	// defeating the cache-locality argument of Section 6 and contending on
-	// a single lock.
-	SchedulerGlobalQueue
-	// SchedulerSteal is the barrier-free work-stealing scheme: per-worker
-	// bounded deques with LIFO local pops and batched FIFO steal-half from
-	// random victims, seeds claimed from a shared counter on demand. It
-	// keeps the stage scheme's cache locality (workers run their own seed's
-	// tasks back-to-front) while removing the stage barrier that leaves
-	// cores idle on straggler-heavy inputs. See steal.go.
+	// SchedulerSteal is the barrier-free scheme: a worker claims a fresh
+	// seed whenever its deque runs dry and seeds remain. It keeps the stage
+	// scheme's cache locality (workers run their own seed's tasks
+	// back-to-front) while removing the stage barrier that leaves cores
+	// idle on straggler-heavy inputs.
 	SchedulerSteal
 )
 
@@ -128,8 +124,6 @@ func (s SchedulerStyle) String() string {
 	switch s {
 	case SchedulerStages:
 		return "stages"
-	case SchedulerGlobalQueue:
-		return "global-queue"
 	case SchedulerSteal:
 		return "steal"
 	default:
@@ -138,13 +132,11 @@ func (s SchedulerStyle) String() string {
 }
 
 // ParseScheduler resolves a scheduler name as the service surfaces accept
-// it: "stages" (or empty), "global-queue" or "steal".
+// it: "stages" (or empty) or "steal".
 func ParseScheduler(name string) (SchedulerStyle, error) {
 	switch name {
 	case "", "stages":
 		return SchedulerStages, nil
-	case "global-queue":
-		return SchedulerGlobalQueue, nil
 	case "steal":
 		return SchedulerSteal, nil
 	}
@@ -189,23 +181,23 @@ type Options struct {
 	// steal. Zero disables splitting (tasks run to completion), which is
 	// also the sequential default.
 	TaskTimeout time.Duration
-	// StealQueueBound caps each worker's deque under SchedulerSteal; when a
-	// deque is full the owner runs overflow tasks inline, bounding queued
-	// memory at Threads × StealQueueBound tasks. Zero means the default
-	// (4096); it has no effect under the other schedulers.
-	StealQueueBound int
+	// queueBound caps each worker's deque; when a deque is full the owner
+	// runs overflow tasks inline, bounding queued memory at Threads ×
+	// queueBound tasks. Zero means defaultQueueBound. A test hook: tiny
+	// bounds force the overflow path.
+	queueBound int
 
-	// DenseCrossover is the N¹-size ceiling under which seed-graph
+	// denseCrossover is the N¹-size ceiling under which seed-graph
 	// construction takes the dense bit-parallel path: the Corollary 5.2
 	// peel runs over a row-major adjacency matrix with word-parallel
 	// AND/popcount kernels instead of per-vertex sorted merges. Above the
 	// ceiling the merge-based path is used (the matrix is Θ(|N¹|²) bits, so
 	// huge hub seeds would pay more to build it than it saves). Zero means
-	// the built-in default (see DefaultDenseCrossover); negative disables
-	// the dense path entirely. Execution-only: both paths reach the same
-	// fixed point, so this knob never changes the result set and does not
+	// DefaultDenseCrossover; negative disables the dense path entirely. A
+	// test hook for the dense/merge differential tests: both paths reach
+	// the same fixed point, so it never changes the result set and does not
 	// participate in ResultKey.
-	DenseCrossover int
+	denseCrossover int
 
 	// StreamBuffer is the result-channel capacity of the streaming path
 	// (RunStream / EnumerateStream): once this many plexes are queued and
@@ -280,23 +272,23 @@ type Options struct {
 }
 
 // DefaultDenseCrossover is the N¹-size ceiling for the dense bit-parallel
-// seed build when Options.DenseCrossover is zero. Chosen by timing
-// dense-only against merge-only seed-build passes on dense GNP, random
-// regular and hub-heavy Barabási–Albert graphs: below it the
-// Θ(|N¹|²/64)-word matrix peel beats the merge path comfortably; above it
-// matrix construction starts to dominate on sparse hubs.
+// seed build. Chosen by timing dense-only against merge-only seed-build
+// passes on dense GNP, random regular and hub-heavy Barabási–Albert graphs:
+// below it the Θ(|N¹|²/64)-word matrix peel beats the merge path
+// comfortably; above it matrix construction starts to dominate on sparse
+// hubs.
 const DefaultDenseCrossover = 256
 
-// denseCrossover resolves the knob: the effective ceiling, with 0 meaning
-// disabled (so `len(n1) <= o.denseCrossover()` reads naturally).
-func (o *Options) denseCrossover() int {
+// denseCeiling resolves the dense-path ceiling, with 0 meaning disabled
+// (so `len(n1) <= o.denseCeiling()` reads naturally).
+func (o *Options) denseCeiling() int {
 	switch {
-	case o.DenseCrossover < 0:
+	case o.denseCrossover < 0:
 		return 0
-	case o.DenseCrossover == 0:
+	case o.denseCrossover == 0:
 		return DefaultDenseCrossover
 	}
-	return o.DenseCrossover
+	return o.denseCrossover
 }
 
 // NewOptions returns the paper's default configuration ("Ours"): full upper
@@ -334,12 +326,9 @@ func (o *Options) Validate() error {
 		return errors.New("kplex: TaskTimeout must be >= 0")
 	}
 	switch o.Scheduler {
-	case SchedulerStages, SchedulerGlobalQueue, SchedulerSteal:
+	case SchedulerStages, SchedulerSteal:
 	default:
 		return fmt.Errorf("kplex: unknown Scheduler %d", int(o.Scheduler))
-	}
-	if o.StealQueueBound < 0 {
-		return errors.New("kplex: StealQueueBound must be >= 0")
 	}
 	if o.StreamBuffer < 0 {
 		return errors.New("kplex: StreamBuffer must be >= 0")
@@ -420,8 +409,8 @@ type Stats struct {
 	Collapses     int64 // subtrees closed by the P∪C k-plex shortcut (lines 11-14)
 	Repicks       int64 // pivots re-picked from C after landing in P (lines 15-16)
 	Splits        int64 // tasks materialised by the timeout mechanism
-	Steals        int64 // tasks transferred by steal-half batches (SchedulerSteal)
-	StealMisses   int64 // steal rounds that found every deque empty while tasks were in flight (SchedulerSteal)
+	Steals        int64 // tasks transferred by steal-half batches (either scheduler)
+	StealMisses   int64 // steal rounds that found every deque empty while tasks were in flight (either scheduler)
 	Emitted       int64 // maximal k-plexes reported
 	MaxPlexSize   int64 // largest reported k-plex (0 when none)
 	DenseBuilds   int64 // seed groups whose peel took the dense bit-matrix path

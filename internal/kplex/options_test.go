@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -94,25 +95,80 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestContextCancellationParallel stops result-heavy runs by deadline
+// under both schedulers. The run must return promptly: seed task
+// generation polls the stop flag, so tasks that overflow a deque and run
+// inline cannot keep a cancelled worker busy. And a seed the cancelled run
+// reports done must carry exactly the plexes a run over that seed alone
+// attributes to it, so a group whose generation was cut short is never
+// committed. No seed of the dense graph finishes before its deadline; the
+// sparse one finishes a few live groups and leaves others mid-flight.
 func TestContextCancellationParallel(t *testing.T) {
-	g := gen.GNP(300, 0.25, 9)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	opts := NewOptions(3, 6)
-	opts.Threads = 4
-	opts.TaskTimeout = 100 * time.Microsecond
-	start := time.Now()
-	_, err := Run(ctx, g, opts)
-	if err == nil {
-		// The run may legitimately finish under 50ms on a fast machine;
-		// only fail if it clearly ignored the deadline.
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("parallel run ignored context deadline")
-		}
-		return
+	graphs := []struct {
+		name     string
+		g        *graph.Graph
+		k, q     int
+		deadline time.Duration
+	}{
+		{"gnp-dense", gen.GNP(300, 0.25, 9), 3, 6, 50 * time.Millisecond},
+		{"chunglu", gen.ChungLu(3000, 25, 2.1, 56), 3, 9, 20 * time.Millisecond},
 	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("cancelled parallel run took %v", time.Since(start))
+	for _, gc := range graphs {
+		p, err := Prepare(gc.g, NewOptions(gc.k, gc.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
+			t.Run(gc.name+"/"+sched.String(), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), gc.deadline)
+				defer cancel()
+				opts := NewOptions(gc.k, gc.q)
+				opts.Threads = 4
+				opts.TaskTimeout = 100 * time.Microsecond
+				opts.Scheduler = sched
+				// A one-task deque sends nearly every task inline: the path
+				// on which a cut generation retires its group's last unit.
+				opts.queueBound = 1
+				rec := newSeedRecorder()
+				rec.install(&opts)
+				start := time.Now()
+				_, err := RunPrepared(ctx, p, opts)
+				if elapsed := time.Since(start); elapsed > 3*time.Second {
+					t.Fatalf("cancelled parallel run took %v", elapsed)
+				}
+				if err == nil {
+					// The run may legitimately beat the deadline on a fast
+					// machine; the latency bound above is the real check.
+					return
+				}
+				if rec.repeats != 0 {
+					t.Fatalf("OnSeedDone fired twice for %d seeds", rec.repeats)
+				}
+				// Re-enumerate exactly the reported seeds, sequentially and
+				// uncancelled, and compare their deliveries seed by seed.
+				skip := NewSeedSet()
+				for s := 0; s < p.SeedSpace(); s++ {
+					if _, done := rec.partials[s]; !done {
+						skip.Add(s)
+					}
+				}
+				refOpts := NewOptions(gc.k, gc.q)
+				refOpts.SkipSeeds = skip
+				ref := newSeedRecorder()
+				ref.install(&refOpts)
+				if _, err := RunPrepared(context.Background(), p, refOpts); err != nil {
+					t.Fatal(err)
+				}
+				for s, partial := range rec.partials {
+					if got, want := rec.plexes[s], ref.plexes[s]; got != want {
+						t.Errorf("seed %d reported done with %d plexes, want %d", s, got, want)
+					}
+					if got, want := partial.Emitted, ref.partials[s].Emitted; got != want {
+						t.Errorf("seed %d reported Emitted=%d, want %d", s, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -130,26 +130,3 @@ func TestManyThreadsOnTinyGraph(t *testing.T) {
 		t.Fatalf("counts differ: %d vs %d", seq.Count, par.Count)
 	}
 }
-
-func TestTaskQueueFIFOAndLIFO(t *testing.T) {
-	q := &taskQueue{}
-	mk := func(i int) *task { return &task{sizeP: i} }
-	for i := 0; i < 4; i++ {
-		q.push(mk(i))
-	}
-	if got := q.popBack(); got.sizeP != 3 {
-		t.Fatalf("popBack = %d, want 3", got.sizeP)
-	}
-	if got := q.popFront(); got.sizeP != 0 {
-		t.Fatalf("popFront = %d, want 0", got.sizeP)
-	}
-	if got := q.popFront(); got.sizeP != 1 {
-		t.Fatalf("popFront = %d, want 1", got.sizeP)
-	}
-	if got := q.popBack(); got.sizeP != 2 {
-		t.Fatalf("popBack = %d, want 2", got.sizeP)
-	}
-	if q.popBack() != nil || q.popFront() != nil {
-		t.Fatal("empty queue should return nil")
-	}
-}

@@ -55,7 +55,7 @@ func TestPhaseTimers(t *testing.T) {
 // workers and survive Stats.Add folding.
 func TestPhaseTimersParallel(t *testing.T) {
 	g := gen.ChungLu(400, 12, 2.4, 7)
-	for _, sched := range []kplex.SchedulerStyle{kplex.SchedulerStages, kplex.SchedulerGlobalQueue, kplex.SchedulerSteal} {
+	for _, sched := range []kplex.SchedulerStyle{kplex.SchedulerStages, kplex.SchedulerSteal} {
 		opts := kplex.NewOptions(2, 5)
 		opts.Threads = 4
 		opts.Scheduler = sched

@@ -119,14 +119,9 @@ func RunPrepared(ctx context.Context, p *Prepared, opts Options) (Result, error)
 	}
 
 	var stats Stats
-	switch {
-	case threads == 1 && opts.TaskTimeout == 0:
+	if threads == 1 && opts.TaskTimeout == 0 {
 		stats = e.runSequential(ctx)
-	case opts.Scheduler == SchedulerGlobalQueue:
-		stats = e.runGlobalQueue(ctx, threads)
-	case opts.Scheduler == SchedulerSteal:
-		stats = e.runSteal(ctx, threads)
-	default:
+	} else {
 		stats = e.runParallel(ctx, threads)
 	}
 

@@ -63,7 +63,7 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 				}
 
 				// Every scheduler over the same shared handle must agree.
-				for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue, SchedulerSteal} {
+				for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
 					po := NewOptions(k, q)
 					po.Threads = 4
 					po.Scheduler = sched
@@ -101,7 +101,7 @@ func TestPreparedHandleConcurrentReuse(t *testing.T) {
 			defer wg.Done()
 			o := NewOptions(2, 5)
 			o.Threads = 1 + i%3
-			o.Scheduler = SchedulerStyle(i % 3)
+			o.Scheduler = SchedulerStyle(i % 2)
 			res, err := RunPrepared(context.Background(), p, o)
 			if err != nil {
 				errs <- err

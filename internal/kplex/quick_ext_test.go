@@ -52,7 +52,7 @@ func TestQuickConfigurationsAgree(t *testing.T) {
 			func() kplex.Options {
 				o := kplex.NewOptions(k, q)
 				o.Threads = 3
-				o.Scheduler = kplex.SchedulerGlobalQueue
+				o.Scheduler = kplex.SchedulerSteal
 				return o
 			},
 			func() kplex.Options {

@@ -13,21 +13,24 @@ import (
 	"repro/internal/graph"
 )
 
-// TestStealSchedulerBoundedDeque forces tiny deque bounds so the overflow
-// path (owner runs tasks inline) is exercised; results must be unaffected.
+// TestStealSchedulerBoundedDeque forces tiny deque bounds under both
+// schedulers so the overflow path (owner runs tasks inline, during seed
+// generation and on splits) is exercised; results must be unaffected.
 func TestStealSchedulerBoundedDeque(t *testing.T) {
 	g := gen.ChungLu(400, 14, 2.2, 58)
 	const k, q = 2, 7
 	want := mustRun(t, g, NewOptions(k, q))
-	for _, bound := range []int{1, 2, 16} {
-		opts := NewOptions(k, q)
-		opts.Threads = 4
-		opts.TaskTimeout = time.Microsecond
-		opts.Scheduler = SchedulerSteal
-		opts.StealQueueBound = bound
-		res := mustRun(t, g, opts)
-		if res.Count != want.Count {
-			t.Errorf("bound=%d: count %d, want %d", bound, res.Count, want.Count)
+	for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
+		for _, bound := range []int{1, 2, 16} {
+			opts := NewOptions(k, q)
+			opts.Threads = 4
+			opts.TaskTimeout = time.Microsecond
+			opts.Scheduler = sched
+			opts.queueBound = bound
+			res := mustRun(t, g, opts)
+			if res.Count != want.Count {
+				t.Errorf("%v bound=%d: count %d, want %d", sched, bound, res.Count, want.Count)
+			}
 		}
 	}
 }
@@ -144,92 +147,16 @@ func TestStealDequeOps(t *testing.T) {
 	}
 }
 
-// Both legacy schedulers must produce identical counts across thread counts
-// and timeout settings; the scheduler only changes who runs a task, never
-// what the task computes.
-func TestGlobalQueueSchedulerMatchesStages(t *testing.T) {
-	n := 600
-	if testing.Short() {
-		n = 250
-	}
-	g := gen.ChungLu(n, 16, 2.2, 55)
-	const k, q = 2, 8
-
-	want, err := Run(context.Background(), g, NewOptions(k, q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Count == 0 {
-		t.Fatal("test graph has no results")
-	}
-
-	for _, threads := range []int{2, 4} {
-		for _, tau := range []time.Duration{0, 50 * time.Microsecond} {
-			for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue} {
-				opts := NewOptions(k, q)
-				opts.Threads = threads
-				opts.TaskTimeout = tau
-				opts.Scheduler = sched
-				res, err := Run(context.Background(), g, opts)
-				if err != nil {
-					t.Fatalf("threads=%d tau=%v sched=%v: %v", threads, tau, sched, err)
-				}
-				if res.Count != want.Count {
-					t.Errorf("threads=%d tau=%v sched=%v: count %d, want %d",
-						threads, tau, sched, res.Count, want.Count)
-				}
-			}
-		}
-	}
-}
-
-func TestGlobalQueueSchedulerCancellation(t *testing.T) {
-	g := gen.ChungLu(3000, 25, 2.1, 56)
-	opts := NewOptions(3, 9)
-	opts.Threads = 4
-	opts.Scheduler = SchedulerGlobalQueue
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, err := Run(ctx, g, opts)
-	if err == nil {
-		t.Skip("run finished before the deadline; nothing to assert")
-	}
-	if err != context.DeadlineExceeded {
-		t.Errorf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
 func TestSchedulerStyleString(t *testing.T) {
 	cases := map[SchedulerStyle]string{
-		SchedulerStages:      "stages",
-		SchedulerGlobalQueue: "global-queue",
-		SchedulerSteal:       "steal",
-		SchedulerStyle(9):    "SchedulerStyle(9)",
+		SchedulerStages:   "stages",
+		SchedulerSteal:    "steal",
+		SchedulerStyle(9): "SchedulerStyle(9)",
 	}
 	for s, want := range cases {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
 		}
-	}
-}
-
-// The timeout splitting mechanism must feed the shared queue under the
-// global scheduler too (Stats.Splits > 0 on a straggler-heavy instance).
-func TestGlobalQueueSchedulerSplits(t *testing.T) {
-	g := gen.Planted(gen.PlantedConfig{
-		N: 800, BackgroundP: 0.004, Communities: 10, CommSize: 22,
-		DropPerV: 2, Overlap: 4, Seed: 57,
-	})
-	opts := NewOptions(3, 9)
-	opts.Threads = 4
-	opts.TaskTimeout = 20 * time.Microsecond
-	opts.Scheduler = SchedulerGlobalQueue
-	res, err := Run(context.Background(), g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Splits == 0 {
-		t.Log("no splits observed; timeout may exceed every task on this host")
 	}
 }
 

@@ -253,16 +253,16 @@ func (sc *seedScratch) build(g *graph.Graph, prep *graph.Prepared, s int, opts *
 	// are confluent: the survivor set is the unique maximal subset in which
 	// every vertex meets the threshold, independent of removal order):
 	//
-	//   - dense (|N¹| ≤ DenseCrossover): materialise the induced adjacency
-	//     of N¹ as a row-major bit matrix and peel with word-parallel
-	//     AND/popcount sweeps (see densePeel);
+	//   - dense (|N¹| ≤ DefaultDenseCrossover): materialise the induced
+	//     adjacency of N¹ as a row-major bit matrix and peel with
+	//     word-parallel AND/popcount sweeps (see densePeel);
 	//   - merge: counts seeded by one sorted-adjacency merge per vertex and
 	//     maintained incrementally — removing u decrements its surviving
 	//     neighbours, and only the ones that just crossed the threshold
 	//     join the dirty worklist, so converged vertices are never
 	//     rescanned.
 	if thrN1 := q - 2*k; thrN1 > 0 {
-		if len(n1) <= opts.denseCrossover() {
+		if len(n1) <= opts.denseCeiling() {
 			n1 = sc.densePeel(g, n1, thrN1, ep)
 			if stats != nil {
 				stats.DenseBuilds++
@@ -484,7 +484,7 @@ func (sg *seedGraph) rows() [][]uint64 {
 }
 
 // densePeel is the bit-parallel kernel of the Corollary 5.2 fixed point,
-// taken when N¹ fits under Options.DenseCrossover: the induced adjacency of
+// taken when N¹ fits under the dense ceiling: the induced adjacency of
 // the later neighbours is materialised as a row-major bit matrix in the
 // worker scratch and peeled with word-parallel AND/popcount sweeps
 // (bitset.Peel). Removed vertices get their mark stamp cleared exactly as

@@ -1,31 +1,35 @@
 package kplex
 
-// SchedulerSteal: a classic work-stealing runtime for the enumeration
-// engine. Each worker owns a bounded deque; it pushes and pops at the back
-// (LIFO keeps the current seed subgraph cache-hot, exactly as the stage
-// scheme does) while thieves take from the front, where the oldest tasks —
-// the roots of the largest remaining subtrees — sit. Two things distinguish
-// it from runParallel's stage scheme:
+// The parallel runtime behind both schedulers (Section 6). Each worker owns
+// a bounded deque; it pushes and pops at the back (LIFO keeps the current
+// seed subgraph cache-hot) while thieves take from the front, where the
+// oldest tasks — the roots of the largest remaining subtrees — sit. A thief
+// transfers *half* of the victim's deque in one locked operation instead of
+// one task per probe, amortising the synchronisation cost and giving the
+// thief a private runway before it must steal again.
 //
-//   - There are no stage barriers. Seeds are claimed from one shared atomic
-//     counter the moment a worker runs out of local work, so cores never
-//     idle waiting for the slowest seed of a stage to finish.
-//   - A thief transfers *half* of the victim's deque in one locked
-//     operation instead of one task per probe, amortising the
-//     synchronisation cost and giving the thief a private runway before it
-//     must steal again.
+// The two schedulers share this worker loop and differ only in how a
+// worker claims seeds (see runParallel):
+//
+//   - SchedulerStages claims once per stage: each worker claims seeds until
+//     one builds a group, and the stage ends at a barrier, so at most M
+//     seed groups are alive at a time, as in the paper.
+//   - SchedulerSteal claims a fresh seed whenever its deque runs dry and
+//     seeds remain, with no barrier, so cores never idle waiting for the
+//     slowest seed of a stage to finish.
 //
 // Combined with the timeout task-splitting path (Options.TaskTimeout), a
 // worker that owns a straggler subtree continuously sheds its oldest
 // frontier into its deque where any idle worker can grab a batch. The deque
-// bound keeps memory proportional to threads × StealQueueBound tasks: on
-// overflow the owner simply runs the task inline instead of queueing it,
-// which is always safe (the task tree is finite) and restores the depth-
-// first memory profile of the sequential run.
+// bound keeps memory proportional to threads × 4096 tasks: on overflow the
+// owner simply runs the task inline instead of queueing it, which is always
+// safe (the task tree is finite) and restores the depth-first memory
+// profile of the sequential run.
 //
 // The scheduler decides only *who* runs a task, never what the task
-// computes, so the emitted plex set and count are identical to the other
-// schedulers' — the differential tests in scheduler_test.go pin this down.
+// computes, so the emitted plex set and count are identical under both
+// schedulers — the differential tests in scheduler_oracle_test.go pin this
+// down.
 
 import (
 	"context"
@@ -35,10 +39,10 @@ import (
 	"time"
 )
 
-// defaultStealQueueBound is the per-worker deque capacity used when
-// Options.StealQueueBound is zero. At a few hundred bytes per queued task
-// this bounds queue memory at well under 10 MiB per worker.
-const defaultStealQueueBound = 4096
+// defaultQueueBound is the per-worker deque capacity. At a few hundred
+// bytes per queued task this bounds queue memory at well under 10 MiB per
+// worker.
+const defaultQueueBound = 4096
 
 // stealDeque is a mutex-guarded bounded deque owned by one worker. The
 // owner pushes and pops at the back; thieves remove batches from the front.
@@ -107,19 +111,22 @@ func (d *stealDeque) stealHalf(dst []*task, maxTake int) []*task {
 	return dst
 }
 
-// runSteal is the SchedulerSteal driver. Workers prefer (1) their own deque
-// back-to-front, then (2) a fresh seed from the shared counter, then (3)
-// stealing half of a random victim's frontier. Termination is detected from
-// three monotone conditions read in order: the seed counter is exhausted,
-// no worker is inside a seed-generation section, and no task is queued or
-// running.
-func (e *engine) runSteal(ctx context.Context, threads int) Stats {
+// runParallel runs the worker loop on threads goroutines under the
+// configured scheduler's seed claim. A claim reports whether the worker
+// claimed anything; once it reports false, no claim is left for that
+// worker until the next stage. Termination is detected from three monotone
+// conditions read in order: no claim is left, no worker is inside a claim
+// (seeding), and no task is queued or running (pending). A claim raises
+// pending for every task it queues before it lowers seeding, and a running
+// task raises pending for every split before it lowers its own, so a
+// worker that reads all three cannot miss work still to come.
+func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 	done := watchContext(ctx, e)
 	defer done()
 
-	bound := e.opts.StealQueueBound
+	bound := e.opts.queueBound
 	if bound <= 0 {
-		bound = defaultStealQueueBound
+		bound = defaultQueueBound
 	}
 	e.deques = make([]*stealDeque, threads)
 	workers := make([]*worker, threads)
@@ -128,16 +135,64 @@ func (e *engine) runSteal(ctx context.Context, threads int) Stats {
 		workers[i] = &worker{id: i, eng: e, splitting: e.opts.TaskTimeout > 0}
 	}
 
+	n := int64(e.g.N())
 	var nextSeed atomic.Int64
 	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			e.stealLoop(w, &nextSeed)
-		}(workers[i])
+	run := func(claim func(w *worker) bool) {
+		for _, w := range workers {
+			wg.Add(1)
+			go func(w *worker) {
+				defer wg.Done()
+				e.workLoop(w, claim)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+
+	if e.opts.Scheduler == SchedulerSteal {
+		// One seed per claim, whenever seeds remain. seeding must rise
+		// before the claim so the termination check cannot miss the tasks
+		// this claim is about to push. The Load fast path keeps idle
+		// spinners off the shared counters once seeds are exhausted.
+		run(func(w *worker) bool {
+			if nextSeed.Load() >= n {
+				return false
+			}
+			e.seeding.Add(1)
+			s := nextSeed.Add(1) - 1
+			if s < n {
+				e.processSeed(w, int(s), w.enqueue)
+			}
+			e.seeding.Add(-1)
+			return s < n
+		})
+	} else {
+		// Stages of M live seed groups: every worker claims once per stage,
+		// taking seeds until one builds a group, so seeds pruned before any
+		// task exists and skipped seeds take no stage slot. seeding starts
+		// at M and each claim lowers it once.
+		claimed := make([]bool, threads)
+		claim := func(w *worker) bool {
+			if claimed[w.id] {
+				return false
+			}
+			claimed[w.id] = true
+			for !e.cancelled() {
+				if s := nextSeed.Add(1) - 1; s >= n || e.processSeed(w, int(s), w.enqueue) {
+					break
+				}
+			}
+			e.seeding.Add(-1)
+			return true
+		}
+		for nextSeed.Load() < n && !e.cancelled() {
+			e.seeding.Store(int64(threads))
+			clear(claimed)
+			run(claim)
+			// Stage barrier: all deques are empty here; the seed subgraphs
+			// of this stage become garbage, bounding memory as in the paper.
+		}
+	}
 
 	var total Stats
 	for _, w := range workers {
@@ -146,9 +201,12 @@ func (e *engine) runSteal(ctx context.Context, threads int) Stats {
 	return total
 }
 
-func (e *engine) stealLoop(w *worker, nextSeed *atomic.Int64) {
+// workLoop is the worker loop of both schedulers. A worker prefers (1) its
+// own deque back-to-front, then (2) a seed claim — building its own seed
+// subgraph is cheaper than dragging someone else's working set across
+// caches — then (3) stealing half of a random victim's frontier.
+func (e *engine) workLoop(w *worker, claim func(w *worker) bool) {
 	my := e.deques[w.id]
-	n := e.g.N()
 	rng := stealRand(uint64(w.id) + 1)
 	var loot []*task
 	idleSpins := 0
@@ -159,26 +217,11 @@ func (e *engine) stealLoop(w *worker, nextSeed *atomic.Int64) {
 			idleSpins = 0
 			continue
 		}
-
-		// Local deque empty: claim a fresh seed before stealing — building
-		// our own seed subgraph is cheaper than dragging someone else's
-		// working set across caches. The seeding count must rise before the
-		// claim so the termination check below cannot miss tasks this
-		// section is about to push. The Load fast path keeps idle spinners
-		// off the shared counters once seeds are exhausted (nextSeed is
-		// monotone, so a stale read only delays one claim by a round).
-		if nextSeed.Load() < int64(n) {
-			e.seeding.Add(1)
-			if s := int(nextSeed.Add(1)) - 1; s < n {
-				e.processSeed(w, s, func(t *task) { e.enqueueLocal(w, t) })
-				e.seeding.Add(-1)
-				idleSpins = 0
-				continue
-			}
-			e.seeding.Add(-1)
+		if claim(w) {
+			idleSpins = 0
+			continue
 		}
 
-		// Seeds exhausted: raid a random victim for half its frontier.
 		loot = e.trySteal(w, &rng, loot[:0])
 		if len(loot) > 0 {
 			for _, t := range loot[1:] {
@@ -199,9 +242,9 @@ func (e *engine) stealLoop(w *worker, nextSeed *atomic.Int64) {
 			w.stats.StealMisses++
 		}
 
-		// Nothing anywhere. The read order matters (see the proof sketch in
-		// runSteal's comment): seeds first, then seeding, then pending.
-		if nextSeed.Load() >= int64(n) && e.seeding.Load() == 0 && e.pending.Load() == 0 {
+		// Nothing anywhere. The read order matters (see runParallel): the
+		// failed claim above, then seeding, then pending.
+		if e.seeding.Load() == 0 && e.pending.Load() == 0 {
 			return
 		}
 		idleSpins++
@@ -237,8 +280,21 @@ func (e *engine) trySteal(w *worker, rng *uint64, dst []*task) []*task {
 	return dst
 }
 
-// enqueueLocal queues t on the worker's own deque, falling back to running
-// it inline when the deque is at its bound. The inline path resets the
+// pushTask queues a timeout-split task on the worker's own deque.
+func (e *engine) pushTask(w *worker, t *task) {
+	// Register the split's storage reference before it becomes stealable;
+	// the currently running task still holds one, so the group cannot be
+	// recycled between this increment and the push.
+	t.sg.retain()
+	if tr := t.sg.track; tr != nil {
+		// Same ordering argument for the seed-completion tracker.
+		tr.addTask()
+	}
+	w.enqueue(t)
+}
+
+// enqueue queues t on the worker's own deque, falling back to running it
+// inline when the deque is at its bound. The inline path resets the
 // task-timeout clock via runTask, so an overflowing straggler keeps making
 // progress depth-first rather than hammering the full deque.
 //
@@ -246,7 +302,8 @@ func (e *engine) trySteal(w *worker, rng *uint64, dst []*task) []*task {
 // otherwise run t and decrement pending past this task's never-made
 // increment, letting the termination check see zero while work is still
 // running and sending idle workers home early.
-func (e *engine) enqueueLocal(w *worker, t *task) {
+func (w *worker) enqueue(t *task) {
+	e := w.eng
 	e.pending.Add(1)
 	if e.deques[w.id].push(t) {
 		return

@@ -64,7 +64,7 @@ func (h *StreamHandle) Wait() (Result, error) {
 // bounded channel instead of the OnPlex callback. Validation errors are
 // returned synchronously; after that the run proceeds on background
 // goroutines under all the same scheduler options as Run (sequential,
-// stages, global-queue, steal). Cancelling ctx stops the engine and closes
+// stages, steal). Cancelling ctx stops the engine and closes
 // the channel promptly even if the consumer has stopped receiving.
 //
 // opts.OnPlex must be nil: the streaming path owns result delivery.

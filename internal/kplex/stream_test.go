@@ -46,7 +46,6 @@ func TestStreamMatchesEnumerateAll(t *testing.T) {
 	}{
 		{"sequential", 1, SchedulerStages},
 		{"stages", 4, SchedulerStages},
-		{"global-queue", 4, SchedulerGlobalQueue},
 		{"steal", 4, SchedulerSteal},
 	}
 	const k, q = 2, 6
@@ -118,7 +117,6 @@ func TestStreamCancelMidStream(t *testing.T) {
 	}{
 		{"sequential", 1, SchedulerStages},
 		{"stages", 4, SchedulerStages},
-		{"global-queue", 4, SchedulerGlobalQueue},
 		{"steal", 4, SchedulerSteal},
 	} {
 		t.Run(sc.name, func(t *testing.T) {

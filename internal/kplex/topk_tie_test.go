@@ -80,14 +80,14 @@ func TestTopKTieGrid(t *testing.T) {
 		for _, cell := range cells {
 			k, q := cell[0], cell[1]
 			var want [][]int
-			for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerGlobalQueue, SchedulerSteal} {
+			for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
 				for _, crossover := range []int{0, -1} { // dense default vs merge-only
 					label := fmt.Sprintf("%s k=%d q=%d sched=%v crossover=%d", name, k, q, sched, crossover)
 					opts := NewOptions(k, q)
 					opts.Threads = 4
 					opts.Scheduler = sched
 					opts.TaskTimeout = 100 * time.Microsecond // force splitting so order really varies
-					opts.DenseCrossover = crossover
+					opts.denseCrossover = crossover
 					top, _, err := EnumerateTopK(context.Background(), g, opts, topN)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -102,7 +102,7 @@ func TestTopKTieGrid(t *testing.T) {
 					bopts := NewOptions(k, q)
 					bopts.Threads = 4
 					bopts.Scheduler = sched
-					bopts.DenseCrossover = crossover
+					bopts.denseCrossover = crossover
 					res, err := RunBatch(context.Background(), g, []BatchQuery{
 						{Opts: bopts, Mode: BatchTopK, TopN: topN},
 					})

@@ -27,10 +27,10 @@ type queryRequest struct {
 	TopN int `json:"topn,omitempty"`
 	// Threads overrides the engine parallelism (default Config.DefaultThreads).
 	Threads int `json:"threads,omitempty"`
-	// Scheduler is "stages", "global-queue", "steal" or "auto" (default
-	// stages). "auto" lets the server pick threads, scheduler and τ_time
-	// from the query's predicted cost; execution knobs only, the result set
-	// and cache identity are unchanged.
+	// Scheduler is "stages", "steal" or "auto" (default stages). "auto"
+	// lets the server pick threads, scheduler and τ_time from the query's
+	// predicted cost; execution knobs only, the result set and cache
+	// identity are unchanged.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Route is "sync" (default) or "auto": with "auto", a query whose
 	// predicted runtime exceeds the server's async threshold is converted

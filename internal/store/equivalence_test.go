@@ -53,7 +53,7 @@ func TestMmapExecutionEquivalence(t *testing.T) {
 	graphs := []string{"planted-a", "sbm-blocks", "gnp-dense", "chunglu-tail"}
 	cells := []struct{ k, q int }{{2, 6}, {3, 8}}
 	schedulers := []kplex.SchedulerStyle{
-		kplex.SchedulerStages, kplex.SchedulerGlobalQueue, kplex.SchedulerSteal,
+		kplex.SchedulerStages, kplex.SchedulerSteal,
 	}
 	for _, name := range graphs {
 		g := gen.CorpusGraphByName(name).Build()

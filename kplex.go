@@ -87,7 +87,6 @@ const (
 	PartitionSubtasks  = kplex.PartitionSubtasks
 	PartitionWhole2Hop = kplex.PartitionWhole2Hop
 	SchedulerStages    = kplex.SchedulerStages
-	SchedulerGlobal    = kplex.SchedulerGlobalQueue
 	SchedulerSteal     = kplex.SchedulerSteal
 	BatchCount         = kplex.BatchCount
 	BatchTopK          = kplex.BatchTopK
