@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -243,6 +244,87 @@ func TestMetricsHelpComplete(t *testing.T) {
 	for name := range metricHelp {
 		if !known[name] {
 			t.Errorf("metricHelp registers %q, which the server never reports", name)
+		}
+	}
+}
+
+// updateFamilies regenerates testdata/metrics_families.txt. The file pins
+// the exported surface, so regenerate it only for a deliberate change to
+// a metric's name, type or help.
+var updateFamilies = flag.Bool("update", false, "rewrite testdata/metrics_families.txt")
+
+// TestMetricsFamiliesGolden pins what the server exports: every /metrics
+// family as (name, TYPE, HELP) and the key set of the /stats counters,
+// with the job and cluster subsystems enabled and one query served so the
+// per-tenant families are populated. Scrapers read the names and perf
+// reads the /stats keys, so any change to either shows up here as a diff
+// against the committed file.
+func TestMetricsFamiliesGolden(t *testing.T) {
+	_, hs := newTestServer(t, Config{
+		JobsDir:    filepath.Join(t.TempDir(), "jobs"),
+		ClusterDir: filepath.Join(t.TempDir(), "cluster"),
+	})
+	if code, _ := postQuery(t, hs.URL, `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count"}`); code != http.StatusOK {
+		t.Fatalf("seed query: status %d", code)
+	}
+
+	help := map[string]string{}
+	typ := map[string]string{}
+	for _, line := range strings.Split(scrapeMetrics(t, hs.URL), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			help[name] = text
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			typ[name] = kind
+		}
+	}
+	families := make([]string, 0, len(typ))
+	for name := range typ {
+		families = append(families, name)
+	}
+	sort.Strings(families)
+	var sb strings.Builder
+	for _, name := range families {
+		fmt.Fprintf(&sb, "metric %s %s %s\n", name, typ[name], help[name])
+	}
+	counters := stats(t, hs.URL)
+	keys := make([]string, 0, len(counters))
+	for k := range counters {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "stats %s\n", k)
+	}
+
+	path := filepath.Join("testdata", "metrics_families.txt")
+	if *updateFamilies {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		gotLines := strings.Split(got, "\n")
+		wantLines := strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("exported metric surface differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			}
 		}
 	}
 }
