@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/kplex"
+	"repro/internal/obs"
 )
 
 // Config tunes a Coordinator's range executor and worker registry. The
@@ -67,27 +67,23 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Counters is the coordinator's metrics block, merged into the host's
-// /stats: the job lifecycle counters of its manager plus the range
-// executor's own.
+// Counters is the coordinator's metrics block: the job lifecycle
+// counters of its manager plus the range executor's own.
 type Counters struct {
 	*jobs.Counters
-	RangesDone    atomic.Int64
-	Reassigned    atomic.Int64 // leases lost to failure or expiry
-	Expired       atomic.Int64 // the subset of Reassigned that hit the watchdog
-	Stolen        atomic.Int64 // speculative straggler re-leases
-	DoubleReports atomic.Int64 // duplicate range completions ignored idempotently
+	RangesDone, Reassigned, Expired, Stolen, DoubleReports *obs.Counter
 }
 
-// Snapshot renders the counters for a metrics endpoint.
-func (c *Counters) Snapshot() map[string]int64 {
-	m := c.Lifecycle("cluster_jobs_")
-	m["cluster_ranges_done"] = c.RangesDone.Load()
-	m["cluster_leases_reassigned"] = c.Reassigned.Load()
-	m["cluster_leases_expired"] = c.Expired.Load()
-	m["cluster_leases_stolen"] = c.Stolen.Load()
-	m["cluster_double_reports"] = c.DoubleReports.Load()
-	return m
+// newCounters declares the range executor's counters on r. The lifecycle
+// counters come from the manager, whose registry Open mounts under jobs_.
+func newCounters(r *obs.Registry) Counters {
+	return Counters{
+		RangesDone:    r.Counter("ranges_done", "Seed ranges completed across all distributed jobs."),
+		Reassigned:    r.Counter("leases_reassigned", "Range leases lost to worker failure or expiry."),
+		Expired:       r.Counter("leases_expired", "Range leases expired by the progress watchdog."),
+		Stolen:        r.Counter("leases_stolen", "Speculative straggler re-leases issued."),
+		DoubleReports: r.Counter("double_reports", "Range completions ignored because the range was already done."),
+	}
 }
 
 // Coordinator is a job manager over the coordinator's state directory
@@ -103,6 +99,7 @@ type Coordinator struct {
 	workers []*workerState
 	active  *dispatcher // the running job's dispatcher, for AddWorker wakeups
 
+	metrics  *obs.Registry
 	counters Counters
 }
 
@@ -110,7 +107,8 @@ type Coordinator struct {
 // jc.Dir with one worker and the range executor, recovering jobs a
 // previous process left queued or interrupted.
 func Open(jc jobs.Config, cfg Config) (*Coordinator, error) {
-	c := &Coordinator{cfg: cfg.withDefaults()}
+	c := &Coordinator{cfg: cfg.withDefaults(), metrics: obs.NewRegistry()}
+	c.counters = newCounters(c.metrics)
 	for _, u := range c.cfg.Workers {
 		if _, err := c.AddWorker(u); err != nil {
 			return nil, err
@@ -124,11 +122,16 @@ func Open(jc jobs.Config, cfg Config) (*Coordinator, error) {
 	}
 	c.Manager = m
 	c.counters.Counters = m.Counters()
+	c.metrics.Mount("jobs_", m.Metrics())
 	return c, nil
 }
 
 // Counters exposes the coordinator's metrics block.
 func (c *Coordinator) Counters() *Counters { return &c.counters }
+
+// Metrics is the registry the coordinator's counters are declared on,
+// its manager's mounted under jobs_, for the host to mount in turn.
+func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }
 
 // AddWorker registers a worker base URL (idempotent). The active job
 // starts leasing to it at the next scheduling round.
@@ -229,6 +232,11 @@ const maxSpecRanges = 4096
 // rangeExecutor runs a distributed job: pin the partition, replay the
 // completed ranges, lease the rest across the workers, merge.
 type rangeExecutor struct{ c *Coordinator }
+
+// Describe words the range executor's jobs.
+func (rangeExecutor) Describe() jobs.Wording {
+	return jobs.Wording{Kind: "Distributed", SubmitTo: " to the coordinator", ResumeFrom: "the range WAL"}
+}
 
 // Validate admits single queries only: batch items fan out across ranges
 // poorly (every member would ride every range) and can always be

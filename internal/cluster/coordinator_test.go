@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/kplex"
+	"repro/internal/obs"
 )
 
 // fakeWorker is a minimal kplexd stand-in: it executes ranges for real
@@ -469,7 +470,7 @@ func TestDoubleCompletionIdempotent(t *testing.T) {
 		return a
 	}
 
-	c := &Coordinator{cfg: Config{}.withDefaults()}
+	c := &Coordinator{cfg: Config{}.withDefaults(), counters: newCounters(obs.NewRegistry())}
 	j := &fakeJob{t: t, man: jobs.Manifest{ID: "dtest", State: jobs.StateRunning}}
 	ranges := partition(20, 2)
 	walPath := filepath.Join(t.TempDir(), rangeWALName)

@@ -5,7 +5,8 @@ package cluster
 // package's range executor (against an in-process fake worker). The
 // lifecycle — validation, queueing, cancellation, deletion,
 // subscription, restart parking and resumption — is the manager's, so
-// every scenario must hold identically for both.
+// every scenario must hold identically for both, down to the running and
+// queued gauges reading 0 once the scenario's jobs are terminal.
 
 import (
 	"context"
@@ -149,6 +150,17 @@ func waitHeld(t *testing.T, m *jobs.Manager, id string) {
 	}
 }
 
+// assertIdle checks the manager's gauges once every job in a scenario is
+// terminal: a job a client already sees as finished must no longer count
+// as running or queued, whichever executor ran it.
+func assertIdle(t *testing.T, m *jobs.Manager) {
+	t.Helper()
+	c := m.Counters()
+	if running, queued := c.Running.Load(), c.Queued.Load(); running != 0 || queued != 0 {
+		t.Errorf("every job terminal, but running gauge = %d and queued gauge = %d, want 0 and 0", running, queued)
+	}
+}
+
 func TestLifecycleTable(t *testing.T) {
 	ref := refAggregate(t, "corpus:planted-a", 2, 6, 5)
 	for _, ex := range lifecycleExecutors {
@@ -177,6 +189,7 @@ func TestLifecycleTable(t *testing.T) {
 				if err := m.Cancel("nope"); !errors.Is(err, jobs.ErrNotFound) {
 					t.Errorf("Cancel(unknown) = %v, want ErrNotFound", err)
 				}
+				assertIdle(t, m)
 			})
 
 			t.Run("cancel-queued", func(t *testing.T) {
@@ -220,6 +233,7 @@ func TestLifecycleTable(t *testing.T) {
 				if v := waitJob(t, m, blocked.ID); v.State != jobs.StateCancelled {
 					t.Fatalf("admission-blocked job state = %s, want cancelled", v.State)
 				}
+				assertIdle(t, m)
 				// Delete works on terminal jobs and removes the directory.
 				if err := m.Delete(queued.ID); err != nil {
 					t.Fatal(err)
@@ -248,6 +262,7 @@ func TestLifecycleTable(t *testing.T) {
 				if v := waitJob(t, m, man.ID); v.State != jobs.StateCancelled {
 					t.Fatalf("state = %s, want cancelled", v.State)
 				}
+				assertIdle(t, m)
 				if _, err := m.Result(man.ID); !errors.Is(err, jobs.ErrNotDone) {
 					t.Errorf("Result(cancelled) = %v, want ErrNotDone", err)
 				}
@@ -272,6 +287,7 @@ func TestLifecycleTable(t *testing.T) {
 				if v := waitJob(t, m, man.ID); v.State != jobs.StateDone {
 					t.Fatalf("state = %s (error %q), want done", v.State, v.Error)
 				}
+				assertIdle(t, m)
 				res, err := m.Result(man.ID)
 				if err != nil {
 					t.Fatal(err)
@@ -324,6 +340,7 @@ func TestLifecycleTable(t *testing.T) {
 				if v.State != jobs.StateDone {
 					t.Fatalf("resumed job ended %s (error %q), want done", v.State, v.Error)
 				}
+				assertIdle(t, m2)
 				if v.Resumes != 1 {
 					t.Errorf("manifest resumes = %d, want 1", v.Resumes)
 				}

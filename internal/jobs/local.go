@@ -24,6 +24,11 @@ func (localExecutor) Validate(spec *Spec) error {
 	return nil
 }
 
+// Describe words the local executor's jobs.
+func (localExecutor) Describe() Wording {
+	return Wording{Kind: "Background", ResumeFrom: "a checkpoint"}
+}
+
 // Recover replays the job's WAL (if any), repairs a torn tail, and
 // restores the durable seed count and enumeration time.
 func (localExecutor) Recover(dir string, man *Manifest, logf func(string, ...any)) (any, error) {

@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -356,40 +355,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Counters are the manager's monotonic counters and gauges, exported into
-// kplexd's /stats and /metrics.
+// Counters are the manager's monotonic counters and gauges, declared by
+// newCounters on the manager's metric registry (see Metrics).
 type Counters struct {
-	Submitted   atomic.Int64
-	Completed   atomic.Int64
-	Failed      atomic.Int64
-	Cancelled   atomic.Int64
-	Resumed     atomic.Int64 // interrupted jobs recovered at startup
-	Checkpoints atomic.Int64 // WAL records fsynced
-	SeedsDone   atomic.Int64 // seed groups completed (all jobs, all incarnations)
-	Running     atomic.Int64 // gauge
-	Queued      atomic.Int64 // gauge
+	Submitted, Completed, Failed, Cancelled, Resumed *obs.Counter
+	Checkpoints, SeedsDone                           *obs.Counter // local executor only
+	Running, Queued                                  *obs.Gauge
 }
 
-// Snapshot returns the counters as a map for JSON/Prometheus encoding.
-func (c *Counters) Snapshot() map[string]int64 {
-	m := c.Lifecycle("jobs_")
-	m["jobs_checkpoints"] = c.Checkpoints.Load()
-	m["jobs_seeds_done"] = c.SeedsDone.Load()
-	return m
-}
-
-// Lifecycle renders the executor-independent counters (submitted through
-// queued) with their names under prefix.
-func (c *Counters) Lifecycle(prefix string) map[string]int64 {
-	return map[string]int64{
-		prefix + "submitted": c.Submitted.Load(),
-		prefix + "completed": c.Completed.Load(),
-		prefix + "failed":    c.Failed.Load(),
-		prefix + "cancelled": c.Cancelled.Load(),
-		prefix + "resumed":   c.Resumed.Load(),
-		prefix + "running":   c.Running.Load(),
-		prefix + "queued":    c.Queued.Load(),
+// newCounters declares the job lifecycle once for every executor, worded
+// by x.Describe. Only the local executor checkpoints seed groups, so
+// only its manager declares the checkpoint and seed counters.
+func newCounters(r *obs.Registry, x Executor) Counters {
+	w := x.Describe()
+	c := Counters{
+		Submitted: r.Counter("submitted", w.Kind+" jobs submitted"+w.SubmitTo+"."),
+		Completed: r.Counter("completed", w.Kind+" jobs that finished successfully."),
+		Failed:    r.Counter("failed", w.Kind+" jobs that failed."),
+		Cancelled: r.Counter("cancelled", w.Kind+" jobs cancelled."),
+		Resumed:   r.Counter("resumed", w.Kind+" job incarnations resumed from "+w.ResumeFrom+"."),
+		Running:   r.Gauge("running", w.Kind+" jobs currently running."),
+		Queued:    r.Gauge("queued", w.Kind+" jobs currently queued."),
 	}
+	if _, ok := x.(localExecutor); ok {
+		c.Checkpoints = r.Counter("checkpoints", "Job checkpoint records appended to the WAL.")
+		c.SeedsDone = r.Counter("seeds_done", "Seed groups completed across all background jobs.")
+	}
+	return c
 }
 
 // job is the in-memory twin of one job directory.
@@ -420,6 +412,7 @@ type Manager struct {
 	closed bool
 
 	wg       sync.WaitGroup
+	metrics  *obs.Registry
 	counters Counters
 }
 
@@ -448,7 +441,8 @@ func Open(cfg Config) (*Manager, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manager{cfg: cfg, jobs: make(map[string]*job), queues: make(map[string]*tenantQueue)}
+	m := &Manager{cfg: cfg, jobs: make(map[string]*job), queues: make(map[string]*tenantQueue), metrics: obs.NewRegistry()}
+	m.counters = newCounters(m.metrics, cfg.Executor)
 	m.cond = sync.NewCond(&m.mu)
 	m.ctx, m.stop = context.WithCancel(context.Background())
 	if err := m.recover(); err != nil {
@@ -569,6 +563,10 @@ func (m *Manager) Close() {
 
 // Counters exposes the manager's counters.
 func (m *Manager) Counters() *Counters { return &m.counters }
+
+// Metrics is the registry the manager's counters are declared on, for the
+// host to mount under its own prefix.
+func (m *Manager) Metrics() *obs.Registry { return m.metrics }
 
 // maxSpecItems bounds a batch job's fan-out; like the server's item cap,
 // an open submission surface needs a ceiling.

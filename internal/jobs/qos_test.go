@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/kplex"
+	"repro/internal/obs"
 )
 
 // TestTenantStridePop drives enqueueLocked/popLocked directly: with gold at
@@ -26,8 +27,9 @@ func TestTenantStridePop(t *testing.T) {
 			}
 			return 1
 		}},
-		jobs:   make(map[string]*job),
-		queues: make(map[string]*tenantQueue),
+		jobs:     make(map[string]*job),
+		queues:   make(map[string]*tenantQueue),
+		counters: newCounters(obs.NewRegistry(), localExecutor{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 

@@ -31,7 +31,14 @@ type Executor interface {
 	// is cancelled it returns early, leaving its durable progress for the
 	// next incarnation.
 	Run(ctx context.Context, r *Run) (aggs []*kplex.Aggregate, enumMS float64, err error)
+	// Describe words the executor's jobs in the lifecycle metrics' help.
+	Describe() Wording
 }
+
+// Wording fills the help text of the job lifecycle metrics, which every
+// executor shares: "<Kind> jobs submitted<SubmitTo>.", "<Kind> job
+// incarnations resumed from <ResumeFrom>." and so on.
+type Wording struct{ Kind, SubmitTo, ResumeFrom string }
 
 // Run is one incarnation of a job as its executor sees it: the resolved
 // prologue plus handles on the job's manifest and live progress. Seed ids

@@ -54,10 +54,10 @@ func oracleCell(t *testing.T, g *graph.Graph, k, q int) (int64, string) {
 }
 
 // TestBatchDifferentialGrid is the batch layer's oracle: across the
-// corpus, mixed (k, q) cells and all three schedulers, every member of
-// EnumerateBatch must report exactly what the standalone sequential
-// engine reports for its cell — count, canonical plex-set hash, top-k
-// list and histogram alike.
+// corpus, mixed (k, q) cells, the sequential path and both parallel
+// schedulers, every member of EnumerateBatch must report exactly what the
+// standalone sequential engine reports for its cell — count, canonical
+// plex-set hash, top-k list and histogram alike.
 func TestBatchDifferentialGrid(t *testing.T) {
 	corpus := gen.Corpus()
 	if testing.Short() {

@@ -30,7 +30,7 @@ func collectSet(t *testing.T, run func(Options) (Result, error), opts Options) (
 }
 
 // TestRunPreparedMatchesRun pins RunPrepared to Run over a grid of graphs,
-// (k, q) cells and all three parallel schedulers: one shared Prepared
+// (k, q) cells and both parallel schedulers: one shared Prepared
 // handle must reproduce exactly the result set and count of the one-shot
 // path, sequentially and in parallel.
 func TestRunPreparedMatchesRun(t *testing.T) {

@@ -25,7 +25,7 @@ func collectAll(t *testing.T, g *graph.Graph, k, q int) [][]int {
 }
 
 // TestStreamMatchesEnumerateAll is the differential test for the streaming
-// path: across all three schedulers (plus the pure sequential path),
+// path: across both parallel schedulers (plus the pure sequential path),
 // RunStream must yield exactly the plex set of the callback-based
 // enumeration — same sets, same multiplicity, order free.
 func TestStreamMatchesEnumerateAll(t *testing.T) {

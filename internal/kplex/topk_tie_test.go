@@ -5,8 +5,9 @@ package kplex
 // depend on: among size-tied plexes the lexicographically smallest vertex
 // sequences are kept, reported size-descending then ascending — and the
 // answer is invariant to discovery order. That invariance is what lets the
-// dense-kernel seed path, the merge path, and all three schedulers (each
-// of which permutes discovery order) report byte-identical top-k lists.
+// dense-kernel seed path, the merge path, and both parallel schedulers
+// (each of which permutes discovery order) report byte-identical top-k
+// lists.
 
 import (
 	"context"
@@ -63,10 +64,10 @@ func TestTopkOfferOrderInvariance(t *testing.T) {
 }
 
 // TestTopKTieGrid is the end-to-end grid: corpus graphs × (k, q) × the
-// three schedulers × dense/merge seed kernels, each compared member-wise
-// against the batch path. regular-flat and ws-ring produce many size-tied
-// plexes by construction, so a tie-order drift in any execution path shows
-// up as a list mismatch here.
+// two parallel schedulers × dense/merge seed kernels, each compared
+// member-wise against the batch path. regular-flat and ws-ring produce
+// many size-tied plexes by construction, so a tie-order drift in any
+// execution path shows up as a list mismatch here.
 func TestTopKTieGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep")

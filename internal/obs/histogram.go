@@ -19,10 +19,10 @@ type Histogram struct {
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
-// NewHistogram returns a histogram over the given ascending upper bounds.
+// newHistogram returns a histogram over the given ascending upper bounds.
 // Panics on an empty or unsorted layout — bucket layouts are package-level
 // constants, so this is a programming error, not input validation.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: empty histogram bounds")
 	}
@@ -85,32 +85,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // ObserveSince records the seconds elapsed since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
-// Merge folds other's observations into h. The bucket layouts must be
-// identical.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != other.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d: %g vs %g", i, b, other.bounds[i])
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + math.Float64frombits(other.sum.Load()))
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
 
 // HistogramSnapshot is a point-in-time copy of a histogram. Counts are
 // per-bucket (not cumulative); Counts[len(Bounds)] is the +Inf bucket.

@@ -11,7 +11,7 @@ import (
 // a value exactly on an upper bound lands in that bucket, one epsilon
 // above lands in the next, and values beyond the last bound land in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1, 10})
+	h := newHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.1} { // both <= 0.1
 		h.Observe(v)
 	}
@@ -36,41 +36,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(5)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	s := a.Snapshot()
-	if got := s.Counts; got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("merged counts = %v", got)
-	}
-	if s.Count != 3 {
-		t.Fatalf("merged count = %d, want 3", s.Count)
-	}
-	if math.Abs(s.Sum-7.0) > 1e-9 {
-		t.Fatalf("merged sum = %g, want 7", s.Sum)
-	}
-
-	c := NewHistogram([]float64{1, 3})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge with different bounds must fail")
-	}
-	d := NewHistogram([]float64{1})
-	if err := a.Merge(d); err == nil {
-		t.Fatal("merge with different bucket counts must fail")
-	}
-}
-
 // TestHistogramConcurrentObserve hammers one histogram from many
 // goroutines; under -race this doubles as the data-race check, and the
 // final snapshot must account for every observation exactly once.
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram(DefaultLatencyBuckets)
+	h := newHistogram(DefaultLatencyBuckets)
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -109,14 +79,14 @@ func TestExpBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %g, want %g", i, b[i], want[i])
 		}
 	}
-	// The shared layouts must satisfy NewHistogram's ascending check.
-	NewHistogram(DefaultLatencyBuckets)
-	NewHistogram(FsyncBuckets)
-	NewHistogram(LogErrorBuckets)
+	// The shared layouts must satisfy newHistogram's ascending check.
+	newHistogram(DefaultLatencyBuckets)
+	newHistogram(FsyncBuckets)
+	newHistogram(LogErrorBuckets)
 }
 
 func TestHistogramObserveDuration(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 1})
+	h := newHistogram([]float64{0.001, 1})
 	h.ObserveDuration(500 * time.Microsecond)
 	h.ObserveSince(time.Now().Add(-10 * time.Millisecond))
 	s := h.Snapshot()

@@ -54,14 +54,24 @@ func (p *PromWriter) Gauge(name, help string, v int64) {
 // bucket, _sum and _count.
 func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot) {
 	p.header(name, help, "histogram")
+	p.histSeries(name, "", s)
+}
+
+// histSeries emits one histogram series; labels is empty or a rendered
+// `k="v"` pair the series carries besides le.
+func (p *PromWriter) histSeries(name, labels string, s HistogramSnapshot) {
+	sel, le := "", "{"
+	if labels != "" {
+		sel, le = "{"+labels+"}", "{"+labels+","
+	}
 	var cum int64
 	for i, b := range s.Bounds {
 		cum += s.Counts[i]
-		p.printf("%s_bucket{le=\"%g\"} %d\n", name, b, cum)
+		p.printf("%s_bucket%sle=\"%g\"} %d\n", name, le, b, cum)
 	}
-	p.printf("%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	p.printf("%s_sum %g\n", name, s.Sum)
-	p.printf("%s_count %d\n", name, s.Count)
+	p.printf("%s_bucket%sle=\"+Inf\"} %d\n", name, le, s.Count)
+	p.printf("%s_sum%s %g\n", name, sel, s.Sum)
+	p.printf("%s_count%s %d\n", name, sel, s.Count)
 }
 
 // escapeLabelValue escapes a label value per the exposition format:
@@ -98,21 +108,19 @@ func sortedKeys[V any](m map[string]V) []string {
 // sorted by value for deterministic output. An empty map emits nothing —
 // a family with no series needs no metadata.
 func (p *PromWriter) CounterVec(name, help, label string, samples map[string]int64) {
-	if len(samples) == 0 {
-		return
-	}
-	p.header(name, help, "counter")
-	for _, k := range sortedKeys(samples) {
-		p.printf("%s{%s=\"%s\"} %d\n", name, label, escapeLabelValue(k), samples[k])
-	}
+	p.vec(name, help, "counter", label, samples)
 }
 
 // GaugeVec emits one gauge family with a sample per label value.
 func (p *PromWriter) GaugeVec(name, help, label string, samples map[string]int64) {
+	p.vec(name, help, "gauge", label, samples)
+}
+
+func (p *PromWriter) vec(name, help, typ, label string, samples map[string]int64) {
 	if len(samples) == 0 {
 		return
 	}
-	p.header(name, help, "gauge")
+	p.header(name, help, typ)
 	for _, k := range sortedKeys(samples) {
 		p.printf("%s{%s=\"%s\"} %d\n", name, label, escapeLabelValue(k), samples[k])
 	}
@@ -126,15 +134,6 @@ func (p *PromWriter) HistogramVec(name, help, label string, samples map[string]H
 	}
 	p.header(name, help, "histogram")
 	for _, k := range sortedKeys(samples) {
-		lv := escapeLabelValue(k)
-		s := samples[k]
-		var cum int64
-		for i, b := range s.Bounds {
-			cum += s.Counts[i]
-			p.printf("%s_bucket{%s=\"%s\",le=\"%g\"} %d\n", name, label, lv, b, cum)
-		}
-		p.printf("%s_bucket{%s=\"%s\",le=\"+Inf\"} %d\n", name, label, lv, s.Count)
-		p.printf("%s_sum{%s=\"%s\"} %g\n", name, label, lv, s.Sum)
-		p.printf("%s_count{%s=\"%s\"} %d\n", name, label, lv, s.Count)
+		p.histSeries(name, label+"=\""+escapeLabelValue(k)+"\"", samples[k])
 	}
 }

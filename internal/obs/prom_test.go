@@ -26,7 +26,7 @@ func TestPromWriterCounterGauge(t *testing.T) {
 }
 
 func TestPromWriterHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.5, 1})
+	h := newHistogram([]float64{0.5, 1})
 	h.Observe(0.2)
 	h.Observe(0.7)
 	h.Observe(9)

@@ -14,8 +14,8 @@ type CounterVec struct {
 	m  map[string]int64
 }
 
-// NewCounterVec returns an empty CounterVec.
-func NewCounterVec() *CounterVec {
+// newCounterVec returns an empty CounterVec.
+func newCounterVec() *CounterVec {
 	return &CounterVec{m: make(map[string]int64)}
 }
 
@@ -45,9 +45,9 @@ type HistogramVec struct {
 	m      map[string]*Histogram
 }
 
-// NewHistogramVec returns an empty HistogramVec over bounds (see
-// NewHistogram).
-func NewHistogramVec(bounds []float64) *HistogramVec {
+// newHistogramVec returns an empty HistogramVec over bounds (see
+// newHistogram).
+func newHistogramVec(bounds []float64) *HistogramVec {
 	return &HistogramVec{bounds: bounds, m: make(map[string]*Histogram)}
 }
 
@@ -56,7 +56,7 @@ func (v *HistogramVec) With(label string) *Histogram {
 	v.mu.Lock()
 	h := v.m[label]
 	if h == nil {
-		h = NewHistogram(v.bounds)
+		h = newHistogram(v.bounds)
 		v.m[label] = h
 	}
 	v.mu.Unlock()

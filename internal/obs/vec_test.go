@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterVec(t *testing.T) {
-	v := NewCounterVec()
+	v := newCounterVec()
 	v.Add("a", 1)
 	v.Add("b", 2)
 	v.Add("a", 3)
@@ -23,7 +23,7 @@ func TestCounterVec(t *testing.T) {
 }
 
 func TestHistogramVec(t *testing.T) {
-	v := NewHistogramVec([]float64{1, 10})
+	v := newHistogramVec([]float64{1, 10})
 	v.Observe("x", 0.5)
 	v.Observe("x", 5)
 	v.Observe("y", 100)
@@ -43,8 +43,8 @@ func TestHistogramVec(t *testing.T) {
 }
 
 func TestVecConcurrent(t *testing.T) {
-	cv := NewCounterVec()
-	hv := NewHistogramVec(DefaultLatencyBuckets)
+	cv := newCounterVec()
+	hv := newHistogramVec(DefaultLatencyBuckets)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -81,7 +81,7 @@ func TestPromWriterVecs(t *testing.T) {
 		map[string]int64{"gold": 3, "bro\"nze": 1})
 	p.GaugeVec("kplexd_tenant_running", "Running per tenant.", "tenant",
 		map[string]int64{"gold": 2})
-	h := NewHistogram([]float64{1})
+	h := newHistogram([]float64{1})
 	h.Observe(0.5)
 	p.HistogramVec("kplexd_tenant_wait_seconds", "Wait per tenant.", "tenant",
 		map[string]HistogramSnapshot{"gold": h.Snapshot()})

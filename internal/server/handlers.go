@@ -294,13 +294,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := tenantOf(r)
 	s.met.Queries.Add(1)
-	s.tenantQueries.Add(tenant, 1)
+	s.met.TenantQueries.Add(tenant, 1)
 	t := obs.FromContext(r.Context())
 	started := time.Now()
 	inf := s.inflight.Register("query", req.Graph, req.K, req.Q, req.Mode, t.ID())
 	defer func() {
 		inf.Done()
-		s.hist.query.ObserveSince(started)
+		s.met.QueryDuration.ObserveSince(started)
 		s.recordSlow(slowRecord{Kind: "query", Graph: req.Graph, K: req.K, Q: req.Q, Mode: req.Mode, TraceID: t.ID()}, started)
 	}()
 
@@ -548,13 +548,13 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *queryRequest, opts kplex.Options) {
 	tenant := tenantOf(r)
 	s.met.Streams.Add(1)
-	s.tenantQueries.Add(tenant, 1)
+	s.met.TenantQueries.Add(tenant, 1)
 	t := obs.FromContext(r.Context())
 	started := time.Now()
 	inf := s.inflight.Register("stream", req.Graph, req.K, req.Q, req.Mode, t.ID())
 	defer func() {
 		inf.Done()
-		s.hist.stream.ObserveSince(started)
+		s.met.StreamDuration.ObserveSince(started)
 		s.recordSlow(slowRecord{Kind: "stream", Graph: req.Graph, K: req.K, Q: req.Q, Mode: req.Mode, TraceID: t.ID()}, started)
 	}()
 	ctx, cancel := context.WithCancel(r.Context())

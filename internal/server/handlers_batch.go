@@ -119,13 +119,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	s.met.Batches.Add(1)
 	s.met.Queries.Add(int64(len(req.Items))) // each item is one query
-	s.tenantQueries.Add(tenant, int64(len(req.Items)))
+	s.met.TenantQueries.Add(tenant, int64(len(req.Items)))
 	t := obs.FromContext(r.Context())
 	started := time.Now()
 	inf := s.inflight.Register("batch", req.Graph, 0, 0, "batch", t.ID())
 	defer func() {
 		inf.Done()
-		s.hist.batch.ObserveSince(started)
+		s.met.BatchDuration.ObserveSince(started)
 		s.recordSlow(slowRecord{Kind: "batch", Graph: req.Graph, Items: len(req.Items), TraceID: t.ID()}, started)
 	}()
 

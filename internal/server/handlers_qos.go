@@ -67,7 +67,7 @@ func (s *Server) reject429(w http.ResponseWriter, err error) {
 		retry = qe.RetryAfter
 	}
 	if retry == 0 {
-		if snap := s.hist.admissionWait.Snapshot(); snap.Count > 0 {
+		if snap := s.met.AdmissionWait.Snapshot(); snap.Count > 0 {
 			retry = time.Duration(snap.Sum / float64(snap.Count) * float64(time.Second))
 		}
 	}

@@ -2,248 +2,107 @@ package server
 
 import (
 	"net/http"
-	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/qos"
 )
 
-// metrics are the server's monotonic counters. They exist for operations
-// (the /stats endpoint) and for the integration tests, which assert the
-// batching behaviour — "N identical concurrent queries, one execution" —
-// through Executions, FlightShared and CacheHits rather than by timing.
+// metrics are the server's handles on its own counters and histograms.
+// They exist for operations (/stats, /metrics) and for the integration
+// tests, which assert the batching behaviour — "N identical concurrent
+// queries, one execution" — through Executions, FlightShared and
+// CacheHits rather than by timing. Each metric's name, type and help
+// live only in its registration in declareMetrics.
 type metrics struct {
-	Queries           atomic.Int64 // cacheable queries accepted (count/topk/histogram; batch items count individually)
-	Batches           atomic.Int64 // POST /batch requests accepted
-	Streams           atomic.Int64 // streaming queries accepted
-	Executions        atomic.Int64 // enumerations actually run for cacheable queries
-	CacheHits         atomic.Int64 // answered straight from the result cache
-	CacheMisses       atomic.Int64 // had to consult singleflight (shared or executed)
-	FlightShared      atomic.Int64 // joined an in-flight identical query
-	Rejected          atomic.Int64 // turned away by admission control (429)
-	Errors            atomic.Int64 // requests that ended in a 4xx/5xx other than 429
-	GraphLoads        atomic.Int64 // registry loads (not cache-resident reuses)
-	GraphEvictions    atomic.Int64 // registry evictions (LRU or explicit)
-	StreamedPlexes    atomic.Int64 // plexes delivered over stream responses
-	StreamsCancelled  atomic.Int64 // streams ended by client disconnect / ctx
-	PreparedHits      atomic.Int64 // runs served a resident prepared-graph handle
-	PreparedMisses    atomic.Int64 // runs that had to compute the prologue
-	PreparedWarmLoads atomic.Int64 // prologues deserialized from the catalog instead of computed
-	PreparedPersists  atomic.Int64 // computed prologues persisted to the catalog
-	AutoTuned         atomic.Int64 // scheduler=auto queries tuned from the cost model
-	RoutedAsync       atomic.Int64 // route=auto queries converted into background jobs
-	CostObservations  atomic.Int64 // measured runtimes fed to the cost calibrator
-	RangeRuns         atomic.Int64 // distributed seed ranges served as a cluster worker
-	PartialAnswers    atomic.Int64 // deadline-bounded queries answered 200 partial:true
-	SampledQueries    atomic.Int64 // queries answered from a seed sample estimate
-	QuotaDenied       atomic.Int64 // admissions denied by a tenant's rate quota (subset of rejected)
+	Queries, Batches, Streams, Executions, CacheHits, CacheMisses,
+	FlightShared, Rejected, Errors, GraphLoads, GraphEvictions,
+	StreamedPlexes, StreamsCancelled, PreparedHits, PreparedMisses,
+	PreparedWarmLoads, PreparedPersists, AutoTuned, RoutedAsync,
+	CostObservations, RangeRuns, PartialAnswers, SampledQueries,
+	QuotaDenied *obs.Counter
+
+	QueryDuration, StreamDuration, BatchDuration, JobDuration,
+	LeaseDuration, FsyncDuration, AdmissionWait, CostLogError *obs.Histogram
+
+	TenantQueries *obs.CounterVec
+	TenantWait    *obs.HistogramVec
 }
 
-// snapshot returns the counters as a plain map for JSON encoding.
-func (m *metrics) snapshot() map[string]int64 {
-	return map[string]int64{
-		"queries":             m.Queries.Load(),
-		"batches":             m.Batches.Load(),
-		"streams":             m.Streams.Load(),
-		"executions":          m.Executions.Load(),
-		"cache_hits":          m.CacheHits.Load(),
-		"cache_misses":        m.CacheMisses.Load(),
-		"flight_shared":       m.FlightShared.Load(),
-		"rejected":            m.Rejected.Load(),
-		"errors":              m.Errors.Load(),
-		"graph_loads":         m.GraphLoads.Load(),
-		"graph_evictions":     m.GraphEvictions.Load(),
-		"streamed_plexes":     m.StreamedPlexes.Load(),
-		"streams_cancelled":   m.StreamsCancelled.Load(),
-		"prepared_hits":       m.PreparedHits.Load(),
-		"prepared_misses":     m.PreparedMisses.Load(),
-		"prepared_warm_loads": m.PreparedWarmLoads.Load(),
-		"prepared_persists":   m.PreparedPersists.Load(),
-		"auto_tuned":          m.AutoTuned.Load(),
-		"routed_async":        m.RoutedAsync.Load(),
-		"cost_observations":   m.CostObservations.Load(),
-		"range_runs":          m.RangeRuns.Load(),
-		"partial_answers":     m.PartialAnswers.Load(),
-		"sampled_queries":     m.SampledQueries.Load(),
-		"quota_denied":        m.QuotaDenied.Load(),
+// declareMetrics registers every metric the server itself exports on
+// s.metrics; the job manager and the coordinator mount theirs next to
+// these in New. /stats, /metrics and Metrics all render the registry.
+func (s *Server) declareMetrics() {
+	r := s.metrics
+	s.met = metrics{
+		Queries:           r.Counter("queries", "Cacheable queries accepted (count/topk/histogram; batch items count individually)."),
+		Batches:           r.Counter("batches", "POST /batch requests accepted."),
+		Streams:           r.Counter("streams", "Streaming queries accepted."),
+		Executions:        r.Counter("executions", "Enumerations actually run for cacheable queries."),
+		CacheHits:         r.Counter("cache_hits", "Queries answered straight from the result cache."),
+		CacheMisses:       r.Counter("cache_misses", "Queries that had to consult singleflight (shared or executed)."),
+		FlightShared:      r.Counter("flight_shared", "Queries that joined an in-flight identical query."),
+		Rejected:          r.Counter("rejected", "Requests turned away by admission control (429)."),
+		Errors:            r.Counter("errors", "Requests that ended in a 4xx/5xx other than 429."),
+		GraphLoads:        r.Counter("graph_loads", "Graph registry loads (not cache-resident reuses)."),
+		GraphEvictions:    r.Counter("graph_evictions", "Graph registry evictions (LRU or explicit)."),
+		StreamedPlexes:    r.Counter("streamed_plexes", "Plexes delivered over stream responses."),
+		StreamsCancelled:  r.Counter("streams_cancelled", "Streams ended by client disconnect or context cancellation."),
+		PreparedHits:      r.Counter("prepared_hits", "Runs served a resident prepared-graph handle."),
+		PreparedMisses:    r.Counter("prepared_misses", "Runs that had to compute the prologue."),
+		PreparedWarmLoads: r.Counter("prepared_warm_loads", "Prologues deserialized from the persistent catalog instead of computed."),
+		PreparedPersists:  r.Counter("prepared_persists", "Computed prologues persisted to the catalog."),
+		AutoTuned:         r.Counter("auto_tuned", "scheduler=auto queries tuned from the cost model."),
+		RoutedAsync:       r.Counter("routed_async", "route=auto queries converted into background jobs."),
+		CostObservations:  r.Counter("cost_observations", "Measured runtimes fed to the cost calibrator."),
+		RangeRuns:         r.Counter("range_runs", "Distributed seed ranges served as a cluster worker."),
+		PartialAnswers:    r.Counter("partial_answers", "Deadline-bounded queries answered 200 with partial:true (count is a lower bound)."),
+		SampledQueries:    r.Counter("sampled_queries", "Queries answered from a deterministic seed-sample estimate."),
+		QuotaDenied:       r.Counter("quota_denied", "Admissions denied by a tenant's rate quota (a subset of rejected)."),
+
+		QueryDuration:  r.Histogram("query_duration_seconds", "End-to-end wall-clock of cacheable /query requests, cache hits included.", obs.DefaultLatencyBuckets),
+		StreamDuration: r.Histogram("stream_duration_seconds", "End-to-end wall-clock of /stream responses, transfer included.", obs.DefaultLatencyBuckets),
+		BatchDuration:  r.Histogram("batch_duration_seconds", "End-to-end wall-clock of /batch requests.", obs.DefaultLatencyBuckets),
+		JobDuration:    r.Histogram("job_duration_seconds", "Cumulative enumeration wall-clock of completed background jobs.", obs.DefaultLatencyBuckets),
+		LeaseDuration:  r.Histogram("lease_duration_seconds", "Round-trip of one successful cluster range lease (dispatch to merge-ready).", obs.DefaultLatencyBuckets),
+		FsyncDuration:  r.Histogram("wal_fsync_duration_seconds", "Job checkpoint WAL fsync latency.", obs.FsyncBuckets),
+		AdmissionWait:  r.Histogram("admission_wait_seconds", "Time spent waiting for an enumeration slot (queries, streams, batches, jobs, ranges).", obs.DefaultLatencyBuckets),
+		CostLogError:   r.Histogram("cost_model_log_error", "Absolute natural-log error of the calibrated cost model per observed runtime (0.7 is roughly a factor of two).", obs.LogErrorBuckets),
+
+		TenantQueries: r.CounterVec("tenant_queries", "Enumeration requests per tenant (queries, streams, batch items).", "tenant"),
+		TenantWait:    r.HistogramVec("tenant_admission_wait_seconds", "Admission wait per tenant.", "tenant", obs.DefaultLatencyBuckets),
 	}
-}
 
-// promGauges names the metrics that are instantaneous values rather than
-// monotonic counters; everything else gets Prometheus counter semantics
-// (and the conventional _total suffix).
-var promGauges = map[string]bool{
-	"cache_entries":        true,
-	"resident_graphs":      true,
-	"prepared_entries":     true,
-	"jobs_running":         true,
-	"jobs_queued":          true,
-	"cluster_jobs_running": true,
-	"cluster_jobs_queued":  true,
-}
+	// Occupancy is owned by the caches themselves; /stats reports it
+	// beside the counters, /metrics samples it at scrape time.
+	r.GaugeFunc("cache_entries", "Result-cache entries currently resident.", func() int64 { return int64(s.cache.len()) })
+	r.GaugeFunc("resident_graphs", "Graphs currently resident in the registry.", func() int64 { return int64(s.reg.Len()) })
+	r.GaugeFunc("prepared_entries", "Prepared-graph prologues currently resident.", func() int64 { return int64(s.prep.len()) })
 
-// metricHelp is the registered help string of every counter and gauge the
-// server can expose. TestMetricsHelpComplete (run as a CI lint step) fails
-// if a key served by /metrics is missing here, so a new counter cannot
-// ship without its metadata; the runtime fallback below is belt and
-// braces, not a licence to skip registration.
-var metricHelp = map[string]string{
-	"queries":             "Cacheable queries accepted (count/topk/histogram; batch items count individually).",
-	"batches":             "POST /batch requests accepted.",
-	"streams":             "Streaming queries accepted.",
-	"executions":          "Enumerations actually run for cacheable queries.",
-	"cache_hits":          "Queries answered straight from the result cache.",
-	"cache_misses":        "Queries that had to consult singleflight (shared or executed).",
-	"flight_shared":       "Queries that joined an in-flight identical query.",
-	"rejected":            "Requests turned away by admission control (429).",
-	"errors":              "Requests that ended in a 4xx/5xx other than 429.",
-	"graph_loads":         "Graph registry loads (not cache-resident reuses).",
-	"graph_evictions":     "Graph registry evictions (LRU or explicit).",
-	"streamed_plexes":     "Plexes delivered over stream responses.",
-	"streams_cancelled":   "Streams ended by client disconnect or context cancellation.",
-	"prepared_hits":       "Runs served a resident prepared-graph handle.",
-	"prepared_misses":     "Runs that had to compute the prologue.",
-	"prepared_warm_loads": "Prologues deserialized from the persistent catalog instead of computed.",
-	"prepared_persists":   "Computed prologues persisted to the catalog.",
-	"auto_tuned":          "scheduler=auto queries tuned from the cost model.",
-	"routed_async":        "route=auto queries converted into background jobs.",
-	"cost_observations":   "Measured runtimes fed to the cost calibrator.",
-	"range_runs":          "Distributed seed ranges served as a cluster worker.",
-	"partial_answers":     "Deadline-bounded queries answered 200 with partial:true (count is a lower bound).",
-	"sampled_queries":     "Queries answered from a deterministic seed-sample estimate.",
-	"quota_denied":        "Admissions denied by a tenant's rate quota (a subset of rejected).",
-
-	"cache_entries":    "Result-cache entries currently resident.",
-	"resident_graphs":  "Graphs currently resident in the registry.",
-	"prepared_entries": "Prepared-graph prologues currently resident.",
-
-	"jobs_submitted":   "Background jobs submitted.",
-	"jobs_completed":   "Background jobs that finished successfully.",
-	"jobs_failed":      "Background jobs that failed.",
-	"jobs_cancelled":   "Background jobs cancelled.",
-	"jobs_resumed":     "Background job incarnations resumed from a checkpoint.",
-	"jobs_checkpoints": "Job checkpoint records appended to the WAL.",
-	"jobs_seeds_done":  "Seed groups completed across all background jobs.",
-	"jobs_running":     "Background jobs currently running.",
-	"jobs_queued":      "Background jobs currently queued.",
-
-	"cluster_jobs_submitted":    "Distributed jobs submitted to the coordinator.",
-	"cluster_jobs_completed":    "Distributed jobs that finished successfully.",
-	"cluster_jobs_failed":       "Distributed jobs that failed.",
-	"cluster_jobs_cancelled":    "Distributed jobs cancelled.",
-	"cluster_jobs_resumed":      "Distributed job incarnations resumed from the range WAL.",
-	"cluster_jobs_queued":       "Distributed jobs currently queued.",
-	"cluster_jobs_running":      "Distributed jobs currently running.",
-	"cluster_ranges_done":       "Seed ranges completed across all distributed jobs.",
-	"cluster_leases_reassigned": "Range leases lost to worker failure or expiry.",
-	"cluster_leases_expired":    "Range leases expired by the progress watchdog.",
-	"cluster_leases_stolen":     "Speculative straggler re-leases issued.",
-	"cluster_double_reports":    "Range completions ignored because the range was already done.",
-}
-
-// serverHists are the server's latency histograms, one per execution
-// surface plus the two durability-side timings (fsync, lease) and the cost
-// model's prediction error. All are registered in histFamilies; a
-// histogram outside that list never reaches /metrics.
-type serverHists struct {
-	query         *obs.Histogram // end-to-end cacheable /query wall-clock
-	stream        *obs.Histogram // end-to-end /stream wall-clock
-	batch         *obs.Histogram // end-to-end /batch wall-clock
-	job           *obs.Histogram // background job enumeration wall-clock
-	lease         *obs.Histogram // cluster range-lease round-trip
-	fsync         *obs.Histogram // job WAL fsync
-	admissionWait *obs.Histogram // wait for an enumeration slot (all paths)
-	costLogError  *obs.Histogram // |ln(predicted) - ln(actual)| per observation
-}
-
-func newServerHists() serverHists {
-	return serverHists{
-		query:         obs.NewHistogram(obs.DefaultLatencyBuckets),
-		stream:        obs.NewHistogram(obs.DefaultLatencyBuckets),
-		batch:         obs.NewHistogram(obs.DefaultLatencyBuckets),
-		job:           obs.NewHistogram(obs.DefaultLatencyBuckets),
-		lease:         obs.NewHistogram(obs.DefaultLatencyBuckets),
-		fsync:         obs.NewHistogram(obs.FsyncBuckets),
-		admissionWait: obs.NewHistogram(obs.DefaultLatencyBuckets),
-		costLogError:  obs.NewHistogram(obs.LogErrorBuckets),
+	// The admission controller's per-tenant state is the source of truth
+	// for these; a tenant with no traffic has no series.
+	perTenant := func(field func(qos.TenantSnapshot) int64) func() map[string]int64 {
+		return func() map[string]int64 {
+			out := map[string]int64{}
+			for _, ts := range s.qos.Snapshot() {
+				out[ts.Name] = field(ts)
+			}
+			return out
+		}
 	}
-}
-
-// histFamily pairs one histogram with its exposition metadata.
-type histFamily struct {
-	name, help string
-	h          *obs.Histogram
-}
-
-// histFamilies lists every exposed histogram. The help strings double as
-// the registration TestMetricsHelpComplete checks.
-func (s *Server) histFamilies() []histFamily {
-	return []histFamily{
-		{"kplexd_query_duration_seconds", "End-to-end wall-clock of cacheable /query requests, cache hits included.", s.hist.query},
-		{"kplexd_stream_duration_seconds", "End-to-end wall-clock of /stream responses, transfer included.", s.hist.stream},
-		{"kplexd_batch_duration_seconds", "End-to-end wall-clock of /batch requests.", s.hist.batch},
-		{"kplexd_job_duration_seconds", "Cumulative enumeration wall-clock of completed background jobs.", s.hist.job},
-		{"kplexd_lease_duration_seconds", "Round-trip of one successful cluster range lease (dispatch to merge-ready).", s.hist.lease},
-		{"kplexd_wal_fsync_duration_seconds", "Job checkpoint WAL fsync latency.", s.hist.fsync},
-		{"kplexd_admission_wait_seconds", "Time spent waiting for an enumeration slot (queries, streams, batches, jobs, ranges).", s.hist.admissionWait},
-		{"kplexd_cost_model_log_error", "Absolute natural-log error of the calibrated cost model per observed runtime (0.7 is roughly a factor of two).", s.hist.costLogError},
-	}
+	r.CounterVecFunc("tenant_admitted", "Admissions granted per tenant.", "tenant",
+		perTenant(func(ts qos.TenantSnapshot) int64 { return ts.Admitted }))
+	r.CounterVecFunc("tenant_quota_denied", "Admissions denied by the tenant's rate quota.", "tenant",
+		perTenant(func(ts qos.TenantSnapshot) int64 { return ts.QuotaDenied }))
+	r.GaugeVecFunc("tenant_running", "Enumeration slots currently held per tenant.", "tenant",
+		perTenant(func(ts qos.TenantSnapshot) int64 { return int64(ts.Running) }))
+	r.GaugeVecFunc("tenant_queued", "Admissions currently waiting per tenant.", "tenant",
+		perTenant(func(ts qos.TenantSnapshot) int64 { return int64(ts.Queued) }))
 }
 
 // handleMetricsProm serves GET /metrics in the Prometheus text exposition
-// format: every /stats counter plus the occupancy gauges, the job and
-// cluster subsystems' counters when enabled, and the latency histograms —
-// so the JSON endpoint stays for humans and scripts while scrapers get the
-// standard format. All output funnels through obs.PromWriter, which emits
-// a # HELP and # TYPE line per family (a scrape-parse test holds it to
-// that).
+// format, rendered from the same registry as /stats so the JSON endpoint
+// stays for humans and scripts while scrapers get the standard format.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	snap := s.Metrics()
-	snap["cache_entries"] = int64(s.cache.len())
-	snap["resident_graphs"] = int64(s.reg.Len())
-	snap["prepared_entries"] = int64(s.prep.len())
-
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	pw := obs.NewPromWriter(w)
-	for _, name := range names {
-		help := metricHelp[name]
-		if help == "" {
-			help = "kplexd metric " + name + " (help string not registered)."
-		}
-		if promGauges[name] {
-			pw.Gauge("kplexd_"+name, help, snap[name])
-		} else {
-			pw.Counter("kplexd_"+name+"_total", help, snap[name])
-		}
-	}
-	for _, f := range s.histFamilies() {
-		pw.Histogram(f.name, f.help, f.h.Snapshot())
-	}
-
-	// Per-tenant families carry a {tenant="..."} label, so they live outside
-	// the flat /stats snapshot (and its help-registration lint): the
-	// controller's snapshot is the source of truth and empty families emit
-	// nothing, so a single-tenant deployment's scrape is unchanged.
-	running := map[string]int64{}
-	queued := map[string]int64{}
-	admitted := map[string]int64{}
-	denied := map[string]int64{}
-	for _, ts := range s.qos.Snapshot() {
-		running[ts.Name] = int64(ts.Running)
-		queued[ts.Name] = int64(ts.Queued)
-		admitted[ts.Name] = ts.Admitted
-		denied[ts.Name] = ts.QuotaDenied
-	}
-	pw.CounterVec("kplexd_tenant_queries_total", "Enumeration requests per tenant (queries, streams, batch items).", "tenant", s.tenantQueries.Snapshot())
-	pw.CounterVec("kplexd_tenant_admitted_total", "Admissions granted per tenant.", "tenant", admitted)
-	pw.CounterVec("kplexd_tenant_quota_denied_total", "Admissions denied by the tenant's rate quota.", "tenant", denied)
-	pw.GaugeVec("kplexd_tenant_running", "Enumeration slots currently held per tenant.", "tenant", running)
-	pw.GaugeVec("kplexd_tenant_queued", "Admissions currently waiting per tenant.", "tenant", queued)
-	pw.HistogramVec("kplexd_tenant_admission_wait_seconds", "Admission wait per tenant.", "tenant", s.tenantWait.Snapshot())
+	s.metrics.WritePrometheus(w, "kplexd_") //nolint:errcheck // the scraper went away; nothing to do
 }

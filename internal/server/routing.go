@@ -111,7 +111,7 @@ func (s *Server) observeCost(f kplex.CostFeatures, elapsed time.Duration) {
 		elapsed = time.Microsecond
 	}
 	pred := s.router.predict(f)
-	s.hist.costLogError.Observe(math.Abs(math.Log(pred.Seconds()) - math.Log(elapsed.Seconds())))
+	s.met.CostLogError.Observe(math.Abs(math.Log(pred.Seconds()) - math.Log(elapsed.Seconds())))
 	s.router.observe(f, elapsed)
 	s.met.CostObservations.Add(1)
 }

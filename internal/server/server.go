@@ -239,6 +239,7 @@ type Server struct {
 	catalog *store.Catalog // nil when Config.CatalogDir is empty
 	flight  flightGroup
 	qos     *qos.Controller
+	metrics *obs.Registry // every exported metric; see declareMetrics
 	met     metrics
 	mux     *http.ServeMux
 	router  *costRouter
@@ -250,10 +251,6 @@ type Server struct {
 	tracer   *obs.Tracer
 	inflight *obs.Inflight
 	slow     *obs.SlowLog // nil when Config.SlowQueryLog is empty
-	hist     serverHists
-
-	tenantQueries *obs.CounterVec   // enumeration requests per tenant
-	tenantWait    *obs.HistogramVec // admission wait per tenant
 }
 
 // New builds a Server from cfg (see Config for defaults). The only
@@ -279,11 +276,9 @@ func New(cfg Config) (*Server, error) {
 		router:   newCostRouter(),
 		tracer:   obs.NewTracer(cfg.TraceCapacity, cfg.TraceSampleEvery),
 		inflight: obs.NewInflight(),
-		hist:     newServerHists(),
-
-		tenantQueries: obs.NewCounterVec(),
-		tenantWait:    obs.NewHistogramVec(obs.DefaultLatencyBuckets),
+		metrics:  obs.NewRegistry(),
 	}
+	s.declareMetrics()
 	if cfg.SlowQueryLog != "" {
 		sl, err := obs.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryLogMaxBytes)
 		if err != nil {
@@ -311,13 +306,14 @@ func New(cfg Config) (*Server, error) {
 			TenantWeight:       tenantWeights(cfg.Tenants),
 			ObserveCost:        s.observeCost,
 			Tracer:             s.tracer,
-			ObserveFsync:       s.hist.fsync.ObserveDuration,
-			ObserveJob:         s.hist.job.ObserveDuration,
+			ObserveFsync:       s.met.FsyncDuration.ObserveDuration,
+			ObserveJob:         s.met.JobDuration.ObserveDuration,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening job subsystem: %w", err)
 		}
 		s.jobs = man
+		s.metrics.Mount("jobs_", man.Metrics())
 	}
 	if cfg.ClusterDir != "" {
 		co, err := cluster.Open(jobs.Config{
@@ -333,12 +329,13 @@ func New(cfg Config) (*Server, error) {
 			StealAfter:       cfg.ClusterStealAfter,
 			RangesPerWorker:  cfg.ClusterRangesPerWorker,
 			MaxRangeAttempts: cfg.ClusterMaxRangeAttempts,
-			ObserveLease:     s.hist.lease.ObserveDuration,
+			ObserveLease:     s.met.LeaseDuration.ObserveDuration,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening cluster coordinator: %w", err)
 		}
 		s.cluster = co
+		s.metrics.Mount("cluster_", co.Metrics())
 	}
 	s.routes()
 	return s, nil
@@ -416,8 +413,8 @@ func (s *Server) admitJob(ctx context.Context, tenant string) (func(), error) {
 		}
 	}()
 	release, err := s.qos.AdmitQueued(ctx, tenant)
-	s.hist.admissionWait.ObserveSince(start)
-	s.tenantWait.Observe(tenant, time.Since(start).Seconds())
+	s.met.AdmissionWait.ObserveSince(start)
+	s.met.TenantWait.Observe(tenant, time.Since(start).Seconds())
 	return release, err
 }
 
@@ -457,21 +454,8 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Metrics returns a snapshot of the server counters, including the job
-// subsystem's when it is enabled.
-func (s *Server) Metrics() map[string]int64 {
-	snap := s.met.snapshot()
-	if s.jobs != nil {
-		for k, v := range s.jobs.Counters().Snapshot() {
-			snap[k] = v
-		}
-	}
-	if s.cluster != nil {
-		for k, v := range s.cluster.Counters().Snapshot() {
-			snap[k] = v
-		}
-	}
-	return snap
-}
+// and cluster subsystems' when they are enabled.
+func (s *Server) Metrics() map[string]int64 { return s.metrics.Snapshot() }
 
 // Close stops the job manager (running jobs flush a final checkpoint so
 // the next start resumes them) and cancels every detached execution.
@@ -500,8 +484,8 @@ func (s *Server) admit(ctx context.Context, tenant string) (release func(), err 
 	defer cancel()
 	release, err = s.qos.Admit(actx, tenant)
 	if err == nil {
-		s.hist.admissionWait.ObserveSince(start)
-		s.tenantWait.Observe(tenant, time.Since(start).Seconds())
+		s.met.AdmissionWait.ObserveSince(start)
+		s.met.TenantWait.Observe(tenant, time.Since(start).Seconds())
 		return release, nil
 	}
 	var qe *qos.QuotaError
