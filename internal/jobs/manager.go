@@ -359,7 +359,7 @@ func (c Config) withDefaults() Config {
 // newCounters on the manager's metric registry (see Metrics).
 type Counters struct {
 	Submitted, Completed, Failed, Cancelled, Resumed *obs.Counter
-	Checkpoints, SeedsDone                           *obs.Counter // local executor only
+	Checkpoints, SeedsDone                           *obs.Counter // local executor only; nil otherwise
 	Running, Queued                                  *obs.Gauge
 }
 
