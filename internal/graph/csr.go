@@ -75,3 +75,12 @@ func Materialize(g CSR) *Graph {
 	}
 	return &Graph{offsets: offsets, adj: adj}
 }
+
+// FromCSR wraps CSR arrays as a *Graph without copying or renormalizing:
+// row v is adj[offsets[v]:offsets[v+1]]. The caller hands the arrays over
+// and guarantees the CSR contracts (sorted, duplicate-free, loop-free,
+// symmetric rows); it is how a reduction that already produced a canonical
+// CSR returns it without a second Build.
+func FromCSR(offsets, adj []int32) *Graph {
+	return &Graph{offsets: offsets, adj: adj}
+}

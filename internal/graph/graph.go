@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -148,7 +149,7 @@ func (b *Builder) Build(n int) (*Graph, error) {
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		row := adj[lo:hi]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		outOff[v] = w
 		var prev int32 = -1
 		for _, u := range row {
@@ -187,8 +188,9 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// InducedSubgraph returns the subgraph induced by keep (which need not be
-// sorted), along with origID mapping new vertex ids to original ids.
+// InducedSubgraph returns the subgraph induced by keep (distinct vertices,
+// not necessarily sorted), along with origID mapping new vertex ids to
+// original ids.
 func (g *Graph) InducedSubgraph(keep []int) (sub *Graph, origID []int32) {
 	return InducedSubgraphOf(g, keep)
 }
@@ -208,18 +210,27 @@ func InducedSubgraphOf(g CSR, keep []int) (sub *Graph, origID []int32) {
 		newID[v] = int32(i)
 		origID[i] = int32(v)
 	}
-	var b Builder
+	// newID is monotone in the old id, so mapping a sorted source row
+	// through it keeps the row sorted: the CSR is written directly, one
+	// pass to size the rows and one to fill them.
+	offsets := make([]int32, len(sorted)+1)
 	for i, v := range sorted {
+		d := int32(0)
 		for _, u := range g.Neighbors(v) {
-			if j := newID[u]; j > int32(i) {
-				b.AddEdge(i, int(j))
+			if newID[u] >= 0 {
+				d++
+			}
+		}
+		offsets[i+1] = offsets[i] + d
+	}
+	adj := make([]int32, offsets[len(sorted)])
+	for i, v := range sorted {
+		row := adj[offsets[i]:offsets[i]:offsets[i+1]]
+		for _, u := range g.Neighbors(v) {
+			if j := newID[u]; j >= 0 {
+				row = append(row, j)
 			}
 		}
 	}
-	sub, err := b.Build(len(sorted))
-	if err != nil {
-		// keep came from g's own vertex range; Build cannot fail.
-		panic("graph: induced subgraph build: " + err.Error())
-	}
-	return sub, origID
+	return &Graph{offsets: offsets, adj: adj}, origID
 }

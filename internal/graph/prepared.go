@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Prepared is an enumeration-ready view of a graph: the minCore-core
 // restricted to non-isolated shells, relabelled so vertex i is the i-th
@@ -26,35 +26,36 @@ func Prepare(g CSR, minCore int) *Prepared {
 	n := core.N()
 
 	// Relabel along η, as DegeneracyOrderedCopy does, but keep the core
-	// decomposition so coreness comes out of the same peel.
-	var b Builder
-	b.Grow(core.M())
-	for newU := 0; newU < n; newU++ {
-		oldU := cd.Order[newU]
-		for _, oldV := range core.Neighbors(int(oldU)) {
-			if newV := cd.Pos[oldV]; int32(newU) < newV {
-				b.AddEdge(newU, int(newV))
-			}
-		}
-	}
-	relab, err := b.Build(n)
-	if err != nil {
-		panic("graph: prepare relabel: " + err.Error())
-	}
-
+	// decomposition so coreness comes out of the same peel. Each row is
+	// written in place and sorted; the entries below the row's own id are
+	// counted on the way, which is its later-neighbour offset.
 	p := &Prepared{
-		g:        relab,
 		toInput:  make([]int32, n),
 		laterOff: make([]int32, n),
 		coreness: make([]int32, n),
 	}
-	for i := 0; i < n; i++ {
-		old := cd.Order[i]
-		p.toInput[i] = coreID[old]
-		p.coreness[i] = cd.Coreness[old]
-		row := relab.Neighbors(i)
-		p.laterOff[i] = int32(sort.Search(len(row), func(j int) bool { return row[j] > int32(i) }))
+	offsets := make([]int32, n+1)
+	for newU := 0; newU < n; newU++ {
+		offsets[newU+1] = offsets[newU] + int32(core.Degree(int(cd.Order[newU])))
 	}
+	adj := make([]int32, offsets[n])
+	for newU := 0; newU < n; newU++ {
+		old := cd.Order[newU]
+		row := adj[offsets[newU]:offsets[newU+1]]
+		earlier := int32(0)
+		for i, oldV := range core.Neighbors(int(old)) {
+			newV := cd.Pos[oldV]
+			row[i] = newV
+			if newV < int32(newU) {
+				earlier++
+			}
+		}
+		slices.Sort(row)
+		p.toInput[newU] = coreID[old]
+		p.coreness[newU] = cd.Coreness[old]
+		p.laterOff[newU] = earlier
+	}
+	p.g = &Graph{offsets: offsets, adj: adj}
 	return p
 }
 

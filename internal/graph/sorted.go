@@ -3,8 +3,7 @@ package graph
 // Merge-based set algebra over sorted adjacency rows. The CSR invariant
 // (every Neighbors row ascending, duplicate-free) makes common-neighbour
 // counting a linear merge instead of a hash probe per element — the
-// memory-layout-conscious formulation the seed pipeline and the CTCP
-// reduction share.
+// memory-layout-conscious formulation the seed pipeline uses.
 
 // CountCommon returns |a ∩ b| for two ascending, duplicate-free int32
 // slices (typically two adjacency rows). It never allocates. Nil and empty
