@@ -1,7 +1,6 @@
 package kplex
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -33,10 +32,10 @@ import (
 // marks both arcs of a failing edge dead in place, and cascades a vertex
 // that falls below q-k through the same queue. Rows that lost arcs are
 // compacted between sweeps, and the loop stops after a sweep that kills
-// nothing. A support count costs min(deg(v), deg(u)·log deg(v)) and
-// stops as soon as the edge is decided, so the reduction costs O(n+m) for
-// the copy and the peel plus one such count per edge per sweep that
-// reaches it.
+// nothing. A support count for the edge (u,v), swept from u, marks u's
+// row once per sweep, scans v's row at O(deg(v)) and stops as soon as the
+// edge is decided, so the reduction costs O(n+m) for the copy and the
+// peel plus one such count per edge per sweep that reaches it.
 //
 // The reduction never changes the result set; it is an optional
 // preprocessing step (Options.UseCTCP) that pays off on graphs with many
@@ -213,31 +212,11 @@ func (r *ctcp) sweep(cand []int32) []int32 {
 
 // supported reports whether the live edge (x,y) has at least cnMin common
 // neighbours. pos holds x's row positions (-1 for a removed vertex), so a
-// neighbour w of y is common when pos[w] points at a live arc x→w. When
-// y's row is much longer than x's, x's row is binary-searched in y's
-// instead.
+// neighbour w of y is common when pos[w] points at a live arc x→w.
 func (r *ctcp) supported(x, y int32) bool {
 	need := r.cnMin
 	xlo, xhi := r.off[x], r.end[x]
 	ylo, yhi := r.off[y], r.end[y]
-	if ny := yhi - ylo; int(xhi-xlo)*bits.Len32(uint32(ny)) < int(ny) {
-		for i := xlo; i < xhi; i++ {
-			if need > xhi-i {
-				return false
-			}
-			w := r.adj[i]
-			if w < 0 || w == y || r.deg[w] == 0 {
-				continue
-			}
-			ylo = r.search(ylo, yhi, w)
-			if ylo < yhi && r.adj[ylo] == w {
-				if need--; need == 0 {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	for j := ylo; j < yhi; j++ {
 		if need > yhi-j {
 			return false
@@ -256,7 +235,10 @@ func (r *ctcp) supported(x, y int32) bool {
 }
 
 // pack moves the surviving rows, compact since the last sweep, to the
-// front of adj and returns the arrays as the output graph.
+// front of adj and returns the arrays as the output graph. Handing adj
+// over saves a copy but keeps the source-sized array alive as long as the
+// output is, so when less than half of it survives the live prefix is
+// cloned into an array of its own instead.
 func (r *ctcp) pack() *graph.Graph {
 	n := len(r.end)
 	w := int32(0)
@@ -266,5 +248,9 @@ func (r *ctcp) pack() *graph.Graph {
 		w += int32(copy(r.adj[w:], r.adj[lo:hi]))
 	}
 	r.off[n] = w
-	return graph.FromCSR(r.off, r.adj[:w:w])
+	adj := r.adj[:w:w]
+	if int(w) < len(r.adj)/2 {
+		adj = slices.Clone(adj)
+	}
+	return graph.FromCSR(r.off, adj)
 }
