@@ -24,66 +24,68 @@ type queryResult struct {
 	Sample     *kplex.SampleEstimate // sample:<rate> queries only
 }
 
-// resultCache is a mutex-guarded LRU over completed query results, keyed
-// by (graph digest | normalized options | mode-specific parameters) — see
-// Server.cacheKey. Keying on the digest rather than the graph name means a
-// graph registered under two names, or evicted and reloaded from the same
-// file, keeps its cached results.
-type resultCache struct {
+// lru is a mutex-guarded least-recently-used map with a fixed capacity.
+// The server keeps two: completed query results, keyed by (graph digest |
+// normalized options | mode-specific parameters) — see cacheKey — and
+// prepared prologue handles, keyed by preparedKey. Keying on the digest
+// rather than the graph name means a graph registered under two names, or
+// evicted and reloaded from the same file, keeps its cached entries.
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 }
 
-type cacheItem struct {
+type lruItem[V any] struct {
 	key string
-	val *queryResult
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
+func newLRU[V any](capacity int) *lru[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resultCache{
+	return &lru[V]{
 		cap:   capacity,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
 }
 
-// get returns the cached result and marks it most recently used.
-func (c *resultCache) get(key string) (*queryResult, bool) {
+// get returns the cached value and marks it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).val, true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// put stores (or refreshes) a result, evicting the least recently used
+// put stores (or refreshes) a value, evicting the least recently used
 // entry beyond capacity.
-func (c *resultCache) put(key string, val *queryResult) {
+func (c *lru[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).val = val
+		el.Value.(*lruItem[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheItem{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheItem).key)
+		delete(c.items, oldest.Value.(*lruItem[V]).key)
 	}
 }
 
-// len returns the number of cached results.
-func (c *resultCache) len() int {
+// len returns the number of cached entries.
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

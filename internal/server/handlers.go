@@ -315,7 +315,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if val, ok := s.cache.get(key); ok {
 		s.met.CacheHits.Add(1)
 		t.StartSpan("cache").Attr("hit", "true").End()
-		s.respond(w, &req, entry, val, true, false)
+		writeJSON(w, http.StatusOK, answer(&req, val, true, false))
 		return
 	}
 	s.met.CacheMisses.Add(1)
@@ -323,7 +323,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.DeadlineMS > 0 {
 		// Partial results must not poison the cache or be flight-shared; the
 		// deadline path runs outside both (a full-result finish still caches).
-		s.executeDeadline(w, r, t, inf, entry, &req, opts, tenant, key)
+		s.executeDeadline(w, r, s.newRun(t, inf, &req), entry, opts, tenant, key)
 		return
 	}
 
@@ -345,15 +345,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if val, ok := s.cache.get(key); ok {
 			return val, true, nil
 		}
-		inf.SetStage("admission")
-		admSpan := t.StartSpan("admission")
+		x := s.newRun(t, inf, &req)
 		// The admission wait is bounded by the leader's request context: a
 		// client that gives up while queued must free its place instead of
 		// parking a server-lifetime waiter. Execution below stays detached
 		// (s.baseCtx) — once a slot is held the result is cacheable and
 		// worth finishing for the next identical query.
-		release, err := s.admit(r.Context(), tenant)
-		admSpan.EndErr(err)
+		release, err := x.admit(r.Context(), tenant)
 		if err != nil {
 			return nil, false, err
 		}
@@ -361,9 +359,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.met.Executions.Add(1)
 		var val *queryResult
 		if req.Sample > 0 {
-			val, err = s.executeSampled(t, inf, entry, &req, opts)
+			val, err = s.executeSampled(x, entry, opts)
 		} else {
-			val, err = s.execute(t, inf, entry, &req, opts)
+			val, err = s.execute(x, entry, opts)
 		}
 		if err != nil {
 			return nil, false, err
@@ -398,68 +396,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case shared:
 		s.met.FlightShared.Add(1)
 	}
-	s.respond(w, &req, entry, val, fromCache, shared)
+	writeJSON(w, http.StatusOK, answer(&req, val, fromCache, shared))
 }
 
-// execute runs one cacheable enumeration. The context is detached from the
-// requesting client: the result is cacheable, so completing it is useful
-// even if the first asker is gone; Config.QueryTimeout is its bound and
-// Server.Close its shutdown path. The run goes through the prepared-graph
-// cache, so only the first query of a (digest, k, q) cell pays the O(n+m)
-// prologue. t and inf are the executing request's trace and in-flight
-// handle (both nil-safe); requests that share this execution through
-// singleflight see only their own "singleflight" span.
-func (s *Server) execute(t *obs.Trace, inf *obs.InflightEntry, entry *GraphEntry, req *queryRequest, opts kplex.Options) (*queryResult, error) {
+// execute runs one cacheable enumeration on x's prepare-and-run path. The
+// context is detached from the requesting client: the result is
+// cacheable, so completing it is useful even if the first asker is gone;
+// Config.QueryTimeout is its bound and Server.Close its shutdown path.
+// Requests that share this execution through singleflight see only their
+// own "singleflight" span.
+func (s *Server) execute(x *run, entry *GraphEntry, opts kplex.Options) (*queryResult, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.QueryTimeout)
 	defer cancel()
-	inf.SetStage("prepare")
-	prepSpan := t.StartSpan("prepare").Attr("graph", req.Graph)
-	p, err := s.prepared(entry.G, entry.Digest, &opts)
-	prepSpan.EndErr(err)
+	p, err := x.prepare(entry, opts)
 	if err != nil {
 		return nil, err
 	}
-	inf.SetSeedsTotal(int64(p.SeedSpace()))
-	inf.SetPredicted(s.router.predict(p.CostFeatures()))
-	if req.Scheduler == "auto" {
-		tuneFor(s.router.predict(p.CostFeatures()), req.Threads, s.cfg.DefaultThreads, &opts)
-		s.met.AutoTuned.Add(1)
-	}
-	// Service executions always carry the phase timers and the per-seed
-	// progress hook: both are execution-only (never in the cache key), and
-	// their cost — two clock reads per seed build plus an atomic increment
-	// per seed — is noise against the HTTP round-trip the request already
-	// paid. The engine's direct API keeps its zero-overhead default.
-	opts.PhaseTimers = true
-	opts.OnSeedDone = func(int, kplex.Stats) { inf.SeedDone() }
-	inf.SetStage("enumerate")
-	enumSpan := t.StartSpan("enumerate").Attr("mode", req.Mode)
+	req := x.req
+	span := x.enumerate(p.SeedSpace()).Attr("mode", req.Mode)
 	val := &queryResult{Mode: req.Mode, Digest: entry.Digest, ComputedAt: time.Now()}
 	var res kplex.Result
 	switch req.Mode {
 	case "count":
-		res, err = kplex.RunPrepared(ctx, p, opts)
+		res, err = kplex.RunPrepared(ctx, p, x.opts)
 	case "topk":
-		val.TopK, res, err = kplex.EnumerateTopKPrepared(ctx, p, opts, req.TopN)
-		if val.TopK == nil {
-			val.TopK = [][]int{} // encode as [] rather than null
-		}
+		val.TopK, res, err = kplex.EnumerateTopKPrepared(ctx, p, x.opts, req.TopN)
 	case "histogram":
-		val.Histogram, res, err = kplex.SizeHistogramPrepared(ctx, p, opts)
+		val.Histogram, res, err = kplex.SizeHistogramPrepared(ctx, p, x.opts)
 	}
+	if err == nil {
+		span.Attr("count", fmt.Sprint(res.Count))
+	}
+	x.end(res, err)
 	if err != nil {
-		enumSpan.EndErr(err)
 		return nil, err
 	}
-	enumSpan.Attr("count", fmt.Sprint(res.Count)).
-		Attr("seedBuildMs", fmt.Sprintf("%.3f", float64(res.Stats.SeedBuildNS)/1e6)).
-		Attr("branchMs", fmt.Sprintf("%.3f", float64(res.Stats.BranchNS)/1e6)).
-		End()
 	val.Count = res.Count
 	val.MaxSize = int(res.Stats.MaxPlexSize)
 	val.Elapsed = res.Elapsed
 	val.Stats = res.Stats
-	s.observeCost(p.CostFeatures(), res.Elapsed)
 	return val, nil
 }
 
@@ -494,10 +469,12 @@ func (s *Server) maybeRouteAsync(entry *GraphEntry, req *queryRequest, opts kple
 	return man, pred, true
 }
 
-func (s *Server) respond(w http.ResponseWriter, req *queryRequest, entry *GraphEntry, val *queryResult, cached, shared bool) {
-	writeJSON(w, http.StatusOK, queryResponse{
+// answer renders a query result as the /query response body. Empty topk
+// and histogram payloads are omitted (omitempty), whether nil or not.
+func answer(req *queryRequest, val *queryResult, cached, shared bool) *queryResponse {
+	return &queryResponse{
 		Graph:     req.Graph,
-		Digest:    entry.Digest,
+		Digest:    val.Digest,
 		K:         req.K,
 		Q:         req.Q,
 		Mode:      req.Mode,
@@ -510,7 +487,7 @@ func (s *Server) respond(w http.ResponseWriter, req *queryRequest, entry *GraphE
 		Histogram: val.Histogram,
 		Stats:     val.Stats,
 		Sample:    val.Sample,
-	})
+	}
 }
 
 // handleStreamGet adapts GET /stream?graph=..&k=..&q=..[&threads=..
@@ -560,16 +537,9 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *queryR
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	inf.SetStage("admission")
-	admSpan := t.StartSpan("admission")
-	release, err := s.admit(ctx, tenant)
-	admSpan.EndErr(err)
-	if err != nil {
-		if isOverload(err) {
-			s.reject429(w, err)
-		} else {
-			s.fail(w, http.StatusBadRequest, "client went away: "+err.Error())
-		}
+	x := s.newRun(t, inf, req)
+	release := x.admitOrFail(ctx, w, tenant)
+	if release == nil {
 		return
 	}
 	defer release()
@@ -582,27 +552,15 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *queryR
 	defer s.reg.Release(entry)
 
 	opts.StreamBuffer = s.cfg.StreamBuffer
-	inf.SetStage("prepare")
-	prepSpan := t.StartSpan("prepare").Attr("graph", req.Graph)
-	p, err := s.prepared(entry.G, entry.Digest, &opts)
-	prepSpan.EndErr(err)
+	p, err := x.prepare(entry, opts)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	inf.SetSeedsTotal(int64(p.SeedSpace()))
-	inf.SetPredicted(s.router.predict(p.CostFeatures()))
-	if req.Scheduler == "auto" {
-		tuneFor(s.router.predict(p.CostFeatures()), req.Threads, s.cfg.DefaultThreads, &opts)
-		s.met.AutoTuned.Add(1)
-	}
-	opts.PhaseTimers = true
-	opts.OnSeedDone = func(int, kplex.Stats) { inf.SeedDone() }
-	inf.SetStage("enumerate")
-	streamSpan := t.StartSpan("enumerate").Attr("mode", "stream")
-	h, err := kplex.RunStreamPrepared(ctx, p, opts)
+	span := x.enumerate(p.SeedSpace()).Attr("mode", "stream")
+	h, err := kplex.RunStreamPrepared(ctx, p, x.opts)
 	if err != nil {
-		streamSpan.EndErr(err)
+		x.end(kplex.Result{}, err)
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -614,8 +572,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *queryR
 	enc := json.NewEncoder(w)
 	lines := 0
 	lastFlush := time.Now()
-	for p := range h.C() {
-		if err := enc.Encode(p); err != nil {
+	for plex := range h.C() {
+		if err := enc.Encode(plex); err != nil {
 			cancel() // writer dead: stop the engine, then drain to the close
 			break
 		}
@@ -629,17 +587,15 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *queryR
 	res, runErr := h.Wait()
 	if runErr != nil {
 		s.met.StreamsCancelled.Add(1)
-	} else {
-		s.observeCost(p.CostFeatures(), res.Elapsed)
 	}
 	// A client that disconnected mid-stream cancelled the work; that is a
 	// "cancelled" span, not a "failed" one — only a genuine engine error
 	// marks the stream failed.
+	span.Attr("plexes", fmt.Sprint(lines))
 	if runErr != nil && r.Context().Err() != nil {
-		streamSpan.Attr("plexes", fmt.Sprint(lines)).EndStatus("cancelled")
-	} else {
-		streamSpan.Attr("plexes", fmt.Sprint(lines)).EndErr(runErr)
+		span.EndStatus("cancelled")
 	}
+	x.end(res, runErr)
 	enc.Encode(streamSummary{ //nolint:errcheck // best effort on a dying conn
 		Done:      runErr == nil,
 		Count:     res.Count,

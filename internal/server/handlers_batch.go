@@ -168,21 +168,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 
-	var release func()
+	x := s.newRun(t, inf, nil)
 	if len(order) > 0 {
 		// One admission slot covers the whole batch: its groups run one
 		// after another, so a batch occupies one enumeration's worth of
 		// capacity however many items it answers.
-		inf.SetStage("admission")
-		admSpan := t.StartSpan("admission")
-		release, err = s.admit(r.Context(), tenant)
-		admSpan.EndErr(err)
-		if err != nil {
-			if isOverload(err) {
-				s.reject429(w, err)
-			} else {
-				s.fail(w, http.StatusBadRequest, "client went away: "+err.Error())
-			}
+		release := x.admitOrFail(r.Context(), w, tenant)
+		if release == nil {
 			return
 		}
 		defer release()
@@ -227,10 +219,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	var runErr error
 	if len(order) > 0 {
-		inf.SetStage("enumerate")
-		enumSpan := t.StartSpan("enumerate").Attr("mode", "batch").Attr("items", strconv.Itoa(len(order)))
+		span := x.open().Attr("mode", "batch").Attr("items", strconv.Itoa(len(order)))
 		queries := make([]kplex.BatchQuery, len(order))
 		for ui, p := range order {
+			timePhases(&itemOpts[p.item])
 			queries[ui] = batchQueryFor(&itemReqs[p.item], itemOpts[p.item])
 		}
 		// The batch is tied to the requesting client (it is watching the
@@ -242,7 +234,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		runner := &kplex.BatchRunner{
 			Prepare: func(cell kplex.Options) (*kplex.Prepared, error) {
 				groups++
-				return s.prepared(entry.G, entry.Digest, &cell)
+				defer inf.SetStage("enumerate")
+				return x.prepare(entry, cell)
 			},
 			OnResult: func(ui int, br *kplex.BatchResult) {
 				p := order[ui]
@@ -256,9 +249,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					Histogram:  br.Histogram,
 					Digest:     entry.Digest,
 					ComputedAt: time.Now(),
-				}
-				if val.Mode == "topk" && val.TopK == nil {
-					val.TopK = [][]int{}
 				}
 				// A saturated all-top-k group reports exact TopK lists but a
 				// prefix Count; the result cache is keyed as a full
@@ -282,7 +272,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		_, runErr = runner.Run(ctx, entry.G, queries)
 		summary.Groups = groups
-		enumSpan.Attr("groups", strconv.Itoa(groups)).EndErr(runErr)
+		span.Attr("groups", strconv.Itoa(groups)).EndErr(runErr)
 	}
 
 	summary.Done = runErr == nil

@@ -96,10 +96,8 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	inf := s.inflight.Register("range", req.Graph, req.K, req.Q, "", traceID)
 	defer inf.Done()
 
-	inf.SetStage("prepare")
-	prepSpan := wt.StartSpan("prepare").Attr("graph", req.Graph).Attr("range", rangeAttr)
-	p, err := s.prepared(e.G, e.Digest, &opts)
-	prepSpan.EndErr(err)
+	x := s.newRun(wt, inf, nil)
+	p, err := x.prepare(e, opts, "range", rangeAttr)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
@@ -125,8 +123,6 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.met.RangeRuns.Add(1)
-	inf.SetStage("enumerate")
-	inf.SetSeedsTotal(int64(req.Hi - req.Lo))
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher := ndjsonFlusher(w)
@@ -144,18 +140,16 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 
 	var seedsDone atomic.Int64
 	start := time.Now()
-	enumSpan := wt.StartSpan("enumerate").Attr("range", rangeAttr)
+	span := x.enumerate(req.Hi-req.Lo).Attr("range", rangeAttr)
 	type rangeOut struct {
 		agg *kplex.Aggregate
+		res kplex.Result
 		err error
 	}
 	outc := make(chan rangeOut, 1)
 	go func() {
-		agg, _, err := cluster.RunRange(r.Context(), p, opts, &req, func(n int) {
-			seedsDone.Store(int64(n))
-			inf.SeedDone()
-		})
-		outc <- rangeOut{agg, err}
+		agg, res, err := cluster.RunRange(r.Context(), p, x.opts, &req, func(n int) { seedsDone.Store(int64(n)) })
+		outc <- rangeOut{agg, res, err}
 	}()
 
 	// Heartbeat cadence well under any sane lease timeout: each line
@@ -169,12 +163,13 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		case out := <-outc:
 			if out.err != nil {
 				// The stream is underway; the error travels in-band.
-				enumSpan.EndErr(out.err)
+				x.end(out.res, out.err)
 				s.met.Errors.Add(1)
 				emit(&cluster.RangeLine{SeedsDone: int(seedsDone.Load()), Error: out.err.Error()})
 				return
 			}
-			enumSpan.Attr("seeds", fmt.Sprint(req.Hi-req.Lo)).End()
+			span.Attr("seeds", fmt.Sprint(req.Hi-req.Lo))
+			x.end(out.res, nil)
 			emit(&cluster.RangeLine{
 				SeedsDone: int(seedsDone.Load()),
 				Done:      true,
@@ -187,12 +182,12 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 			if !emit(&cluster.RangeLine{SeedsDone: int(seedsDone.Load())}) {
 				// Client gone: r.Context() cancellation stops the engine;
 				// drain the goroutine before returning.
-				enumSpan.EndStatus("cancelled")
+				span.EndStatus("cancelled")
 				<-outc
 				return
 			}
 		case <-r.Context().Done():
-			enumSpan.EndStatus("cancelled")
+			span.EndStatus("cancelled")
 			<-outc
 			return
 		}

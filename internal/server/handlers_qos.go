@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/kplex"
-	"repro/internal/obs"
 	"repro/internal/qos"
 )
 
@@ -76,89 +75,75 @@ func (s *Server) reject429(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusTooManyRequests, err.Error())
 }
 
-// executeDeadline answers a deadlineMs-bounded query: the enumeration is
-// tied to the requesting client and to the deadline, and a deadline expiry
-// is not an error but a run that stopped early. Its SeedCollector's
-// committed seed groups answer as an HTTP 200 with partial:true, the count
-// a true lower bound, the completed-seed fraction, and (when the job
-// subsystem is enabled) their aggregate and done-set become a durable
-// resume job already enumerating the remainder. A run that beats its
-// deadline caches and answers exactly like the synchronous path. Partial
-// results never enter the result cache or the singleflight group.
-func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.Trace, inf *obs.InflightEntry, entry *GraphEntry, req *queryRequest, opts kplex.Options, tenant, key string) {
-	inf.SetStage("admission")
-	admSpan := t.StartSpan("admission")
-	release, err := s.admit(r.Context(), tenant)
-	admSpan.EndErr(err)
-	if err != nil {
-		if isOverload(err) {
-			s.reject429(w, err)
-		} else {
-			s.fail(w, http.StatusBadRequest, "client went away: "+err.Error())
-		}
+// executeDeadline answers a deadlineMs-bounded query on x's
+// prepare-and-run path: the enumeration is tied to the requesting client
+// and to the deadline, and a deadline expiry is not an error but a run
+// that stopped early. Its SeedCollector's committed seed groups answer as
+// an HTTP 200 with partial:true, the count a true lower bound, the
+// completed-seed fraction, and (when the job subsystem is enabled) their
+// aggregate and done-set become a durable resume job already enumerating
+// the remainder. A run that beats its deadline caches and answers exactly
+// like the synchronous path. Partial results never enter the result cache
+// or the singleflight group.
+func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, x *run, entry *GraphEntry, opts kplex.Options, tenant, key string) {
+	release := x.admitOrFail(r.Context(), w, tenant)
+	if release == nil {
 		return
 	}
 	defer release()
 	s.met.Executions.Add(1)
 
-	inf.SetStage("prepare")
-	prepSpan := t.StartSpan("prepare").Attr("graph", req.Graph)
-	p, err := s.prepared(entry.G, entry.Digest, &opts)
-	prepSpan.EndErr(err)
+	p, err := x.prepare(entry, opts)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	inf.SetSeedsTotal(int64(p.SeedSpace()))
+	req := x.req
+	deadline := min(time.Duration(req.DeadlineMS)*time.Millisecond, s.cfg.QueryTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	defer cancel()
+
+	span := x.enumerate(p.SeedSpace()).Attr("mode", req.Mode).Attr("deadlineMs", strconv.Itoa(req.DeadlineMS))
 	topN := 0
 	if req.Mode == "topk" {
 		topN = req.TopN
 	}
-	col := kplex.NewSeedCollector(p.SeedSpace(), []kplex.CollectMember{{TopN: topN}},
-		func(int, int64, []*kplex.Aggregate, *kplex.SeedSet) { inf.SeedDone() })
-	opts.PhaseTimers = true
-	col.Install(&opts, 0)
-
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline > s.cfg.QueryTimeout {
-		deadline = s.cfg.QueryTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	inf.SetStage("enumerate")
-	enumSpan := t.StartSpan("enumerate").Attr("mode", req.Mode).Attr("deadlineMs", strconv.Itoa(req.DeadlineMS))
+	col := kplex.NewSeedCollector(p.SeedSpace(), []kplex.CollectMember{{TopN: topN}}, nil)
+	col.Install(&x.opts, 0)
 	started := time.Now()
-	res, runErr := kplex.RunPrepared(ctx, p, opts)
+	res, runErr := kplex.RunPrepared(ctx, p, x.opts)
 	elapsed := time.Since(started)
 	aggs, doneSeeds := col.Snapshot()
-	agg := aggs[0]
+	val := resultFromAggregate(req, aggs[0], entry.Digest, elapsed)
 
-	if runErr == nil {
+	switch {
+	case runErr == nil:
 		// Beat the deadline: the committed aggregate is the complete answer.
-		enumSpan.Attr("count", strconv.FormatInt(agg.Count, 10)).End()
-		val := resultFromAggregate(req, agg, entry.Digest, elapsed)
+		span.Attr("count", strconv.FormatInt(val.Count, 10))
+		x.end(res, nil)
 		val.Stats = res.Stats
 		s.cache.put(key, val)
-		s.observeCost(p.CostFeatures(), res.Elapsed)
-		s.respond(w, req, entry, val, false, false)
+		writeJSON(w, http.StatusOK, answer(req, val, false, false))
 		return
-	}
-	if r.Context().Err() != nil {
-		enumSpan.EndStatus("cancelled")
+	case r.Context().Err() != nil:
+		span.EndStatus("cancelled")
 		s.fail(w, http.StatusBadRequest, "client went away: "+runErr.Error())
 		return
-	}
-	if !errors.Is(runErr, context.DeadlineExceeded) {
-		enumSpan.EndErr(runErr)
+	case !errors.Is(runErr, context.DeadlineExceeded):
+		x.end(res, runErr)
 		s.fail(w, http.StatusInternalServerError, runErr.Error())
 		return
 	}
-	enumSpan.Attr("count", strconv.FormatInt(agg.Count, 10)).
+	span.Attr("count", strconv.FormatInt(val.Count, 10)).
 		Attr("seedsDone", strconv.Itoa(doneSeeds.Len())).EndStatus("deadline")
 
 	s.met.PartialAnswers.Add(1)
-	resp := partialResponse(req, entry, agg, doneSeeds.Len(), p.SeedSpace(), elapsed)
+	resp := answer(req, val, false, false)
+	resp.Partial = true
+	resp.SeedsDone, resp.TotalSeeds = doneSeeds.Len(), p.SeedSpace()
+	if resp.TotalSeeds > 0 {
+		resp.SeedFraction = float64(resp.SeedsDone) / float64(resp.TotalSeeds)
+	}
 	if s.jobs != nil {
 		spec := jobs.Spec{Graph: req.Graph, K: req.K, Q: req.Q, Threads: req.Threads, Tenant: tenant}
 		if req.Mode == "topk" {
@@ -167,7 +152,7 @@ func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.
 		if req.Scheduler != "auto" {
 			spec.Scheduler = req.Scheduler
 		}
-		man, err := s.jobs.SubmitResumable(spec, entry.Digest, p.SeedSpace(), doneSeeds.Seeds(), agg,
+		man, err := s.jobs.SubmitResumable(spec, entry.Digest, p.SeedSpace(), doneSeeds.Seeds(), aggs[0],
 			float64(elapsed)/float64(time.Millisecond))
 		if err != nil {
 			s.cfg.Logf(`{"level":"warn","msg":"partial answer resume submission failed","err":%q}`, err.Error())
@@ -178,65 +163,26 @@ func (s *Server) executeDeadline(w http.ResponseWriter, r *http.Request, t *obs.
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// resultFromAggregate renders a completed commit-disciplined run as a
-// cacheable queryResult (mode-specific payloads only, like execute).
+// resultFromAggregate renders a commit-disciplined run's aggregate as a
+// queryResult: the mode's own payload only, and the committed seed
+// groups' Stats.
 func resultFromAggregate(req *queryRequest, agg *kplex.Aggregate, digest string, elapsed time.Duration) *queryResult {
 	val := &queryResult{
 		Mode:       req.Mode,
 		Count:      agg.Count,
 		MaxSize:    agg.MaxSize,
 		Elapsed:    elapsed,
+		Stats:      agg.Stats,
 		Digest:     digest,
 		ComputedAt: time.Now(),
 	}
 	switch req.Mode {
 	case "topk":
 		val.TopK = agg.TopK
-		if val.TopK == nil {
-			val.TopK = [][]int{}
-		}
 	case "histogram":
 		val.Histogram = agg.Histogram
-		if val.Histogram == nil {
-			val.Histogram = map[int]int64{}
-		}
 	}
 	return val
-}
-
-// partialResponse renders the 200 partial:true body of a deadline-hit
-// query.
-func partialResponse(req *queryRequest, entry *GraphEntry, agg *kplex.Aggregate, seedsDone, totalSeeds int, elapsed time.Duration) *queryResponse {
-	resp := &queryResponse{
-		Graph:      req.Graph,
-		Digest:     entry.Digest,
-		K:          req.K,
-		Q:          req.Q,
-		Mode:       req.Mode,
-		Count:      agg.Count,
-		MaxSize:    agg.MaxSize,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		Stats:      agg.Stats,
-		Partial:    true,
-		SeedsDone:  seedsDone,
-		TotalSeeds: totalSeeds,
-	}
-	if totalSeeds > 0 {
-		resp.SeedFraction = float64(seedsDone) / float64(totalSeeds)
-	}
-	switch req.Mode {
-	case "topk":
-		resp.TopK = agg.TopK
-		if resp.TopK == nil {
-			resp.TopK = [][]int{}
-		}
-	case "histogram":
-		resp.Histogram = agg.Histogram
-		if resp.Histogram == nil {
-			resp.Histogram = map[int]int64{}
-		}
-	}
-	return resp
 }
 
 // sampleSalt derives the deterministic sampling salt of a query cell, so
@@ -256,44 +202,36 @@ func sampleSalt(digest string, k, q int, rate float64) uint64 {
 // kplex.DefaultMinSampleSeeds seed groups are enumerated (tiny seed spaces
 // degrade to a census: exact, zero-width CI). Runs detached like execute:
 // the estimate is cached under the sample-suffixed key.
-func (s *Server) executeSampled(t *obs.Trace, inf *obs.InflightEntry, entry *GraphEntry, req *queryRequest, opts kplex.Options) (*queryResult, error) {
+func (s *Server) executeSampled(x *run, entry *GraphEntry, opts kplex.Options) (*queryResult, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.QueryTimeout)
 	defer cancel()
-	inf.SetStage("prepare")
-	prepSpan := t.StartSpan("prepare").Attr("graph", req.Graph)
-	p, err := s.prepared(entry.G, entry.Digest, &opts)
-	prepSpan.EndErr(err)
+	p, err := x.prepare(entry, opts)
 	if err != nil {
 		return nil, err
 	}
+	req := x.req
 	total := p.SeedSpace()
 	rate := kplex.EffectiveSampleRate(total, req.Sample, 0)
 	skip, kept, err := kplex.SampleSeeds(total, rate, sampleSalt(entry.Digest, req.K, req.Q, req.Sample))
 	if err != nil {
 		return nil, err
 	}
-	inf.SetSeedsTotal(int64(kept))
-
-	perSeed := make([]int64, total)
-	col := kplex.NewSeedCollector(total, []kplex.CollectMember{{}},
-		func(seed int, plexes int64, _ []*kplex.Aggregate, _ *kplex.SeedSet) {
-			perSeed[seed] = plexes
-			inf.SeedDone()
-		})
-	opts.SkipSeeds = skip
-	opts.PhaseTimers = true
-	col.Install(&opts, 0)
-
-	inf.SetStage("enumerate")
-	enumSpan := t.StartSpan("enumerate").Attr("mode", req.Mode).
+	x.opts.SkipSeeds = skip
+	span := x.enumerate(kept).Attr("mode", req.Mode).
 		Attr("sampleRate", strconv.FormatFloat(rate, 'g', -1, 64)).
 		Attr("sampledSeeds", strconv.Itoa(kept))
-	res, err := kplex.RunPrepared(ctx, p, opts)
+	perSeed := make([]int64, total)
+	col := kplex.NewSeedCollector(total, []kplex.CollectMember{{}},
+		func(seed int, plexes int64, _ []*kplex.Aggregate, _ *kplex.SeedSet) { perSeed[seed] = plexes })
+	col.Install(&x.opts, 0)
+	res, err := kplex.RunPrepared(ctx, p, x.opts)
+	if err == nil {
+		span.Attr("rawCount", strconv.FormatInt(res.Count, 10))
+	}
+	x.end(res, err)
 	if err != nil {
-		enumSpan.EndErr(err)
 		return nil, err
 	}
-	enumSpan.Attr("rawCount", strconv.FormatInt(res.Count, 10)).End()
 	s.met.SampledQueries.Add(1)
 
 	// Every enumerated seed's count, zeros included: the estimator averages
@@ -328,7 +266,6 @@ func (s *Server) executeSampled(t *obs.Trace, inf *obs.InflightEntry, entry *Gra
 			val.Histogram[size] = int64(math.Round(float64(c) * scale))
 		}
 	}
-	s.observeCost(p.CostFeatures(), res.Elapsed)
 	return val, nil
 }
 

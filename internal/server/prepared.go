@@ -1,92 +1,29 @@
 package server
 
 import (
-	"container/list"
 	"encoding/hex"
 	"strconv"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/kplex"
 )
 
-// preparedCache is a mutex-guarded LRU over kplex.Prepared handles keyed
-// by (graph content digest × reduction-relevant options). The run prologue
-// — CTCP, (q-k)-core, degeneracy relabelling — is O(n+m) and identical for
-// every query in one cell, so keeping the handle resident means a repeat
-// query (or a resumed job) starts enumerating immediately. Handles are
-// immutable and shared: a cached handle may serve any number of concurrent
-// runs, and eviction only forgets the cache's reference (runs still
-// holding the handle keep it alive through the GC).
-type preparedCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type preparedItem struct {
-	key string
-	p   *kplex.Prepared
-}
-
-func newPreparedCache(capacity int) *preparedCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &preparedCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-// preparedKey is the cache identity of a handle: the graph's content
-// digest plus exactly the options that shape the reduction. Execution
-// knobs (threads, scheduler, timeouts, hooks) deliberately do not appear —
-// they share a handle.
+// preparedKey is the prepared cache's identity of a kplex.Prepared
+// handle: the graph's content digest plus exactly the options that shape
+// the reduction. The run prologue — CTCP, (q-k)-core, degeneracy
+// relabelling — is O(n+m) and identical for every query in one cell, so
+// keeping the handle resident means a repeat query (or a resumed job)
+// starts enumerating immediately. Execution knobs (threads, scheduler,
+// timeouts, hooks) deliberately do not appear — they share a handle.
+// Handles are immutable: a cached handle may serve any number of
+// concurrent runs, and eviction only forgets the cache's reference (runs
+// still holding the handle keep it alive through the GC).
 func preparedKey(digest string, opts *kplex.Options) string {
 	key := digest + "|k=" + strconv.Itoa(opts.K) + "|q=" + strconv.Itoa(opts.Q)
 	if opts.UseCTCP {
 		key += "|ctcp"
 	}
 	return key
-}
-
-// get returns the cached handle and marks it most recently used.
-func (c *preparedCache) get(key string) (*kplex.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*preparedItem).p, true
-}
-
-// put stores a handle, evicting the least recently used beyond capacity.
-func (c *preparedCache) put(key string, p *kplex.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*preparedItem).p = p
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&preparedItem{key: key, p: p})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*preparedItem).key)
-	}
-}
-
-// len returns the number of cached handles.
-func (c *preparedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // prepared returns the handle for (g, digest, opts), preparing and caching

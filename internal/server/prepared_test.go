@@ -84,7 +84,7 @@ func TestPreparedCacheServesStreams(t *testing.T) {
 
 // TestPreparedCacheLRU pins the eviction bound.
 func TestPreparedCacheLRU(t *testing.T) {
-	c := newPreparedCache(2)
+	c := newLRU[*kplex.Prepared](2)
 	mk := func(i int) string { return fmt.Sprintf("digest%d", i) }
 	opts := kplex.NewOptions(2, 6)
 	p := &kplex.Prepared{}

@@ -20,11 +20,12 @@ package server
 //
 // The model ships with coefficients fitted offline (kplex.DefaultCostModel),
 // so its absolute scale is wrong on any other machine. costRouter corrects
-// that online: every observed (features, runtime) pair — interactive
-// queries, streams and completed jobs alike — feeds an EWMA of the
-// log-residual, and predictions are scaled by exp(bias). A constant
-// hardware speed ratio is exactly a constant log-offset, so the EWMA
-// converges to it regardless of which queries happen to arrive.
+// that online: every observed (features, runtime) pair of a complete
+// enumeration — interactive queries, streams and completed jobs alike —
+// feeds an EWMA of the log-residual, and predictions are scaled by
+// exp(bias). A constant hardware speed ratio is exactly a constant
+// log-offset, so the EWMA converges to it regardless of which queries
+// happen to arrive.
 
 import (
 	"math"
@@ -100,12 +101,13 @@ func (cr *costRouter) observations() int64 {
 	return cr.obs
 }
 
-// observeCost feeds one completed run's measured cost into the calibrator.
-// It is the single funnel for every execution path: cacheable queries,
-// streams, and (wired as jobs.Config.ObserveCost) background jobs. The
-// prediction error is histogrammed before the observation is folded in, so
-// the metric reflects the model as it actually served — each sample scored
-// against the calibration state that produced its routing decision.
+// observeCost feeds one complete run's measured cost into the calibrator.
+// It is the single funnel for every execution path: the prepare-and-run
+// path's complete runs (run.end) and, wired as jobs.Config.ObserveCost,
+// background jobs. The prediction error is histogrammed before the
+// observation is folded in, so the metric reflects the model as it
+// actually served — each sample scored against the calibration state that
+// produced its routing decision.
 func (s *Server) observeCost(f kplex.CostFeatures, elapsed time.Duration) {
 	if elapsed <= 0 {
 		elapsed = time.Microsecond

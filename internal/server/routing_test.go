@@ -201,3 +201,34 @@ func TestRouteAutoFallsThroughSync(t *testing.T) {
 		t.Fatalf("route=auto without jobs = %d, want 200", code)
 	}
 }
+
+// TestSchedulerAutoOnBoundedQueries: scheduler=auto is tuned on the
+// shared prepare-and-run path, so the bounded-answer modes honour it like
+// the plain query above. Only a complete run calibrates the cost model:
+// the sampled run walks a strict subset of gnp-dense's seed groups, and
+// the model predicts whole enumerations.
+func TestSchedulerAutoOnBoundedQueries(t *testing.T) {
+	cases := []struct {
+		name    string
+		body    string
+		wantObs int64
+	}{
+		{"deadline", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","scheduler":"auto","deadlineMs":600000}`, 1},
+		{"sample", `{"graph":"corpus:gnp-dense","k":2,"q":10,"mode":"count","scheduler":"auto","sample":0.05}`, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{})
+			if code, _ := postQuery(t, hs.URL, tc.body); code != http.StatusOK {
+				t.Fatalf("status %d, want 200", code)
+			}
+			m := stats(t, hs.URL)
+			if m["auto_tuned"] != 1 {
+				t.Errorf("auto_tuned = %d, want 1", m["auto_tuned"])
+			}
+			if m["cost_observations"] != tc.wantObs {
+				t.Errorf("cost_observations = %d, want %d", m["cost_observations"], tc.wantObs)
+			}
+		})
+	}
+}

@@ -1,0 +1,144 @@
+package server
+
+// Tests of the prepare-and-run path that every enumerating request shares:
+// one trace shape and phase-timed Stats across query modes, deadline,
+// sample, stream and batch.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"testing"
+
+	"repro/internal/kplex"
+	"repro/internal/obs"
+)
+
+// replyStats decodes the Stats a reply carries: the /query body's, or
+// every executed item's in a /batch NDJSON reply. A stream carries none.
+func replyStats(t *testing.T, path string, data []byte) []kplex.Stats {
+	t.Helper()
+	var out []kplex.Stats
+	if path == "/query" {
+		var body struct{ Stats kplex.Stats }
+		if err := json.Unmarshal(data, &body); err != nil {
+			t.Fatalf("bad /query body %s: %v", data, err)
+		}
+		return append(out, body.Stats)
+	}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var line struct{ Stats *kplex.Stats }
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %s: %v", sc.Bytes(), err)
+		}
+		if line.Stats != nil {
+			out = append(out, *line.Stats)
+		}
+	}
+	return out
+}
+
+// TestPrepareRunTraceContract: every request that enumerates runs the same
+// path, so every one leaves the same evidence — a trace whose prepare
+// span(s) end before its enumerate span, and phase times wherever the
+// reply returns Stats.
+func TestPrepareRunTraceContract(t *testing.T) {
+	cases := []struct {
+		name, path, body string
+		stats            bool // the reply returns engine Stats
+		prepares         int  // one prepare span per prologue: a batch resolves one per group
+	}{
+		{"count", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count"}`, true, 1},
+		{"topk", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"topk","topn":3}`, true, 1},
+		{"histogram", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"histogram"}`, true, 1},
+		{"deadline-beaten", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","deadlineMs":600000}`, true, 1},
+		{"sample", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","sample":0.5}`, true, 1},
+		{"stream", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"stream"}`, false, 1},
+		{"batch", "/batch", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6,"mode":"count"},{"k":3,"q":8,"mode":"histogram"}]}`, true, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{})
+			resp, data := postJSON(t, hs.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+			id := resp.Header.Get("X-Trace-Id")
+			if id == "" {
+				t.Fatal("no X-Trace-Id header")
+			}
+			if tc.stats {
+				stats := replyStats(t, tc.path, data)
+				if len(stats) == 0 {
+					t.Fatalf("reply carries no Stats: %s", data)
+				}
+				for i, st := range stats {
+					if st.SeedBuildNS <= 0 || st.BranchNS <= 0 {
+						t.Errorf("Stats %d: SeedBuildNS=%d BranchNS=%d, want both > 0", i, st.SeedBuildNS, st.BranchNS)
+					}
+				}
+			}
+
+			td := getTrace(t, hs.URL, id)
+			prepare, enumerate := -1, -1
+			for i, sp := range td.Spans {
+				switch {
+				case sp.Name == "prepare" && prepare < 0:
+					prepare = i
+				case sp.Name == "enumerate":
+					if enumerate >= 0 {
+						t.Errorf("second enumerate span at %d", i)
+					}
+					enumerate = i
+				}
+			}
+			if prepare < 0 || enumerate < 0 || prepare > enumerate {
+				t.Fatalf("want prepare then enumerate spans, got %v", spanNames(td))
+			}
+			for _, sp := range td.Spans[prepare : enumerate+1] {
+				if sp.Status != "ok" {
+					t.Errorf("span %q status %q, want ok", sp.Name, sp.Status)
+				}
+			}
+			if n := len(spansNamed(td, "prepare")); n != tc.prepares {
+				t.Errorf("%d prepare spans, want %d", n, tc.prepares)
+			}
+		})
+	}
+}
+
+// spanNames lists td's span names in recorded (end) order.
+func spanNames(td obs.TraceData) []string {
+	names := make([]string, len(td.Spans))
+	for i, sp := range td.Spans {
+		names[i] = sp.Name
+	}
+	return names
+}
+
+// TestBatchItemsCachePhaseTimes: a batch item's cached result answers a
+// later /query with the phase times of the walk that computed it.
+func TestBatchItemsCachePhaseTimes(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	if resp, data := postJSON(t, hs.URL+"/batch", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6,"mode":"count"}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	resp, data := postJSON(t, hs.URL+"/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d: %s", resp.StatusCode, data)
+	}
+	var reply struct {
+		Cached bool
+		Stats  kplex.Stats
+	}
+	if err := json.Unmarshal(data, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if !reply.Cached || reply.Stats.SeedBuildNS <= 0 || reply.Stats.BranchNS <= 0 {
+		t.Fatalf("cached=%v SeedBuildNS=%d BranchNS=%d, want a cache hit with phase times",
+			reply.Cached, reply.Stats.SeedBuildNS, reply.Stats.BranchNS)
+	}
+}

@@ -234,8 +234,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	reg     *Registry
-	cache   *resultCache
-	prep    *preparedCache
+	cache   *lru[*queryResult]
+	prep    *lru[*kplex.Prepared]
 	catalog *store.Catalog // nil when Config.CatalogDir is empty
 	flight  flightGroup
 	qos     *qos.Controller
@@ -269,8 +269,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.MaxResidentGraphs, NewLoader(cfg.DataDir, cat)),
 		catalog:  cat,
-		cache:    newResultCache(cfg.CacheEntries),
-		prep:     newPreparedCache(cfg.PreparedEntries),
+		cache:    newLRU[*queryResult](cfg.CacheEntries),
+		prep:     newLRU[*kplex.Prepared](cfg.PreparedEntries),
 		qos:      qos.NewController(cfg.MaxConcurrent, cfg.Tenants),
 		mux:      http.NewServeMux(),
 		router:   newCostRouter(),
