@@ -93,6 +93,24 @@ func (s *Set) Clone() *Set {
 	return &Set{words: w, n: s.n}
 }
 
+// Resize re-dimensions s to capacity n and clears it, reusing the backing
+// words when they are long enough, so scratch sets that follow a sequence
+// of differently sized domains stop allocating once they have seen the
+// largest.
+func (s *Set) Resize(n int) {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	nw := (n + wordBits - 1) / wordBits
+	if cap(s.words) < nw {
+		s.words = make([]uint64, nw)
+	} else {
+		s.words = s.words[:nw]
+		clear(s.words)
+	}
+	s.n = n
+}
+
 // Copy overwrites s with src. The two sets must have equal capacity.
 func (s *Set) Copy(src *Set) {
 	if s.n != src.n {

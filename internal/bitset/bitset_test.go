@@ -289,3 +289,30 @@ func BenchmarkIntersectionCount(b *testing.B) {
 		_ = a.IntersectionCount(c)
 	}
 }
+
+// TestResize pins the scratch-reuse contract: a resized set has the new
+// capacity, holds no bit of its previous contents, and shrinking then
+// growing back within the first footprint does not allocate.
+func TestResize(t *testing.T) {
+	s := New(200)
+	s.Fill()
+	s.Resize(70)
+	if s.Len() != 70 || !s.Empty() {
+		t.Fatalf("after Resize(70): len %d, %v", s.Len(), s)
+	}
+	s.Add(69)
+	s.Resize(130)
+	if s.Len() != 130 || !s.Empty() {
+		t.Fatalf("after Resize(130): len %d, %v", s.Len(), s)
+	}
+	if !New(130).Equal(s) {
+		t.Fatal("resized set differs from a fresh one of the same capacity")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Resize(10)
+		s.Resize(200)
+	})
+	if allocs != 0 {
+		t.Errorf("Resize within footprint allocates %.1f objects/op, want 0", allocs)
+	}
+}

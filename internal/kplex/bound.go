@@ -1,18 +1,17 @@
 package kplex
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/bitset"
 )
 
 // boundScratch holds the reusable buffers for Algorithm 4. Each worker owns
-// one, resized lazily to the current seed graph. None of the buffers
-// survive across Branch recursion levels.
+// one, grown lazily to the largest seed graph seen. Its contents are only
+// meaningful within one bound computation, so every branch frame shares it.
 type boundScratch struct {
 	sup     []int // sup_P(u) working copy, indexed by local vertex id
-	pMem    []int // members of P as a slice
-	tmp     *bitset.Set
 	sortBuf []sortCand
 }
 
@@ -22,10 +21,45 @@ type sortCand struct {
 }
 
 func (bs *boundScratch) resize(nAll int) {
-	if len(bs.sup) < nAll {
-		bs.sup = make([]int, nAll)
-		bs.tmp = bitset.New(nAll)
+	bs.sup = growInts(bs.sup, nAll)
+}
+
+// initSup fills bs.sup[u] = sup_P(u) = k - d̄_P(u) for every u ∈ P, where
+// d̄_P(u) = |P| - d_P(u) counts u itself.
+func (bs *boundScratch) initSup(pBits []uint64, k, sizeP int, degP []int) {
+	for i, m := range pBits {
+		for ; m != 0; m &= m - 1 {
+			u := i<<6 | bits.TrailingZeros64(m)
+			bs.sup[u] = k - (sizeP - degP[u])
+		}
 	}
+}
+
+// charge is the greedy step of Algorithm 4 for one candidate with
+// candidate-space adjacency row rw: it finds u_m, the non-neighbour of the
+// candidate in P with the least remaining support (the smallest id on
+// ties, as the walk is ascending and the comparison strict), and reports
+// whether the candidate counts towards K, consuming one unit of u_m's
+// support when it does.
+func (bs *boundScratch) charge(pBits, rw []uint64) bool {
+	um, umSup := -1, 0
+	for i, p := range pBits {
+		for m := p &^ rw[i]; m != 0; m &= m - 1 {
+			u := i<<6 | bits.TrailingZeros64(m)
+			if um == -1 || bs.sup[u] < umSup {
+				um, umSup = u, bs.sup[u]
+			}
+		}
+	}
+	if um == -1 {
+		// No non-neighbour in P constrains the candidate.
+		return true
+	}
+	if umSup > 0 {
+		bs.sup[um]--
+		return true
+	}
+	return false
 }
 
 // supportBound implements Algorithm 4: the Theorem 5.5 upper bound on the
@@ -35,50 +69,31 @@ func (bs *boundScratch) resize(nAll int) {
 // with sup(vp) forced to 0 and K computed over all of C).
 func (bs *boundScratch) supportBound(sg *seedGraph, k, sizeP int, P, C *bitset.Set, degP []int, vp int, vpIsSeedTask bool) int {
 	bs.resize(sg.nAll)
-	bs.pMem = bs.pMem[:0]
-	P.ForEach(func(u int) {
-		bs.sup[u] = k - (sizeP - degP[u]) // d̄_P(u) counts u itself
-		bs.pMem = append(bs.pMem, u)
-	})
+	rows := sg.rows()
+	pBits := P.Words()[:sg.pWords]
+	bs.initSup(pBits, k, sizeP, degP)
 
 	var supVp int
-	if vpIsSeedTask {
-		supVp = 0
-	} else {
+	var vpRow []uint64
+	if !vpIsSeedTask {
 		// vp ∉ P: d̄_P(vp) = |P| - d_P(vp) does not count vp itself.
 		supVp = k - (sizeP - degP[vp])
+		vpRow = rows[vp]
 	}
 
 	// K is counted over N_C(vp) (Theorem 5.5) or all of C (Theorem 5.7,
 	// where C = N(v_i) contains only neighbours of vp = v_i anyway).
 	kCount := 0
-	nc := bs.tmp
-	nc.Copy(C)
-	if !vpIsSeedTask {
-		nc.And(sg.adj[vp])
+	for i, m := range C.Words()[:sg.pWords] {
+		if vpRow != nil {
+			m &= vpRow[i]
+		}
+		for ; m != 0; m &= m - 1 {
+			if bs.charge(pBits, rows[i<<6|bits.TrailingZeros64(m)]) {
+				kCount++
+			}
+		}
 	}
-	nc.ForEach(func(w int) {
-		// u_m = argmin sup over w's non-neighbours in P.
-		um, umSup := -1, 0
-		aw := sg.adj[w]
-		for _, u := range bs.pMem {
-			if aw.Contains(u) {
-				continue
-			}
-			if um == -1 || bs.sup[u] < umSup {
-				um, umSup = u, bs.sup[u]
-			}
-		}
-		if um == -1 {
-			// No non-neighbour in P constrains w.
-			kCount++
-			return
-		}
-		if umSup > 0 {
-			bs.sup[um]--
-			kCount++
-		}
-	})
 	return sizeP + supVp + kCount
 }
 
@@ -90,20 +105,19 @@ func (bs *boundScratch) supportBound(sg *seedGraph, k, sizeP int, P, C *bitset.S
 // upper bound.
 func (bs *boundScratch) supportBoundSorted(sg *seedGraph, k, sizeP int, P, C *bitset.Set, degP []int, vp int) int {
 	bs.resize(sg.nAll)
-	bs.pMem = bs.pMem[:0]
-	P.ForEach(func(u int) {
-		bs.sup[u] = k - (sizeP - degP[u])
-		bs.pMem = append(bs.pMem, u)
-	})
+	rows := sg.rows()
+	pBits := P.Words()[:sg.pWords]
+	bs.initSup(pBits, k, sizeP, degP)
 	supVp := k - (sizeP - degP[vp])
 
 	bs.sortBuf = bs.sortBuf[:0]
-	nc := bs.tmp
-	nc.Copy(C)
-	nc.And(sg.adj[vp])
-	nc.ForEach(func(w int) {
-		bs.sortBuf = append(bs.sortBuf, sortCand{w, sizeP - degP[w]})
-	})
+	vpRow := rows[vp]
+	for i, m := range C.Words()[:sg.pWords] {
+		for m &= vpRow[i]; m != 0; m &= m - 1 {
+			w := i<<6 | bits.TrailingZeros64(m)
+			bs.sortBuf = append(bs.sortBuf, sortCand{w, sizeP - degP[w]})
+		}
+	}
 	sort.Slice(bs.sortBuf, func(i, j int) bool {
 		if bs.sortBuf[i].nonNbrs != bs.sortBuf[j].nonNbrs {
 			return bs.sortBuf[i].nonNbrs < bs.sortBuf[j].nonNbrs
@@ -113,22 +127,7 @@ func (bs *boundScratch) supportBoundSorted(sg *seedGraph, k, sizeP int, P, C *bi
 
 	kCount := 0
 	for _, cand := range bs.sortBuf {
-		aw := sg.adj[cand.v]
-		um, umSup := -1, 0
-		for _, u := range bs.pMem {
-			if aw.Contains(u) {
-				continue
-			}
-			if um == -1 || bs.sup[u] < umSup {
-				um, umSup = u, bs.sup[u]
-			}
-		}
-		if um == -1 {
-			kCount++
-			continue
-		}
-		if umSup > 0 {
-			bs.sup[um]--
+		if bs.charge(pBits, rows[cand.v]) {
 			kCount++
 		}
 	}

@@ -1,6 +1,7 @@
 package kplex
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -19,9 +20,11 @@ type task struct {
 	sizeP int
 }
 
-// worker holds the per-thread scratch state. All buffers are sized to the
-// current seed graph and are only valid within a single Branch invocation
-// (recursive calls reuse them after the parent is done reading).
+// worker holds the per-thread scratch state. The branch scratch is a stack
+// with one level per nesting depth of branch frames (see branchLevel), so a
+// frame's degrees and sets survive its include children and the exclude
+// chain can reuse them; the bound, coloring and collapse buffers are only
+// used inside one call and are shared by every level.
 type worker struct {
 	id  int
 	eng *engine
@@ -33,12 +36,15 @@ type worker struct {
 	// later one, so steady-state seed construction never allocates.
 	sc *seedScratch
 
-	// Scratch, sized to the current seed graph's nAll.
+	// scratchN is the current seed graph's nAll; levels are re-dimensioned
+	// to it lazily, reusing their storage. depth counts the live branch
+	// frames: a frame uses levels[depth] as it was on entry, and builds its
+	// children's sets in the level above. Depth follows the nesting of
+	// frames rather than of tasks, because a split task that overflows a
+	// full deque runs inline inside a live frame (see enqueue).
 	scratchN int
-	degP     []int
-	degPC    []int
-	sat      *bitset.Set
-	pc       *bitset.Set
+	levels   []*branchLevel
+	depth    int
 	satPC    *bitset.Set
 	bs       boundScratch
 	cs       colorScratch
@@ -54,19 +60,59 @@ type worker struct {
 	mark Stats
 }
 
-func (w *worker) prepare(sg *seedGraph) {
-	if w.scratchN == sg.nAll && w.sat != nil && w.sat.Len() == sg.nAll {
-		return
+// branchLevel is the scratch of one branch frame. degP, sat and pc are
+// computed once per frame and stay valid along its exclude chain; degPC is
+// updated as the chain drops vertices from P ∪ C. P, C and X hold the
+// frame's sets when its parent built them (include and FaPlexen children);
+// a task root works on the task's own sets instead.
+type branchLevel struct {
+	n       int         // seed-graph nAll the buffers are dimensioned for
+	degP    []int       // d_P(v) for v ∈ P ∪ C ∪ X
+	degPC   []int       // d_{P∪C}(v) for v ∈ P ∪ C
+	sat     *bitset.Set // members u of P with d̄_P(u) = k
+	pc      *bitset.Set // P ∪ C
+	P, C, X *bitset.Set
+	wl      []int // FaPlexen: the pivot's C non-neighbours
+}
+
+func (lv *branchLevel) resize(n int) {
+	lv.n = n
+	lv.degP = growInts(lv.degP, n)
+	lv.degPC = growInts(lv.degPC, n)
+	for _, s := range []*bitset.Set{lv.sat, lv.pc, lv.P, lv.C, lv.X} {
+		s.Resize(n)
 	}
-	n := sg.nAll
-	w.scratchN = n
-	w.degP = make([]int, n)
-	w.degPC = make([]int, n)
-	w.sat = bitset.New(n)
-	w.pc = bitset.New(n)
-	w.satPC = bitset.New(n)
-	w.bs = boundScratch{}
-	w.bs.resize(n)
+}
+
+// level returns the scratch level of depth d, sized to the current seed
+// graph. Levels are created the first time a depth is reached, so a warm
+// worker branches without allocating.
+func (w *worker) level(d int) *branchLevel {
+	for len(w.levels) <= d {
+		w.levels = append(w.levels, &branchLevel{
+			sat: new(bitset.Set), pc: new(bitset.Set),
+			P: new(bitset.Set), C: new(bitset.Set), X: new(bitset.Set),
+		})
+	}
+	lv := w.levels[d]
+	if lv.n != w.scratchN {
+		lv.resize(w.scratchN)
+	}
+	return lv
+}
+
+// prepare points the worker's scratch at sg. The levels follow lazily; a
+// split task run inline shares its parent's seed graph, so a nested call
+// never re-dimensions a level that a live frame is using.
+func (w *worker) prepare(sg *seedGraph) {
+	w.scratchN = sg.nAll
+	w.bs.resize(sg.nAll)
+	if w.satPC == nil {
+		w.satPC = new(bitset.Set)
+	}
+	if w.satPC.Len() != sg.nAll {
+		w.satPC.Resize(sg.nAll)
+	}
 }
 
 // runTask executes one task to completion (or until the timeout mechanism
@@ -75,7 +121,7 @@ func (w *worker) runTask(t *task) {
 	w.prepare(t.sg)
 	w.stats.Tasks++
 	w.taskStart = time.Now()
-	w.branch(t.sg, t.P, t.C, t.X, t.sizeP)
+	w.branch(t.sg, t.P, t.C, t.X, t.sizeP, false)
 	if w.eng.opts.PhaseTimers {
 		w.stats.BranchNS += time.Since(w.taskStart).Nanoseconds()
 	}
@@ -90,76 +136,90 @@ func (w *worker) runTask(t *task) {
 
 // recurse either descends into the child branch directly or, when the
 // current task has exceeded τ_time, materialises it as a new task so that
-// idle workers can steal it (Section 6's straggler elimination).
-func (w *worker) recurse(sg *seedGraph, P, C, X *bitset.Set, sizeP int) {
+// idle workers can steal it (Section 6's straggler elimination). The child's
+// sets live in the worker's scratch, so a split copies them out; the split
+// task recomputes its degrees from scratch.
+func (w *worker) recurse(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bool) {
 	if w.splitting && time.Since(w.taskStart) > w.eng.opts.TaskTimeout {
 		w.stats.Splits++
-		w.eng.pushTask(w, &task{sg: sg, P: P, C: C, X: X, sizeP: sizeP})
+		w.eng.pushTask(w, &task{sg: sg, P: P.Clone(), C: C.Clone(), X: X.Clone(), sizeP: sizeP})
 		return
 	}
-	w.branch(sg, P, C, X, sizeP)
+	w.branch(sg, P, C, X, sizeP, seeded)
 }
 
 // branch is Algorithm 3. The exclude branch (line 20) is executed as a loop
-// iteration rather than a recursive call: it reuses this frame's P, C and X,
-// which the include branch never does (it gets clones).
-func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int) {
+// iteration rather than a recursive call. It keeps P, so d_P, the
+// saturated set and the refine of lines 2-3 carry over from the frame's
+// first iteration, and d_{P∪C} only loses the excluded vertex. The include
+// branch is built in the next scratch level with its degrees seeded from
+// this frame's (seeded reports that the caller did so); only a task root
+// counts them from scratch.
+func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bool) {
+	lv := w.level(w.depth)
+	w.depth++
+	defer func() { w.depth-- }()
+
 	opts := &w.eng.opts
 	k, q := opts.K, opts.Q
-	// The heavy per-vertex operations below (refine counts, subset tests,
-	// pivot degrees) run the word-slice kernels on the flat candidate-space
-	// rows: rows[v] is pWords long, and the kernels truncate to the shorter
-	// operand, so passing a set's full backing words keeps every count a
-	// prefix count.
+	// The heavy per-vertex operations below (refine counts, pivot
+	// degrees) run the word-slice kernels on the flat candidate-space
+	// rows: rows[v] is pWords long. P, C and P∪C lie in the candidate
+	// space, so their loops stop at pWords; X also holds V' vertices and
+	// is walked in full.
 	rows := sg.rows()
-	pBits, satBits, pcBits := P.Words(), w.sat.Words(), w.pc.Words()
+	pw := sg.pWords
+	pBits, cBits, xBits := P.Words()[:pw], C.Words()[:pw], X.Words()
+	degP, degPC := lv.degP, lv.degPC
+	satBits, pcBits := lv.sat.Words(), lv.pc.Words()
 
-	for {
+	var sizeC int
+	for first := true; ; first = false {
 		w.stats.Branches++
 		w.branchTick++
 		if w.branchTick&1023 == 0 && w.eng.cancelled() {
 			return
 		}
 
-		// --- Lines 2-3: refine C and X to vertices v with P ∪ {v} a
-		// k-plex: d_P(v) >= |P|+1-k and v adjacent to every saturated
-		// member of P. Also detect an invalid P (possible after the
-		// multi-vertex additions of the FaPlexen branching).
-		// All P, C and P∪C bits live in the candidate-space prefix, so the
-		// heavy set operations are limited to its words.
-		w.sat.Clear()
-		validP := true
-		P.ForEach(func(u int) {
-			d := bitset.AndCount(rows[u], pBits)
-			w.degP[u] = d
-			switch {
-			case d < sizeP-k:
-				validP = false
-			case d == sizeP-k:
-				w.sat.Add(u)
+		if first {
+			// --- Lines 2-3: refine C and X to vertices v with P ∪ {v} a
+			// k-plex: d_P(v) >= |P|+1-k and v adjacent to every saturated
+			// member of P. Also detect an invalid P (possible after the
+			// multi-vertex additions of the FaPlexen branching).
+			clear(satBits)
+			for i, m := range pBits {
+				for ; m != 0; m &= m - 1 {
+					u := i<<6 | bits.TrailingZeros64(m)
+					d := degP[u]
+					if !seeded {
+						d = bitset.AndCount(rows[u], pBits)
+						degP[u] = d
+					}
+					switch {
+					case d < sizeP-k:
+						return
+					case d == sizeP-k:
+						satBits[i] |= m & -m
+					}
+				}
 			}
-		})
-		if !validP {
-			return
+			for i, m := range satBits[:pw] {
+				for ; m != 0; m &= m - 1 {
+					u := i<<6 | bits.TrailingZeros64(m)
+					for j, a := range rows[u] {
+						cBits[j] &= a
+					}
+					for j, a := range sg.adj[u].Words() {
+						xBits[j] &= a
+					}
+				}
+			}
+			minNeed := sizeP + 1 - k
+			sizeC = refineByDegree(cBits, degP, rows, pBits, minNeed, seeded)
+			refineByDegree(xBits, degP, rows, pBits, minNeed, seeded)
 		}
-		minNeed := sizeP + 1 - k
-		C.ForEach(func(v int) {
-			d := bitset.AndCount(rows[v], pBits)
-			if d < minNeed || !bitset.Subset(satBits, rows[v]) {
-				C.Remove(v)
-				return
-			}
-			w.degP[v] = d
-		})
-		X.ForEach(func(v int) {
-			d := bitset.AndCount(rows[v], pBits)
-			if d < minNeed || !bitset.Subset(satBits, rows[v]) {
-				X.Remove(v)
-			}
-		})
 
 		// --- Lines 4-6: leaf.
-		sizeC := C.Count()
 		if sizeC == 0 {
 			if sizeP >= q && X.Empty() {
 				w.emit(sg, P)
@@ -169,37 +229,44 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int) {
 
 		// --- Lines 7-10: pivot selection over P ∪ C. M0 = min degree in
 		// G[P∪C]; M = max d̄_P within M0; prefer a pivot from P.
-		w.pc.Copy(P)
-		w.pc.Or(C)
 		sizePC := sizeP + sizeC
+		if first {
+			clear(pcBits[pw:])
+			for i := range pw {
+				pcBits[i] = pBits[i] | cBits[i]
+			}
+			for i, m := range pcBits[:pw] {
+				for ; m != 0; m &= m - 1 {
+					v := i<<6 | bits.TrailingZeros64(m)
+					degPC[v] = bitset.AndCount(rows[v], pcBits)
+				}
+			}
+		}
 		minDeg := sizePC
-		w.pc.ForEach(func(v int) {
-			d := bitset.AndCount(rows[v], pcBits)
-			w.degPC[v] = d
-			if d < minDeg {
-				minDeg = d
-			}
-		})
 		vp0, vp0InP, bestNon := -1, false, -1
-		w.pc.ForEach(func(v int) {
-			if w.degPC[v] != minDeg {
-				return
+		for i, m := range pcBits[:pw] {
+			for ; m != 0; m &= m - 1 {
+				v := i<<6 | bits.TrailingZeros64(m)
+				d := degPC[v]
+				if d > minDeg {
+					continue
+				}
+				inP := pBits[i]&(m&-m) != 0
+				non := sizeP - degP[v]
+				// M = argmax d̄_P within M0 (line 8); within M prefer P
+				// members (line 9); remaining ties go to the smallest id.
+				if d < minDeg || non > bestNon || (non == bestNon && inP && !vp0InP) {
+					minDeg, vp0, vp0InP, bestNon = d, v, inP, non
+				}
 			}
-			inP := P.Contains(v)
-			non := sizeP - w.degP[v]
-			// M = argmax d̄_P within M0 (line 8); within M prefer P
-			// members (line 9); remaining ties go to the smallest id.
-			if vp0 == -1 || non > bestNon || (non == bestNon && inP && !vp0InP) {
-				vp0, vp0InP, bestNon = v, inP, non
-			}
-		})
+		}
 
 		// --- Lines 11-14: if even the minimum-degree vertex meets the
 		// k-plex threshold, P ∪ C is a k-plex; emit it if maximal and big
 		// enough, then stop.
 		if minDeg >= sizePC-k {
 			w.stats.Collapses++
-			w.maybeEmitCollapse(sg, X, sizePC, q)
+			w.maybeEmitCollapse(sg, lv, X, sizePC, q)
 			return
 		}
 
@@ -207,70 +274,126 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int) {
 		vp := vp0
 		if vp0InP {
 			if opts.Branching == BranchFaPlexen {
-				w.branchFaPlexen(sg, P, C, X, sizeP, vp0)
+				w.branchFaPlexen(sg, lv, P, C, X, sizeP, vp0)
 				return
 			}
 			w.stats.Repicks++
-			vp = w.repick(sg, C, P, sizeP, vp0)
+			vp = w.repick(sg, lv, C, P, sizeP, vp0)
 		}
 
 		// --- Lines 17-19: include branch, guarded by the Eq (3) bound.
 		include := true
 		switch opts.UpperBound {
 		case UBOurs:
-			ub := w.bs.supportBound(sg, k, sizeP, P, C, w.degP, vp, false)
-			if d := w.degPC[vp0] + k; d < ub {
+			ub := w.bs.supportBound(sg, k, sizeP, P, C, degP, vp, false)
+			if d := degPC[vp0] + k; d < ub {
 				ub = d
 			}
 			include = ub >= q
 		case UBSortFP:
-			ub := w.bs.supportBoundSorted(sg, k, sizeP, P, C, w.degP, vp)
-			if d := w.degPC[vp0] + k; d < ub {
+			ub := w.bs.supportBoundSorted(sg, k, sizeP, P, C, degP, vp)
+			if d := degPC[vp0] + k; d < ub {
 				ub = d
 			}
 			include = ub >= q
 		case UBColor:
 			ub := w.cs.colorBound(sg, k, sizeP, C, vp)
-			if d := w.degPC[vp0] + k; d < ub {
+			if d := degPC[vp0] + k; d < ub {
 				ub = d
 			}
 			include = ub >= q
 		}
 		if include {
-			newP := P.Clone()
-			newP.Add(vp)
-			newC := C.Clone()
-			newC.Remove(vp)
-			newX := X.Clone()
-			w.applyPair(sg, newC, newX, vp)
-			w.recurse(sg, newP, newC, newX, sizeP+1)
+			child := w.level(w.depth)
+			child.P.Copy(P)
+			child.P.Add(vp)
+			child.C.Copy(C)
+			child.C.Remove(vp)
+			child.X.Copy(X)
+			w.applyPair(sg, child.C, child.X, vp)
+			seedDegrees(child.degP, degP, child.P, child.C, child.X, sg.adj[vp].Words())
+			w.recurse(sg, child.P, child.C, child.X, sizeP+1, true)
 		} else {
 			w.stats.UBPruned++
 		}
 
-		// --- Line 20: exclude branch, continued in this frame.
+		// --- Line 20: exclude branch, continued in this frame. d_P(vp) is
+		// already known from its C membership; P ∪ C loses vp, so its
+		// neighbours there lose one degree.
 		C.Remove(vp)
 		X.Add(vp)
+		sizeC--
+		lv.pc.Remove(vp)
+		for i, a := range rows[vp] {
+			for m := a & pcBits[i]; m != 0; m &= m - 1 {
+				degPC[i<<6|bits.TrailingZeros64(m)]--
+			}
+		}
+	}
+}
+
+// refineByDegree drops from the set with backing words set every vertex
+// whose degree into P is below minNeed and returns the survivors' count.
+// Survivors' degrees are stored in degP; seeded reports that degP already
+// holds them, otherwise they are counted against pBits.
+func refineByDegree(set []uint64, degP []int, rows [][]uint64, pBits []uint64, minNeed int, seeded bool) int {
+	n := 0
+	for i, m := range set {
+		for ; m != 0; m &= m - 1 {
+			v := i<<6 | bits.TrailingZeros64(m)
+			d := degP[v]
+			if !seeded {
+				d = bitset.AndCount(rows[v], pBits)
+			}
+			if d < minNeed {
+				set[i] &^= m & -m
+				continue
+			}
+			degP[v] = d
+			n++
+		}
+	}
+	return n
+}
+
+// seedDegrees writes dst[v] = src[v] + [v ∈ nbr] for every v of P ∪ C ∪ X:
+// the degrees into P from those into the parent's P when the child's P
+// gained the vertex whose adjacency row is nbr (a nil nbr adds nothing).
+// dst may alias src.
+func seedDegrees(dst, src []int, P, C, X *bitset.Set, nbr []uint64) {
+	pBits, cBits := P.Words(), C.Words()
+	for i, x := range X.Words() {
+		m := pBits[i] | cBits[i] | x
+		var a uint64
+		if nbr != nil {
+			a = nbr[i]
+		}
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			v := i<<6 | b
+			dst[v] = src[v] + int(a>>uint(b)&1)
+		}
 	}
 }
 
 // repick implements Algorithm 3 line 16: choose a new pivot among the C
 // non-neighbours of the P-pivot vp0, using the same (min degree in G[P∪C],
-// then max d̄_P) rules. The set is non-empty whenever the collapse check of
-// line 11 failed, but we fall back to an arbitrary candidate defensively.
-func (w *worker) repick(sg *seedGraph, C, P *bitset.Set, sizeP, vp0 int) int {
+// then max d̄_P) rules over the frame's degrees in lv. The set is non-empty
+// whenever the collapse check of line 11 failed, but we fall back to an
+// arbitrary candidate defensively.
+func (w *worker) repick(sg *seedGraph, lv *branchLevel, C, P *bitset.Set, sizeP, vp0 int) int {
 	best, bestDeg, bestNon := -1, 0, -1
-	avp := sg.adj[vp0]
-	C.ForEach(func(v int) {
-		if avp.Contains(v) {
-			return
+	avp := sg.adj[vp0].Words()
+	for i, m := range C.Words()[:sg.pWords] {
+		for m &^= avp[i]; m != 0; m &= m - 1 {
+			v := i<<6 | bits.TrailingZeros64(m)
+			d := lv.degPC[v]
+			non := sizeP - lv.degP[v]
+			if best == -1 || d < bestDeg || (d == bestDeg && non > bestNon) {
+				best, bestDeg, bestNon = v, d, non
+			}
 		}
-		d := w.degPC[v]
-		non := sizeP - w.degP[v]
-		if best == -1 || d < bestDeg || (d == bestDeg && non > bestNon) {
-			best, bestDeg, bestNon = v, d, non
-		}
-	})
+	}
 	if best == -1 {
 		best = C.Any()
 	}
@@ -289,35 +412,37 @@ func (w *worker) applyPair(sg *seedGraph, C, X *bitset.Set, added int) {
 	X.And(row)
 }
 
-// maybeEmitCollapse handles Algorithm 3 lines 12-13: P ∪ C (stored in w.pc
-// with degrees in w.degPC) is a k-plex; emit it when it is maximal against
-// X and has at least q vertices.
-func (w *worker) maybeEmitCollapse(sg *seedGraph, X *bitset.Set, sizePC, q int) {
+// maybeEmitCollapse handles Algorithm 3 lines 12-13: P ∪ C (lv.pc, with
+// degrees in lv.degPC) is a k-plex; emit it when it is maximal against X
+// and has at least q vertices.
+func (w *worker) maybeEmitCollapse(sg *seedGraph, lv *branchLevel, X *bitset.Set, sizePC, q int) {
 	if sizePC < q {
 		return
 	}
 	k := w.eng.opts.K
 	rows := sg.rows()
-	w.satPC.Clear()
-	w.pc.ForEach(func(u int) {
-		if w.degPC[u] == sizePC-k {
-			w.satPC.Add(u)
+	pw := sg.pWords
+	pcBits := lv.pc.Words()[:pw]
+	satPCBits := w.satPC.Words()[:pw]
+	for i, m := range pcBits {
+		s := uint64(0)
+		for ; m != 0; m &= m - 1 {
+			if lv.degPC[i<<6|bits.TrailingZeros64(m)] == sizePC-k {
+				s |= m & -m
+			}
 		}
-	})
-	need := sizePC + 1 - k
-	pcBits, satPCBits := w.pc.Words(), w.satPC.Words()
-	extendable := false
-	X.ForEach(func(x int) {
-		if extendable {
-			return
-		}
-		if bitset.AndCount(rows[x], pcBits) >= need && bitset.Subset(satPCBits, rows[x]) {
-			extendable = true
-		}
-	})
-	if !extendable {
-		w.emit(sg, w.pc)
+		satPCBits[i] = s
 	}
+	need := sizePC + 1 - k
+	for i, m := range X.Words() {
+		for ; m != 0; m &= m - 1 {
+			x := i<<6 | bits.TrailingZeros64(m)
+			if bitset.AndCount(rows[x], pcBits) >= need && bitset.Subset(satPCBits, rows[x]) {
+				return // extendable by x: not maximal
+			}
+		}
+	}
+	w.emit(sg, lv.pc)
 }
 
 // branchFaPlexen implements the Ours_P variant: when the pivot vp lies in
@@ -326,18 +451,21 @@ func (w *worker) maybeEmitCollapse(sg *seedGraph, X *bitset.Set, sizePC, q int) 
 // includes w_1..w_{i-1} and excludes w_i; the final branch includes
 // w_1..w_s and discards the rest of W (their budgets are exhausted, so the
 // child's refinement would drop them; they are parked in X for safety).
-func (w *worker) branchFaPlexen(sg *seedGraph, P, C, X *bitset.Set, sizeP, vp int) {
+// Every child's degrees are seeded from this frame's, one added vertex at
+// a time.
+func (w *worker) branchFaPlexen(sg *seedGraph, lv *branchLevel, P, C, X *bitset.Set, sizeP, vp int) {
 	k := w.eng.opts.K
-	s := k - (sizeP - w.degP[vp]) // sup_P(vp) >= 1 here (see below)
-	// wl must be a private copy: the recursive calls below reuse the
-	// worker's scratch buffer.
-	wl := make([]int, 0, 8)
-	avp := sg.adj[vp]
-	C.ForEach(func(v int) {
-		if !avp.Contains(v) {
-			wl = append(wl, v)
+	s := k - (sizeP - lv.degP[vp]) // sup_P(vp) >= 1 here (see below)
+	// wl lives in this frame's level: the children below use the levels
+	// above it.
+	wl := lv.wl[:0]
+	avp := sg.adj[vp].Words()
+	for i, m := range C.Words()[:sg.pWords] {
+		for m &^= avp[i]; m != 0; m &= m - 1 {
+			wl = append(wl, i<<6|bits.TrailingZeros64(m))
 		}
-	})
+	}
+	lv.wl = wl
 	// The collapse check failed, so vp has more than k non-neighbours in
 	// P∪C; since P is a k-plex, at least s+1 of them are in C: len(wl) > s.
 	// A saturated vp (s == 0) cannot reach here because refinement removed
@@ -353,10 +481,12 @@ func (w *worker) branchFaPlexen(sg *seedGraph, P, C, X *bitset.Set, sizeP, vp in
 	}
 
 	// Branch i = 1..s: include w_1..w_{i-1}, exclude w_i.
+	child := w.level(w.depth)
 	for i := 1; i <= s; i++ {
-		newP := P.Clone()
-		newC := C.Clone()
-		newX := X.Clone()
+		newP, newC, newX := child.P, child.C, child.X
+		newP.Copy(P)
+		newC.Copy(C)
+		newX.Copy(X)
 		for j := 0; j < i-1; j++ {
 			newP.Add(wl[j])
 			newC.Remove(wl[j])
@@ -364,7 +494,11 @@ func (w *worker) branchFaPlexen(sg *seedGraph, P, C, X *bitset.Set, sizeP, vp in
 		}
 		newC.Remove(wl[i-1])
 		newX.Add(wl[i-1])
-		w.recurse(sg, newP, newC, newX, sizeP+i-1)
+		seedDegrees(child.degP, lv.degP, newP, newC, newX, nil)
+		for _, u := range wl[:i-1] {
+			seedDegrees(child.degP, child.degP, newP, newC, newX, sg.adj[u].Words())
+		}
+		w.recurse(sg, newP, newC, newX, sizeP+i-1, true)
 	}
 	// Final branch: include w_1..w_s, drop w_{s+1}..w_l. Reuses the
 	// caller's sets (tail position).
@@ -377,7 +511,11 @@ func (w *worker) branchFaPlexen(sg *seedGraph, P, C, X *bitset.Set, sizeP, vp in
 		C.Remove(wl[j])
 		X.Add(wl[j])
 	}
-	w.recurse(sg, P, C, X, sizeP+s)
+	seedDegrees(child.degP, lv.degP, P, C, X, nil)
+	for _, u := range wl[:s] {
+		seedDegrees(child.degP, child.degP, P, C, X, sg.adj[u].Words())
+	}
+	w.recurse(sg, P, C, X, sizeP+s, true)
 }
 
 // emit reports a maximal k-plex. P holds local ids; they are translated
@@ -395,10 +533,10 @@ func (w *worker) emit(sg *seedGraph, P *bitset.Set) {
 	if cb == nil && cbSeed == nil {
 		return
 	}
-	w.plexBuf = w.plexBuf[:0]
-	P.ForEach(func(v int) {
-		w.plexBuf = append(w.plexBuf, int(w.eng.toInput[sg.orig[v]]))
-	})
+	w.plexBuf = P.AppendTo(w.plexBuf[:0])
+	for i, v := range w.plexBuf {
+		w.plexBuf[i] = int(w.eng.toInput[sg.orig[v]])
+	}
 	sort.Ints(w.plexBuf)
 	if cb != nil {
 		cb(w.plexBuf)

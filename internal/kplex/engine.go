@@ -256,7 +256,7 @@ func (e *engine) generateTasks(w *worker, sg *seedGraph, emit func(*task)) {
 			pruned := false
 			if e.opts.UseSubtaskBound {
 				// R1 needs d_P over P ∪ C; P is tiny, so compute directly.
-				degP := w.degP
+				degP := w.level(w.depth).degP
 				P.ForEach(func(v int) { degP[v] = sg.adj[v].IntersectionCount(P) })
 				CSu.ForEach(func(v int) { degP[v] = sg.adj[v].IntersectionCount(P) })
 				if w.bs.subtaskBound(sg, k, sizeP, P, CSu, degP) < q {

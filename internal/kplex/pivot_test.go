@@ -61,16 +61,17 @@ func TestExample41PivotSelection(t *testing.T) {
 
 	w := &worker{eng: &engine{opts: NewOptions(k, 3)}}
 	w.prepare(sg)
+	lv := w.level(0)
 
 	// Fill the degree state exactly as branch() does before pivoting.
 	pc := P.Clone()
 	pc.Or(C)
 	minDeg, argMin := sg.nAll, -1
 	pc.ForEach(func(v int) {
-		w.degP[v] = sg.adj[v].IntersectionCount(P)
-		w.degPC[v] = sg.adj[v].IntersectionCount(pc)
-		if w.degPC[v] < minDeg {
-			minDeg, argMin = w.degPC[v], v
+		lv.degP[v] = sg.adj[v].IntersectionCount(P)
+		lv.degPC[v] = sg.adj[v].IntersectionCount(pc)
+		if lv.degPC[v] < minDeg {
+			minDeg, argMin = lv.degPC[v], v
 		}
 	})
 
@@ -80,7 +81,7 @@ func TestExample41PivotSelection(t *testing.T) {
 	}
 	count := 0
 	pc.ForEach(func(v int) {
-		if w.degPC[v] == minDeg {
+		if lv.degPC[v] == minDeg {
 			count++
 		}
 	})
@@ -92,7 +93,7 @@ func TestExample41PivotSelection(t *testing.T) {
 	if sg.adj[2].Contains(4) || sg.adj[2].Contains(6) || !sg.adj[2].Contains(1) {
 		t.Fatal("reconstruction broken: N̄_C(v3) should be {v5, v7}")
 	}
-	if got := w.repick(sg, C, P, sizeP, 2); got != 6 {
+	if got := w.repick(sg, lv, C, P, sizeP, 2); got != 6 {
 		t.Fatalf("re-picked pivot = local %d, want 6 (v7)", got)
 	}
 }
