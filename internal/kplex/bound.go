@@ -1,6 +1,7 @@
 package kplex
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -41,25 +42,23 @@ func (bs *boundScratch) initSup(pBits []uint64, k, sizeP int, degP []int) {
 // ties, as the walk is ascending and the comparison strict), and reports
 // whether the candidate counts towards K, consuming one unit of u_m's
 // support when it does.
-func (bs *boundScratch) charge(pBits, rw []uint64) bool {
-	um, umSup := -1, 0
+func charge(sup []int, pBits, rw []uint64) bool {
+	um := -1
 	for i, p := range pBits {
 		for m := p &^ rw[i]; m != 0; m &= m - 1 {
-			u := i<<6 | bits.TrailingZeros64(m)
-			if um == -1 || bs.sup[u] < umSup {
-				um, umSup = u, bs.sup[u]
+			if u := i<<6 | bits.TrailingZeros64(m); um < 0 || sup[u] < sup[um] {
+				um = u
 			}
 		}
 	}
-	if um == -1 {
-		// No non-neighbour in P constrains the candidate.
+	if um < 0 {
 		return true
 	}
-	if umSup > 0 {
-		bs.sup[um]--
-		return true
+	if sup[um] <= 0 {
+		return false
 	}
-	return false
+	sup[um]--
+	return true
 }
 
 // supportBound implements Algorithm 4: the Theorem 5.5 upper bound on the
@@ -68,6 +67,13 @@ func (bs *boundScratch) charge(pBits, rw []uint64) bool {
 // specialisation is applied (vp is the task's seed vertex, already in P,
 // with sup(vp) forced to 0 and K computed over all of C).
 func (bs *boundScratch) supportBound(sg *seedGraph, k, sizeP int, P, C *bitset.Set, degP []int, vp int, vpIsSeedTask bool) int {
+	return bs.supportBoundUpTo(sg, k, sizeP, P, C, degP, vp, vpIsSeedTask, math.MaxInt)
+}
+
+// supportBoundUpTo is supportBound for a caller that only compares the
+// bound with limit: the greedy count stops as soon as the bound reaches
+// limit, so a result >= limit may be below the full bound.
+func (bs *boundScratch) supportBoundUpTo(sg *seedGraph, k, sizeP int, P, C *bitset.Set, degP []int, vp int, vpIsSeedTask bool, limit int) int {
 	bs.resize(sg.nAll)
 	rows := sg.rows()
 	pBits := P.Words()[:sg.pWords]
@@ -83,18 +89,18 @@ func (bs *boundScratch) supportBound(sg *seedGraph, k, sizeP int, P, C *bitset.S
 
 	// K is counted over N_C(vp) (Theorem 5.5) or all of C (Theorem 5.7,
 	// where C = N(v_i) contains only neighbours of vp = v_i anyway).
-	kCount := 0
+	ub := sizeP + supVp
 	for i, m := range C.Words()[:sg.pWords] {
 		if vpRow != nil {
 			m &= vpRow[i]
 		}
-		for ; m != 0; m &= m - 1 {
-			if bs.charge(pBits, rows[i<<6|bits.TrailingZeros64(m)]) {
-				kCount++
+		for ; m != 0 && ub < limit; m &= m - 1 {
+			if charge(bs.sup, pBits, rows[i<<6|bits.TrailingZeros64(m)]) {
+				ub++
 			}
 		}
 	}
-	return sizeP + supVp + kCount
+	return ub
 }
 
 // supportBoundSorted is the FP-style variant used by the Ours\ub+fp
@@ -127,7 +133,7 @@ func (bs *boundScratch) supportBoundSorted(sg *seedGraph, k, sizeP int, P, C *bi
 
 	kCount := 0
 	for _, cand := range bs.sortBuf {
-		if bs.charge(pBits, rows[cand.v]) {
+		if charge(bs.sup, pBits, rows[cand.v]) {
 			kCount++
 		}
 	}

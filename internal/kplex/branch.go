@@ -121,7 +121,7 @@ func (w *worker) runTask(t *task) {
 	w.prepare(t.sg)
 	w.stats.Tasks++
 	w.taskStart = time.Now()
-	w.branch(t.sg, t.P, t.C, t.X, t.sizeP, false)
+	w.branch(t.sg, t.P, t.C, t.X, t.sizeP, nil)
 	if w.eng.opts.PhaseTimers {
 		w.stats.BranchNS += time.Since(w.taskStart).Nanoseconds()
 	}
@@ -139,23 +139,24 @@ func (w *worker) runTask(t *task) {
 // idle workers can steal it (Section 6's straggler elimination). The child's
 // sets live in the worker's scratch, so a split copies them out; the split
 // task recomputes its degrees from scratch.
-func (w *worker) recurse(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bool) {
+func (w *worker) recurse(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *branchLevel) {
 	if w.splitting && time.Since(w.taskStart) > w.eng.opts.TaskTimeout {
 		w.stats.Splits++
 		w.eng.pushTask(w, &task{sg: sg, P: P.Clone(), C: C.Clone(), X: X.Clone(), sizeP: sizeP})
 		return
 	}
-	w.branch(sg, P, C, X, sizeP, seeded)
+	w.branch(sg, P, C, X, sizeP, parent)
 }
 
 // branch is Algorithm 3. The exclude branch (line 20) is executed as a loop
 // iteration rather than a recursive call. It keeps P, so d_P, the
 // saturated set and the refine of lines 2-3 carry over from the frame's
-// first iteration, and d_{P∪C} only loses the excluded vertex. The include
-// branch is built in the next scratch level with its degrees seeded from
-// this frame's (seeded reports that the caller did so); only a task root
-// counts them from scratch.
-func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bool) {
+// first iteration, and d_{P∪C} only loses the excluded vertex. Children are
+// built in the next scratch level with their d_P seeded from this frame's,
+// and pass it as parent; the child then derives d_{P∪C} from the parent's
+// when it dropped fewer vertices of P ∪ C than it kept. A task root
+// (parent == nil) counts both from scratch.
+func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *branchLevel) {
 	lv := w.level(w.depth)
 	w.depth++
 	defer func() { w.depth-- }()
@@ -191,7 +192,7 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 				for ; m != 0; m &= m - 1 {
 					u := i<<6 | bits.TrailingZeros64(m)
 					d := degP[u]
-					if !seeded {
+					if parent == nil {
 						d = bitset.AndCount(rows[u], pBits)
 						degP[u] = d
 					}
@@ -215,8 +216,8 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 				}
 			}
 			minNeed := sizeP + 1 - k
-			sizeC = refineByDegree(cBits, degP, rows, pBits, minNeed, seeded)
-			refineByDegree(xBits, degP, rows, pBits, minNeed, seeded)
+			sizeC = refineByDegree(cBits, degP, rows, pBits, minNeed, parent == nil)
+			refineByDegree(xBits, degP, rows, pBits, minNeed, parent == nil)
 		}
 
 		// --- Lines 4-6: leaf.
@@ -235,10 +236,40 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 			for i := range pw {
 				pcBits[i] = pBits[i] | cBits[i]
 			}
-			for i, m := range pcBits[:pw] {
-				for ; m != 0; m &= m - 1 {
-					v := i<<6 | bits.TrailingZeros64(m)
-					degPC[v] = bitset.AndCount(rows[v], pcBits)
+			seedPC := false
+			if parent != nil {
+				// The child's P ∪ C is the parent's minus the vertices
+				// it dropped, R: d_{P∪C}(v) = parent's - |N(v) ∩ R|,
+				// one row sweep per dropped vertex.
+				dropped := 0
+				for i, m := range parent.pc.Words()[:pw] {
+					dropped += bits.OnesCount64(m &^ pcBits[i])
+				}
+				seedPC = dropped < sizePC
+			}
+			if seedPC {
+				pdeg := parent.degPC
+				for i, m := range pcBits[:pw] {
+					for ; m != 0; m &= m - 1 {
+						v := i<<6 | bits.TrailingZeros64(m)
+						degPC[v] = pdeg[v]
+					}
+				}
+				for i, m := range parent.pc.Words()[:pw] {
+					for m &^= pcBits[i]; m != 0; m &= m - 1 {
+						for j, a := range rows[i<<6|bits.TrailingZeros64(m)] {
+							for n := a & pcBits[j]; n != 0; n &= n - 1 {
+								degPC[j<<6|bits.TrailingZeros64(n)]--
+							}
+						}
+					}
+				}
+			} else {
+				for i, m := range pcBits[:pw] {
+					for ; m != 0; m &= m - 1 {
+						v := i<<6 | bits.TrailingZeros64(m)
+						degPC[v] = bitset.AndCount(rows[v], pcBits)
+					}
 				}
 			}
 		}
@@ -281,27 +312,20 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 			vp = w.repick(sg, lv, C, P, sizeP, vp0)
 		}
 
-		// --- Lines 17-19: include branch, guarded by the Eq (3) bound.
-		include := true
-		switch opts.UpperBound {
-		case UBOurs:
-			ub := w.bs.supportBound(sg, k, sizeP, P, C, degP, vp, false)
-			if d := degPC[vp0] + k; d < ub {
-				ub = d
+		// --- Lines 17-19: include branch, guarded by the Eq (3) bound
+		// min(ub, d_{P∪C}(vp0) + k) >= q. Only the comparison matters, so
+		// ub is skipped when the degree term already fails and Algorithm
+		// 4 stops counting once it reaches q.
+		include := degPC[vp0]+k >= q
+		if include {
+			switch opts.UpperBound {
+			case UBOurs:
+				include = w.bs.supportBoundUpTo(sg, k, sizeP, P, C, degP, vp, false, q) >= q
+			case UBSortFP:
+				include = w.bs.supportBoundSorted(sg, k, sizeP, P, C, degP, vp) >= q
+			case UBColor:
+				include = w.cs.colorBound(sg, k, sizeP, C, vp) >= q
 			}
-			include = ub >= q
-		case UBSortFP:
-			ub := w.bs.supportBoundSorted(sg, k, sizeP, P, C, degP, vp)
-			if d := degPC[vp0] + k; d < ub {
-				ub = d
-			}
-			include = ub >= q
-		case UBColor:
-			ub := w.cs.colorBound(sg, k, sizeP, C, vp)
-			if d := degPC[vp0] + k; d < ub {
-				ub = d
-			}
-			include = ub >= q
 		}
 		if include {
 			child := w.level(w.depth)
@@ -312,7 +336,7 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 			child.X.Copy(X)
 			w.applyPair(sg, child.C, child.X, vp)
 			seedDegrees(child.degP, degP, child.P, child.C, child.X, sg.adj[vp].Words())
-			w.recurse(sg, child.P, child.C, child.X, sizeP+1, true)
+			w.recurse(sg, child.P, child.C, child.X, sizeP+1, lv)
 		} else {
 			w.stats.UBPruned++
 		}
@@ -334,15 +358,15 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, seeded bo
 
 // refineByDegree drops from the set with backing words set every vertex
 // whose degree into P is below minNeed and returns the survivors' count.
-// Survivors' degrees are stored in degP; seeded reports that degP already
-// holds them, otherwise they are counted against pBits.
-func refineByDegree(set []uint64, degP []int, rows [][]uint64, pBits []uint64, minNeed int, seeded bool) int {
+// Survivors' degrees are stored in degP; with count set they are counted
+// against pBits, otherwise degP already holds them.
+func refineByDegree(set []uint64, degP []int, rows [][]uint64, pBits []uint64, minNeed int, count bool) int {
 	n := 0
 	for i, m := range set {
 		for ; m != 0; m &= m - 1 {
 			v := i<<6 | bits.TrailingZeros64(m)
 			d := degP[v]
-			if !seeded {
+			if count {
 				d = bitset.AndCount(rows[v], pBits)
 			}
 			if d < minNeed {
@@ -498,7 +522,7 @@ func (w *worker) branchFaPlexen(sg *seedGraph, lv *branchLevel, P, C, X *bitset.
 		for _, u := range wl[:i-1] {
 			seedDegrees(child.degP, child.degP, newP, newC, newX, sg.adj[u].Words())
 		}
-		w.recurse(sg, newP, newC, newX, sizeP+i-1, true)
+		w.recurse(sg, newP, newC, newX, sizeP+i-1, lv)
 	}
 	// Final branch: include w_1..w_s, drop w_{s+1}..w_l. Reuses the
 	// caller's sets (tail position).
@@ -515,7 +539,7 @@ func (w *worker) branchFaPlexen(sg *seedGraph, lv *branchLevel, P, C, X *bitset.
 	for _, u := range wl[:s] {
 		seedDegrees(child.degP, child.degP, P, C, X, sg.adj[u].Words())
 	}
-	w.recurse(sg, P, C, X, sizeP+s, true)
+	w.recurse(sg, P, C, X, sizeP+s, lv)
 }
 
 // emit reports a maximal k-plex. P holds local ids; they are translated
