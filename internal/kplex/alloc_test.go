@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -132,5 +133,81 @@ func TestSeedBuildZeroAllocDense(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state dense seed build allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBranchZeroAlloc is the same guard for the branch kernel: on a warm
+// worker (splitting off, no OnPlex), running one task of a seed group
+// whose search nests at least three branch frames deep must not allocate.
+// Children are built in the worker's per-depth scratch and only copied out
+// when a timeout split turns them into tasks, so a regression here means
+// a clone, a closure or a grown buffer crept back into the recursion.
+func TestBranchZeroAlloc(t *testing.T) {
+	opts := NewOptions(3, 8)
+	var g *graph.Graph
+	for _, cg := range gen.Corpus() {
+		if cg.Name == "sbm-blocks" {
+			g = cg.Build()
+		}
+	}
+	if g == nil {
+		t.Fatal("corpus graph sbm-blocks not found")
+	}
+	p, err := Prepare(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relab := p.pg.G()
+	e := &engine{opts: opts, g: relab, prep: p.pg, toInput: p.pg.ToInputIDs()}
+	sc := newSeedScratch(relab.N())
+	st := &seedStorage{}
+
+	// The S = ∅ task of a seed group: P = {v_i}, C = N¹, X = N² ∪ V'.
+	rootTask := func(sg *seedGraph) *task {
+		P := bitset.New(sg.nAll)
+		P.Add(0)
+		X := sg.xBase.Clone()
+		X.Or(sg.hop2Set)
+		return &task{sg: sg, P: P, C: sg.nbrSeed.Clone(), X: X, sizeP: 1}
+	}
+	// Pick the seed whose root task nests the deepest; a fresh worker's
+	// level count is the deepest nesting it has reached.
+	best, bestDepth := -1, 0
+	for s := 0; s < relab.N(); s++ {
+		sg := sc.build(relab, p.pg, s, &opts, st, nil)
+		if sg == nil {
+			continue
+		}
+		w := &worker{eng: e}
+		sg.retain() // runTask releases one reference; keep the storage ours
+		w.runTask(rootTask(sg))
+		if len(w.levels) > bestDepth {
+			best, bestDepth = s, len(w.levels)
+		}
+	}
+	if bestDepth < 3 {
+		t.Fatalf("deepest root task nests %d branch frames, want >= 3", bestDepth)
+	}
+
+	sg := sc.build(relab, p.pg, best, &opts, st, nil)
+	root := rootTask(sg)
+	run := &task{sg: sg, P: root.P.Clone(), C: root.C.Clone(), X: root.X.Clone(), sizeP: 1}
+	w := &worker{eng: e}
+	var branches int64
+	allocs := testing.AllocsPerRun(50, func() {
+		run.P.Copy(root.P)
+		run.C.Copy(root.C)
+		run.X.Copy(root.X)
+		before := w.stats.Branches
+		sg.retain()
+		w.runTask(run)
+		branches = w.stats.Branches - before
+	})
+	t.Logf("seed %d: %d branch iterations, %d frames deep", best, branches, bestDepth)
+	if branches < int64(bestDepth) {
+		t.Fatalf("task ran %d branch iterations, want >= %d", branches, bestDepth)
+	}
+	if allocs != 0 {
+		t.Errorf("branching a warm task (%d frames deep) allocates %.1f objects/op, want 0", bestDepth, allocs)
 	}
 }
