@@ -185,9 +185,12 @@ func GroupBatch(queries []BatchQuery) ([]BatchGroup, error) {
 type BatchRunner struct {
 	// Prepare, when non-nil, resolves each group's prologue handle — hosts
 	// wire their prepared-graph cache here so a batch warms (and is warmed
-	// by) the single-query cache. The options are the group's Cell; when
-	// nil, the runner prepares directly from the graph.
-	Prepare func(cell Options) (*Prepared, error)
+	// by) the single-query cache. The options are the group's Cell; the
+	// hook may finalize its execution knobs (Threads, Scheduler,
+	// TaskTimeout) for the group's walk, for instance from a cost
+	// prediction over the returned handle. When nil, the runner prepares
+	// directly from the graph.
+	Prepare func(cell *Options) (*Prepared, error)
 	// OnResult, when non-nil, receives each member's result as soon as its
 	// group's walk completes (members of one group land together, in
 	// submission order). Called from the batch goroutine, never
@@ -359,7 +362,7 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 		err error
 	)
 	if br.Prepare != nil {
-		p, err = br.Prepare(grp.Cell)
+		p, err = br.Prepare(&grp.Cell)
 	} else {
 		p, err = Prepare(g, grp.Cell)
 	}

@@ -106,9 +106,9 @@ func TestRunBatchCancelledBetweenGroups(t *testing.T) {
 	}
 	var prepared atomic.Int64
 	br := &BatchRunner{
-		Prepare: func(cell Options) (*Prepared, error) {
+		Prepare: func(cell *Options) (*Prepared, error) {
 			prepared.Add(1)
-			return Prepare(g, cell)
+			return Prepare(g, *cell)
 		},
 		OnResult: func(i int, r *BatchResult) { cancel() },
 	}

@@ -366,3 +366,26 @@ func TestBatchSweepAcrossGraphs(t *testing.T) {
 		t.Errorf("invariant broken: %d != queries %d", got, m["queries"])
 	}
 }
+
+// TestBatchSchedulerAuto: a batch that asks for scheduler:"auto" is tuned
+// like a query, once per traversal group from that group's predicted
+// cost, and the tuning leaves every answer as the goldens have it.
+func TestBatchSchedulerAuto(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	g26 := readGolden(t, "planted-a", 2, 6)
+	g38 := readGolden(t, "planted-a", 3, 8)
+
+	items, summary := postBatch(t, hs.URL, `{"graph":"corpus:planted-a","scheduler":"auto","items":[
+		{"k":2,"q":6,"mode":"count"},
+		{"k":3,"q":8,"mode":"count"}
+	]}`)
+	if summary.Groups != 2 {
+		t.Fatalf("groups = %d, want 2", summary.Groups)
+	}
+	if items[0].Count != g26.Count || items[1].Count != g38.Count {
+		t.Fatalf("counts %d, %d; goldens %d, %d", items[0].Count, items[1].Count, g26.Count, g38.Count)
+	}
+	if m := stats(t, hs.URL); m["auto_tuned"] != 2 {
+		t.Fatalf("auto_tuned = %d after a two-group auto batch, want 2", m["auto_tuned"])
+	}
+}

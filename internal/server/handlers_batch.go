@@ -168,7 +168,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 
-	x := s.newRun(t, inf, nil)
+	// The run carries the batch's execution knobs, shared by every item.
+	x := s.newRun(t, inf, &queryRequest{Graph: req.Graph, Threads: req.Threads, Scheduler: req.Scheduler})
 	if len(order) > 0 {
 		// One admission slot covers the whole batch: its groups run one
 		// after another, so a batch occupies one enumeration's worth of
@@ -232,10 +233,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		groups := 0
 		runner := &kplex.BatchRunner{
-			Prepare: func(cell kplex.Options) (*kplex.Prepared, error) {
+			Prepare: func(cell *kplex.Options) (*kplex.Prepared, error) {
 				groups++
 				defer inf.SetStage("enumerate")
-				return x.prepare(entry, cell)
+				p, err := x.prepare(entry, *cell)
+				if err == nil {
+					x.tune(x.predict(p.SeedSpace()), cell)
+				}
+				return p, err
 			},
 			OnResult: func(ui int, br *kplex.BatchResult) {
 				p := order[ui]

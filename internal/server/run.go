@@ -24,7 +24,7 @@ type run struct {
 	s     *Server
 	t     *obs.Trace         // nil-safe
 	inf   *obs.InflightEntry // nil-safe
-	req   *queryRequest      // nil for a batch or a leased range: no scheduler:auto
+	req   *queryRequest      // the execution knobs; nil for a leased range: no scheduler:auto
 	p     *kplex.Prepared
 	opts  kplex.Options
 	span  *obs.Span // the enumerate span, once open
@@ -85,20 +85,35 @@ func (r *run) prepare(entry *GraphEntry, opts kplex.Options, attrs ...string) (*
 // is the full enumeration's scaled by the share of seed groups that run —
 // a sample query's effective rate, a range's width.
 func (r *run) enumerate(seeds int) *obs.Span {
+	pred := r.predict(seeds)
+	r.exact = seeds == r.p.SeedSpace()
+	r.inf.SetSeedsTotal(int64(seeds))
+	r.inf.SetPredicted(pred)
+	r.tune(pred, &r.opts)
+	timePhases(&r.opts)
+	r.opts.OnSeedDone = func(int, kplex.Stats) { r.inf.SeedDone() }
+	return r.open()
+}
+
+// predict is the calibrated cost of walking seeds of the prepared
+// handle's seed groups: the full enumeration's prediction scaled by the
+// share that runs.
+func (r *run) predict(seeds int) time.Duration {
 	pred := r.s.router.predict(r.p.CostFeatures())
 	if total := r.p.SeedSpace(); total > 0 {
 		pred = time.Duration(float64(pred) * float64(seeds) / float64(total))
 	}
-	r.exact = seeds == r.p.SeedSpace()
-	r.inf.SetSeedsTotal(int64(seeds))
-	r.inf.SetPredicted(pred)
+	return pred
+}
+
+// tune finalizes the execution knobs of a scheduler:"auto" request in
+// opts from the predicted cost; any other request keeps the knobs it
+// parsed. A query tunes its one run, a batch each traversal group.
+func (r *run) tune(pred time.Duration, opts *kplex.Options) {
 	if r.req != nil && r.req.Scheduler == "auto" {
-		tuneFor(pred, r.req.Threads, r.s.cfg.DefaultThreads, &r.opts)
+		tuneFor(pred, r.req.Threads, r.s.cfg.DefaultThreads, opts)
 		r.s.met.AutoTuned.Add(1)
 	}
-	timePhases(&r.opts)
-	r.opts.OnSeedDone = func(int, kplex.Stats) { r.inf.SeedDone() }
-	return r.open()
 }
 
 // open enters the enumerate stage and opens the enumerate span. A batch
