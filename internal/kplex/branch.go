@@ -236,42 +236,7 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 			for i := range pw {
 				pcBits[i] = pBits[i] | cBits[i]
 			}
-			seedPC := false
-			if parent != nil {
-				// The child's P ∪ C is the parent's minus the vertices
-				// it dropped, R: d_{P∪C}(v) = parent's - |N(v) ∩ R|,
-				// one row sweep per dropped vertex.
-				dropped := 0
-				for i, m := range parent.pc.Words()[:pw] {
-					dropped += bits.OnesCount64(m &^ pcBits[i])
-				}
-				seedPC = dropped < sizePC
-			}
-			if seedPC {
-				pdeg := parent.degPC
-				for i, m := range pcBits[:pw] {
-					for ; m != 0; m &= m - 1 {
-						v := i<<6 | bits.TrailingZeros64(m)
-						degPC[v] = pdeg[v]
-					}
-				}
-				for i, m := range parent.pc.Words()[:pw] {
-					for m &^= pcBits[i]; m != 0; m &= m - 1 {
-						for j, a := range rows[i<<6|bits.TrailingZeros64(m)] {
-							for n := a & pcBits[j]; n != 0; n &= n - 1 {
-								degPC[j<<6|bits.TrailingZeros64(n)]--
-							}
-						}
-					}
-				}
-			} else {
-				for i, m := range pcBits[:pw] {
-					for ; m != 0; m &= m - 1 {
-						v := i<<6 | bits.TrailingZeros64(m)
-						degPC[v] = bitset.AndCount(rows[v], pcBits)
-					}
-				}
-			}
+			lv.countPC(rows, pw, sizePC, parent)
 		}
 		minDeg := sizePC
 		vp0, vp0InP, bestNon := -1, false, -1
@@ -352,6 +317,46 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 			for m := a & pcBits[i]; m != 0; m &= m - 1 {
 				degPC[i<<6|bits.TrailingZeros64(m)]--
 			}
+		}
+	}
+}
+
+// countPC fills degPC = d_{P∪C} over the frame's P ∪ C (lv.pc, of size
+// sizePC). A child whose P ∪ C dropped fewer of its parent's vertices than
+// it kept derives the degrees from the parent's by one row sweep per
+// dropped vertex, d_{P∪C}(v) = parent's - |N(v) ∩ dropped|; otherwise, and
+// at a task root, they are counted from scratch.
+func (lv *branchLevel) countPC(rows [][]uint64, pw, sizePC int, parent *branchLevel) {
+	pcBits, degPC := lv.pc.Words()[:pw], lv.degPC
+	if parent != nil {
+		ppc := parent.pc.Words()[:pw]
+		dropped := 0
+		for i, m := range ppc {
+			dropped += bits.OnesCount64(m &^ pcBits[i])
+		}
+		if dropped < sizePC {
+			for i, m := range pcBits {
+				for ; m != 0; m &= m - 1 {
+					v := i<<6 | bits.TrailingZeros64(m)
+					degPC[v] = parent.degPC[v]
+				}
+			}
+			for i, m := range ppc {
+				for m &^= pcBits[i]; m != 0; m &= m - 1 {
+					for j, a := range rows[i<<6|bits.TrailingZeros64(m)] {
+						for n := a & pcBits[j]; n != 0; n &= n - 1 {
+							degPC[j<<6|bits.TrailingZeros64(n)]--
+						}
+					}
+				}
+			}
+			return
+		}
+	}
+	for i, m := range pcBits {
+		for ; m != 0; m &= m - 1 {
+			v := i<<6 | bits.TrailingZeros64(m)
+			degPC[v] = bitset.AndCount(rows[v], pcBits)
 		}
 	}
 }
