@@ -39,8 +39,10 @@ type searchTreeCell struct {
 }
 
 // searchTreeConfigs are the option variants the pin covers: the default
-// framework, the Basic ablation (no R1, no R2), the FaPlexen branching and
-// the two alternative include bounds.
+// framework, the Basic ablation (no R1, no R2), the FaPlexen branching, the
+// two alternative include bounds, the Ours\ub ablation (no include bound)
+// and the ListPlex baseline (FaPlexen branching, no bound, no R1, no R2; the
+// options of baseline.ListPlexOptions, which this package cannot import).
 var searchTreeConfigs = []struct {
 	name string
 	opts func(k, q int) Options
@@ -60,6 +62,19 @@ var searchTreeConfigs = []struct {
 	{"ubcolor", func(k, q int) Options {
 		o := NewOptions(k, q)
 		o.UpperBound = UBColor
+		return o
+	}},
+	{"noub", func(k, q int) Options {
+		o := NewOptions(k, q)
+		o.UpperBound = UBNone
+		return o
+	}},
+	{"listplex", func(k, q int) Options {
+		o := NewOptions(k, q)
+		o.Branching = BranchFaPlexen
+		o.UpperBound = UBNone
+		o.UseSubtaskBound = false
+		o.UsePairPruning = false
 		return o
 	}},
 }
