@@ -278,10 +278,10 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 		}
 
 		// --- Lines 17-19: include branch, guarded by the Eq (3) bound
-		// min(ub, d_{P∪C}(vp0) + k) >= q. Only the comparison matters, so
-		// ub is skipped when the degree term already fails and Algorithm
-		// 4 stops counting once it reaches q.
-		include := degPC[vp0]+k >= q
+		// min(ub, d_{P∪C}(vp0) + k) >= q (none under UBNone). Only the
+		// comparison matters, so ub is skipped when the degree term already
+		// fails and Algorithm 4 stops counting once it reaches q.
+		include := opts.UpperBound == UBNone || degPC[vp0]+k >= q
 		if include {
 			switch opts.UpperBound {
 			case UBOurs:
