@@ -121,6 +121,7 @@ func (w *worker) runTask(t *task) {
 	w.prepare(t.sg)
 	w.stats.Tasks++
 	w.taskStart = time.Now()
+	w.rootDegrees(t)
 	w.branch(t.sg, t.P, t.C, t.X, t.sizeP, nil)
 	if w.eng.opts.PhaseTimers {
 		w.stats.BranchNS += time.Since(w.taskStart).Nanoseconds()
@@ -132,6 +133,22 @@ func (w *worker) runTask(t *task) {
 	// graph (including the tracker settlement above) happens before the
 	// group can be recycled.
 	w.eng.releaseSeed(t.sg)
+}
+
+// rootDegrees is the from-scratch entry of the kernel: it counts d_P(v) for
+// every v of a task's P ∪ C ∪ X into the level its root frame starts on.
+// Every other frame gets d_P seeded by its parent (seedDegrees).
+func (w *worker) rootDegrees(t *task) {
+	rows := t.sg.rows()
+	pBits, cBits := t.P.Words(), t.C.Words()
+	inP := pBits[:t.sg.pWords]
+	degP := w.level(w.depth).degP
+	for i, x := range t.X.Words() {
+		for m := pBits[i] | cBits[i] | x; m != 0; m &= m - 1 {
+			v := i<<6 | bits.TrailingZeros64(m)
+			degP[v] = bitset.AndCount(rows[v], inP)
+		}
+	}
 }
 
 // recurse either descends into the child branch directly or, when the
@@ -154,8 +171,8 @@ func (w *worker) recurse(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *
 // first iteration, and d_{P∪C} only loses the excluded vertex. Children are
 // built in the next scratch level with their d_P seeded from this frame's,
 // and pass it as parent; the child then derives d_{P∪C} from the parent's
-// when it dropped fewer vertices of P ∪ C than it kept. A task root
-// (parent == nil) counts both from scratch.
+// (countPC). A task root (parent == nil) enters with d_P counted by
+// rootDegrees and counts d_{P∪C} from scratch.
 func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *branchLevel) {
 	lv := w.level(w.depth)
 	w.depth++
@@ -191,12 +208,7 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 			for i, m := range pBits {
 				for ; m != 0; m &= m - 1 {
 					u := i<<6 | bits.TrailingZeros64(m)
-					d := degP[u]
-					if parent == nil {
-						d = bitset.AndCount(rows[u], pBits)
-						degP[u] = d
-					}
-					switch {
+					switch d := degP[u]; {
 					case d < sizeP-k:
 						return
 					case d == sizeP-k:
@@ -216,8 +228,8 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 				}
 			}
 			minNeed := sizeP + 1 - k
-			sizeC = refineByDegree(cBits, degP, rows, pBits, minNeed, parent == nil)
-			refineByDegree(xBits, degP, rows, pBits, minNeed, parent == nil)
+			sizeC = refineByDegree(cBits, degP, minNeed)
+			refineByDegree(xBits, degP, minNeed)
 		}
 
 		// --- Lines 4-6: leaf.
@@ -322,10 +334,10 @@ func (w *worker) branch(sg *seedGraph, P, C, X *bitset.Set, sizeP int, parent *b
 }
 
 // countPC fills degPC = d_{P∪C} over the frame's P ∪ C (lv.pc, of size
-// sizePC). A child whose P ∪ C dropped fewer of its parent's vertices than
-// it kept derives the degrees from the parent's by one row sweep per
-// dropped vertex, d_{P∪C}(v) = parent's - |N(v) ∩ dropped|; otherwise, and
-// at a task root, they are counted from scratch.
+// sizePC). A child derives the degrees from its parent's by one row sweep
+// per dropped vertex, d_{P∪C}(v) = parent's - |N(v) ∩ dropped|; counting
+// from scratch costs one row pass per kept vertex, so the child takes
+// whichever needs fewer passes. A task root always counts from scratch.
 func (lv *branchLevel) countPC(rows [][]uint64, pw, sizePC int, parent *branchLevel) {
 	pcBits, degPC := lv.pc.Words()[:pw], lv.degPC
 	if parent != nil {
@@ -362,23 +374,16 @@ func (lv *branchLevel) countPC(rows [][]uint64, pw, sizePC int, parent *branchLe
 }
 
 // refineByDegree drops from the set with backing words set every vertex
-// whose degree into P is below minNeed and returns the survivors' count.
-// Survivors' degrees are stored in degP; with count set they are counted
-// against pBits, otherwise degP already holds them.
-func refineByDegree(set []uint64, degP []int, rows [][]uint64, pBits []uint64, minNeed int, count bool) int {
+// whose degree into P (degP) is below minNeed and returns the survivors'
+// count.
+func refineByDegree(set []uint64, degP []int, minNeed int) int {
 	n := 0
 	for i, m := range set {
 		for ; m != 0; m &= m - 1 {
-			v := i<<6 | bits.TrailingZeros64(m)
-			d := degP[v]
-			if count {
-				d = bitset.AndCount(rows[v], pBits)
-			}
-			if d < minNeed {
+			if degP[i<<6|bits.TrailingZeros64(m)] < minNeed {
 				set[i] &^= m & -m
 				continue
 			}
-			degP[v] = d
 			n++
 		}
 	}
