@@ -24,9 +24,6 @@ func TestSuiteWellFormed(t *testing.T) {
 				t.Fatalf("dataset %s params %+v invalid: %v", d.Name, kq, err)
 			}
 		}
-		if !strings.Contains(d.String(), d.Name) {
-			t.Fatalf("String() = %q", d.String())
-		}
 	}
 	if _, ok := ByName("jazz-syn"); !ok {
 		t.Fatal("ByName failed for jazz-syn")

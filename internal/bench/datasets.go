@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/gen"
@@ -187,9 +186,4 @@ func ByClass(c Class) []Dataset {
 		}
 	}
 	return out
-}
-
-// String implements a compact description for logs.
-func (d Dataset) String() string {
-	return fmt.Sprintf("%s(%s, analog of %s)", d.Name, d.Class, d.Analog)
 }

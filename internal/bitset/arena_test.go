@@ -25,7 +25,8 @@ func TestCountUpto(t *testing.T) {
 // words do not leak into the new one, and re-dimensioning within the
 // high-water footprint performs no allocation.
 func TestArenaReset(t *testing.T) {
-	a := NewArena(100, 4)
+	var a Arena
+	a.Reset(100, 4)
 	r0 := a.New()
 	r0.Fill()
 	r1 := a.New()
@@ -61,7 +62,8 @@ func TestArenaReset(t *testing.T) {
 // TestArenaOverflowRows pins the fallback: rows beyond the pre-sized count
 // still work (individually allocated), and earlier rows stay valid.
 func TestArenaOverflowRows(t *testing.T) {
-	a := NewArena(64, 1)
+	var a Arena
+	a.Reset(64, 1)
 	first := a.New()
 	first.Add(3)
 	extra := a.New()

@@ -133,13 +133,6 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
-// AndNot sets s = s − t.
-func (s *Set) AndNot(t *Set) {
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
 // IntersectionCount returns |s ∩ t| without allocating.
 func (s *Set) IntersectionCount(t *Set) int {
 	c := 0
@@ -198,48 +191,6 @@ func (s *Set) IsSubsetPrefix(t *Set, w int) bool {
 	return true
 }
 
-// Intersects reports whether s ∩ t is non-empty.
-func (s *Set) Intersects(t *Set) bool {
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// DifferenceCount returns |s − t|.
-func (s *Set) DifferenceCount(t *Set) int {
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w &^ t.words[i])
-	}
-	return c
-}
-
-// IsSubset reports whether s ⊆ t.
-func (s *Set) IsSubset(t *Set) bool {
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and t contain exactly the same bits.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Next returns the smallest set bit >= i, or -1 if none exists.
 func (s *Set) Next(i int) int {
 	if i < 0 {
@@ -289,9 +240,6 @@ func (s *Set) AppendTo(dst []int) []int {
 	return dst
 }
 
-// Slice returns the set bits as a fresh sorted slice.
-func (s *Set) Slice() []int { return s.AppendTo(make([]int, 0, s.Count())) }
-
 // String renders the set as {a, b, c} for debugging and test failure output.
 func (s *Set) String() string {
 	var b strings.Builder
@@ -306,19 +254,6 @@ func (s *Set) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-// AndCountInto stores s ∩ t into dst (which must have the same capacity) and
-// returns the size of the intersection. It fuses Copy+And+Count for the hot
-// common-neighbour computations in seed-graph pruning.
-func AndCountInto(dst, s, t *Set) int {
-	c := 0
-	for i := range dst.words {
-		w := s.words[i] & t.words[i]
-		dst.words[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // Arena allocates bitsets of one fixed capacity from contiguous backing
@@ -338,14 +273,6 @@ type Arena struct {
 	store []uint64
 	sets  []Set // pooled headers, one per handed-out row
 	rows  int   // rows handed out since the last Reset
-}
-
-// NewArena returns an arena producing bitsets of capacity n, pre-sized for
-// rows row bitsets.
-func NewArena(n, rows int) *Arena {
-	a := &Arena{}
-	a.Reset(n, rows)
-	return a
 }
 
 // Reset re-dimensions the arena for rows bitsets of capacity n, recycling

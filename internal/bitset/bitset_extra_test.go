@@ -26,42 +26,16 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestDifferenceCount(t *testing.T) {
-	a := setOf(100, 1, 2, 3, 64, 65)
-	b := setOf(100, 2, 64, 99)
-	if got := a.DifferenceCount(b); got != 3 {
-		t.Errorf("DifferenceCount = %d, want 3 (elements 1, 3, 65)", got)
-	}
-	if got := b.DifferenceCount(a); got != 1 {
-		t.Errorf("reverse DifferenceCount = %d, want 1 (element 99)", got)
-	}
-}
-
-func TestIntersectsAndSubset(t *testing.T) {
-	a := setOf(130, 5, 100)
-	b := setOf(130, 100)
-	c := setOf(130, 6, 7)
-	if !a.Intersects(b) || a.Intersects(c) {
-		t.Error("Intersects wrong")
-	}
-	if !b.IsSubset(a) || a.IsSubset(b) {
-		t.Error("IsSubset wrong")
-	}
-	if !New(130).IsSubset(a) {
-		t.Error("empty set must be a subset of anything")
-	}
-}
-
 func TestSliceAndWords(t *testing.T) {
 	a := setOf(200, 0, 63, 64, 199)
-	got := a.Slice()
+	got := a.AppendTo(nil)
 	want := []int{0, 63, 64, 199}
 	if len(got) != len(want) {
-		t.Fatalf("Slice = %v, want %v", got, want)
+		t.Fatalf("AppendTo(nil) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Slice[%d] = %d, want %d", i, got[i], want[i])
+			t.Errorf("AppendTo(nil)[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 	if len(a.Words()) != (200+63)/64 {
@@ -69,18 +43,6 @@ func TestSliceAndWords(t *testing.T) {
 	}
 	if a.Len() != 200 {
 		t.Errorf("Len = %d, want 200", a.Len())
-	}
-}
-
-func TestEqualSets(t *testing.T) {
-	a := setOf(80, 1, 70)
-	b := setOf(80, 1, 70)
-	if !a.Equal(b) {
-		t.Error("identical sets not Equal")
-	}
-	b.Add(2)
-	if a.Equal(b) {
-		t.Error("different sets Equal")
 	}
 }
 
@@ -100,8 +62,8 @@ func TestIsSubsetPrefixBoundary(t *testing.T) {
 	if !a.IsSubsetPrefix(b, 1) {
 		t.Error("prefix subset should ignore bits past the prefix")
 	}
-	if a.IsSubset(b) {
-		t.Error("full subset should see bit 100")
+	if a.IsSubsetPrefix(b, 2) {
+		t.Error("a two-word prefix should see bit 100")
 	}
 }
 

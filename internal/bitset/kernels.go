@@ -13,9 +13,8 @@ import "math/bits"
 // All kernels operate over min(len(a), len(b)) words; callers pass rows
 // pre-sliced to the word prefix they care about (e.g. the candidate-space
 // prefix of a seed graph). They are the bit-parallel counterparts of the
-// merge-based graph.CountCommon / graph.IntersectTo contract: nil and
-// empty slices are valid and behave as empty sets, and AndTo tolerates
-// dst aliasing either input (word i is read before it is written).
+// merge-based graph.CountCommon contract: nil and empty slices are valid
+// and behave as empty sets.
 
 // AndCount returns popcount(a & b), the bit-parallel |a ∩ b|. The 4-way
 // unroll keeps the popcounts independent so they pipeline; the tail loop
@@ -33,23 +32,6 @@ func AndCount(a, b []uint64) int {
 	}
 	for ; i < n; i++ {
 		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
-}
-
-// AndTo stores a & b into dst and returns popcount(a & b). dst must have
-// at least min(len(a), len(b)) words; it may alias a or b (each word is
-// read before it is written), matching the in-place tolerance documented
-// for graph.IntersectTo.
-func AndTo(dst, a, b []uint64) int {
-	n := min(len(a), len(b))
-	a, b = a[:n], b[:n]
-	dst = dst[:n]
-	c := 0
-	for i := 0; i < n; i++ {
-		w := a[i] & b[i]
-		dst[i] = w
-		c += bits.OnesCount64(w)
 	}
 	return c
 }

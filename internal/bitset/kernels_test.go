@@ -41,52 +41,6 @@ func TestAndCountDifferential(t *testing.T) {
 	}
 }
 
-func TestAndTo(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 3, 8, 17, 64} {
-		a, b := randWords(r, n), randWords(r, n)
-		dst := make([]uint64, n)
-		c := AndTo(dst, a, b)
-		if want := naiveAndCount(a, b); c != want {
-			t.Fatalf("AndTo n=%d count: got %d want %d", n, c, want)
-		}
-		for i := range dst {
-			if dst[i] != a[i]&b[i] {
-				t.Fatalf("AndTo n=%d word %d: got %x want %x", n, i, dst[i], a[i]&b[i])
-			}
-		}
-	}
-}
-
-func TestAndToAliasing(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	a, b := randWords(r, 20), randWords(r, 20)
-	want := make([]uint64, 20)
-	wc := AndTo(want, a, b)
-
-	// dst aliases a.
-	a1 := append([]uint64(nil), a...)
-	if c := AndTo(a1, a1, b); c != wc {
-		t.Fatalf("AndTo dst=a count: got %d want %d", c, wc)
-	}
-	for i := range a1 {
-		if a1[i] != want[i] {
-			t.Fatalf("AndTo dst=a word %d: got %x want %x", i, a1[i], want[i])
-		}
-	}
-
-	// dst aliases b.
-	b1 := append([]uint64(nil), b...)
-	if c := AndTo(b1, a, b1); c != wc {
-		t.Fatalf("AndTo dst=b count: got %d want %d", c, wc)
-	}
-	for i := range b1 {
-		if b1[i] != want[i] {
-			t.Fatalf("AndTo dst=b word %d: got %x want %x", i, b1[i], want[i])
-		}
-	}
-}
-
 func TestSubset(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 5, 16} {

@@ -126,9 +126,6 @@ func Open(jc jobs.Config, cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Counters exposes the coordinator's metrics block.
-func (c *Coordinator) Counters() *Counters { return &c.counters }
-
 // Metrics is the registry the coordinator's counters are declared on,
 // its manager's mounted under jobs_, for the host to mount in turn.
 func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }

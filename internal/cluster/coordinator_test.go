@@ -24,6 +24,9 @@ import (
 	"repro/internal/obs"
 )
 
+// Counters exposes the coordinator's metrics block.
+func (c *Coordinator) Counters() *Counters { return &c.counters }
+
 // fakeWorker is a minimal kplexd stand-in: it executes ranges for real
 // (through the same RunRange core the server handler uses) and counts how
 // many times each range was launched, so tests can assert what re-ran.

@@ -208,26 +208,3 @@ func RandomRegular(n, d int, seed int64) *graph.Graph {
 	}
 	panic("gen: regular: pairing model failed to converge")
 }
-
-// NoisyPlex returns a single k-plex "community" graph for tests: a clique
-// on n vertices from which each vertex loses at most k-1 incident edges,
-// so the whole vertex set is one k-plex (and, being edge-maximal among
-// k-plexes on those vertices, a maximal one when embedded alone).
-func NoisyPlex(n, k int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	var b graph.Builder
-	addCommunity(&b, identity(n), k-1, rng)
-	g, err := b.Build(n)
-	if err != nil {
-		panic("gen: noisyplex: " + err.Error())
-	}
-	return g
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

@@ -109,22 +109,3 @@ func TestRandomRegularDTooLargePanics(t *testing.T) {
 	}()
 	RandomRegular(4, 4, 1)
 }
-
-func TestNoisyPlexIsKPlex(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		g := NoisyPlex(12, k, int64(k))
-		// Every vertex must have degree >= n - k within the whole set.
-		for v := 0; v < g.N(); v++ {
-			if g.Degree(v) < g.N()-k {
-				t.Errorf("k=%d: degree(%d) = %d < n-k = %d", k, v, g.Degree(v), g.N()-k)
-			}
-		}
-	}
-}
-
-func TestNoisyPlexK1IsClique(t *testing.T) {
-	g := NoisyPlex(8, 1, 9)
-	if g.M() != 8*7/2 {
-		t.Errorf("1-plex of 8 should be K8 with 28 edges, got %d", g.M())
-	}
-}

@@ -2,8 +2,7 @@ package graph
 
 // BFS utilities. The seed-subgraph construction of Algorithm 2 is a
 // two-level BFS from each seed; the generic routines here support the
-// verification tools, the dataset statistics, and the diameter checks of
-// Theorem 3.3 in tests.
+// dataset statistics (the double-sweep diameter bound).
 
 // BFSDistances returns the hop distance from src to every vertex, -1 for
 // unreachable vertices. O(n + m).
@@ -31,18 +30,6 @@ func BFSDistances(g *Graph, src int) []int32 {
 		}
 	}
 	return dist
-}
-
-// Eccentricity returns the largest finite BFS distance from v (0 when v is
-// isolated).
-func Eccentricity(g *Graph, v int) int {
-	ecc := 0
-	for _, d := range BFSDistances(g, v) {
-		if int(d) > ecc {
-			ecc = int(d)
-		}
-	}
-	return ecc
 }
 
 // ApproxDiameter lower-bounds the diameter with the classic double-sweep
@@ -77,20 +64,4 @@ func farthest(g *Graph, src int) (v, dist int) {
 		}
 	}
 	return v, dist
-}
-
-// WithinHops returns the sorted vertices at distance 1..h from src
-// (excluding src itself). h <= 0 yields nil. This is the generic form of
-// the 2-hop neighbourhood that defines the seed subgraphs (Theorem 3.3).
-func WithinHops(g *Graph, src, h int) []int32 {
-	if h <= 0 || src < 0 || src >= g.N() {
-		return nil
-	}
-	var out []int32
-	for u, d := range BFSDistances(g, src) {
-		if d > 0 && int(d) <= h {
-			out = append(out, int32(u))
-		}
-	}
-	return out
 }

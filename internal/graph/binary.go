@@ -136,16 +136,6 @@ func WriteBinaryFile(path string, g *Graph) error {
 	return f.Close()
 }
 
-// ReadBinaryFile reads a binary graph from path.
-func ReadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
 // ReadAnyFile loads a graph from path, auto-detecting the binary format by
 // its magic bytes and falling back to edge-list text. For text inputs the
 // original vertex labels are returned; binary graphs are already compact.

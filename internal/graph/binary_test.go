@@ -93,11 +93,11 @@ func TestBinaryFileHelpers(t *testing.T) {
 	if err := WriteBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinaryFile(path)
+	g2, err := ReadAnyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.M() != g.M() {
+	if g2.Graph.M() != g.M() {
 		t.Fatal("file round trip lost edges")
 	}
 }

@@ -46,12 +46,6 @@ func computeDigest(g CSR) [32]byte {
 	return out
 }
 
-// DigestHex returns Digest as a lowercase hex string.
-func DigestHex(g *Graph) string {
-	d := Digest(g)
-	return hex.EncodeToString(d[:])
-}
-
 // DigestOf returns the content digest of any CSR source. An in-memory
 // *Graph memoizes the hash; a source that carries a precomputed digest
 // (StoredDigester — the on-disk store keeps one in its header) answers

@@ -33,11 +33,11 @@ func TestDigestEdgeOrderInvariant(t *testing.T) {
 	if Digest(g1) != Digest(g2) {
 		t.Error("digest differs across edge insertion orders")
 	}
-	if DigestHex(g1) != DigestHex(g2) {
+	if DigestHexOf(g1) != DigestHexOf(g2) {
 		t.Error("hex digest differs across edge insertion orders")
 	}
-	if len(DigestHex(g1)) != 64 {
-		t.Errorf("hex digest length %d, want 64", len(DigestHex(g1)))
+	if len(DigestHexOf(g1)) != 64 {
+		t.Errorf("hex digest length %d, want 64", len(DigestHexOf(g1)))
 	}
 }
 

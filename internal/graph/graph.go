@@ -103,10 +103,6 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// NumEdgesAdded returns the number of AddEdge calls retained so far
-// (before deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build normalizes the accumulated edges into a Graph with n vertices. If
 // n < 0 the vertex count is inferred as maxVertexID+1.
 func (b *Builder) Build(n int) (*Graph, error) {
@@ -164,17 +160,6 @@ func (b *Builder) Build(n int) (*Graph, error) {
 	return &Graph{offsets: outOff, adj: adj[:w:w]}, nil
 }
 
-// FromEdges builds a graph directly from an edge slice (convenience for
-// tests and generators).
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	var b Builder
-	b.Grow(len(edges))
-	for _, e := range edges {
-		b.AddEdge(int(e.U), int(e.V))
-	}
-	return b.Build(n)
-}
-
 // Edges returns all undirected edges (u < v) in ascending order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.M())
@@ -188,16 +173,11 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// InducedSubgraph returns the subgraph induced by keep (distinct vertices,
-// not necessarily sorted), along with origID mapping new vertex ids to
-// original ids.
-func (g *Graph) InducedSubgraph(keep []int) (sub *Graph, origID []int32) {
-	return InducedSubgraphOf(g, keep)
-}
-
-// InducedSubgraphOf is InducedSubgraph over any CSR source: the kept rows
-// are read through the interface, so a paged on-disk graph is reduced to
-// an in-memory core without ever materializing the full adjacency.
+// InducedSubgraphOf returns the subgraph of any CSR source induced by keep
+// (distinct vertices, not necessarily sorted), along with origID mapping
+// new vertex ids to original ids. The kept rows are read through the
+// interface, so a paged on-disk graph is reduced to an in-memory core
+// without ever materializing the full adjacency.
 func InducedSubgraphOf(g CSR, keep []int) (sub *Graph, origID []int32) {
 	newID := make([]int32, g.N())
 	for i := range newID {

@@ -187,7 +187,7 @@ func TestDegeneracyOrderedCopy(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := mustBuild(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4}})
-	sub, orig := g.InducedSubgraph([]int{1, 2, 4})
+	sub, orig := InducedSubgraphOf(g, []int{1, 2, 4})
 	if sub.N() != 3 {
 		t.Fatalf("sub N = %d", sub.N())
 	}

@@ -66,9 +66,6 @@ func (p *Prepared) G() *Graph { return p.g }
 // N returns the number of vertices of the working graph.
 func (p *Prepared) N() int { return p.g.N() }
 
-// ToInput maps a working-graph vertex back to the source graph's id space.
-func (p *Prepared) ToInput(v int) int32 { return p.toInput[v] }
-
 // ToInputIDs returns the full relabelled-to-source id mapping. Callers must
 // not mutate it.
 func (p *Prepared) ToInputIDs() []int32 { return p.toInput }
@@ -85,6 +82,3 @@ func (p *Prepared) LaterNeighbors(v int) []int32 {
 func (p *Prepared) EarlierNeighbors(v int) []int32 {
 	return p.g.Neighbors(v)[:p.laterOff[v]]
 }
-
-// Coreness returns the core number of working-graph vertex v.
-func (p *Prepared) Coreness(v int) int { return int(p.coreness[v]) }

@@ -58,8 +58,8 @@ func checkPreparedAgainstLegacy(t *testing.T, name string, g graph.CSR, minCore 
 		t.Fatalf("%s minCore %d: working graph differs from the legacy relabel", name, minCore)
 	}
 	for v := 0; v < relab.N(); v++ {
-		if want := coreID[relID[v]]; p.ToInput(v) != want {
-			t.Fatalf("%s minCore %d: ToInput(%d)=%d, legacy %d", name, minCore, v, p.ToInput(v), want)
+		if want := coreID[relID[v]]; p.ToInputIDs()[v] != want {
+			t.Fatalf("%s minCore %d: ToInputIDs()[%d]=%d, legacy %d", name, minCore, v, p.ToInputIDs()[v], want)
 		}
 		if want := int(cd.Coreness[relID[v]]); p.Coreness(v) != want {
 			t.Fatalf("%s minCore %d: Coreness(%d)=%d, legacy %d", name, minCore, v, p.Coreness(v), want)

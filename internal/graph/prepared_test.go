@@ -39,8 +39,8 @@ func TestPreparedMatchesLegacyPrologue(t *testing.T) {
 				t.Fatalf("seed %d minCore %d: Prepared has %d vertices, legacy %d", seed, minCore, p.N(), relab.N())
 			}
 			for v := 0; v < relab.N(); v++ {
-				if want := coreID[relID[v]]; p.ToInput(v) != want {
-					t.Fatalf("seed %d minCore %d: ToInput(%d)=%d, legacy %d", seed, minCore, v, p.ToInput(v), want)
+				if want := coreID[relID[v]]; p.ToInputIDs()[v] != want {
+					t.Fatalf("seed %d minCore %d: ToInputIDs()[%d]=%d, legacy %d", seed, minCore, v, p.ToInputIDs()[v], want)
 				}
 				a, b := p.G().Neighbors(v), relab.Neighbors(v)
 				if len(a) != len(b) {
@@ -79,6 +79,11 @@ func TestPreparedLaterNeighbors(t *testing.T) {
 	}
 }
 
+// Coreness returns the core number of working-graph vertex v. No engine
+// path reads the stored coreness; the tests of this package and of
+// graph_test check it against a direct decomposition.
+func (p *Prepared) Coreness(v int) int { return int(p.coreness[v]) }
+
 // TestPreparedCoreness checks the stored coreness against a direct core
 // decomposition of the working graph.
 func TestPreparedCoreness(t *testing.T) {
@@ -107,10 +112,6 @@ func TestCountCommon(t *testing.T) {
 	for _, tc := range cases {
 		if got := CountCommon(tc.a, tc.b); got != tc.want {
 			t.Errorf("CountCommon(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-		dst := IntersectTo(nil, tc.a, tc.b)
-		if len(dst) != tc.want {
-			t.Errorf("IntersectTo(%v, %v) = %v, want %d members", tc.a, tc.b, dst, tc.want)
 		}
 	}
 }

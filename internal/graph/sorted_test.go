@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// naiveIntersect is the map-based oracle for the merge kernels.
+// naiveIntersect is the map-based oracle for the merge kernel.
 func naiveIntersect(a, b []int32) []int32 {
 	in := make(map[int32]bool, len(a))
 	for _, x := range a {
@@ -52,9 +52,6 @@ func TestCountCommonEmptyAndNil(t *testing.T) {
 		if got := CountCommon(c.a, c.b); got != 0 {
 			t.Errorf("%s: CountCommon = %d, want 0", c.name, got)
 		}
-		if got := IntersectTo(nil, c.a, c.b); len(got) != 0 {
-			t.Errorf("%s: IntersectTo = %v, want empty", c.name, got)
-		}
 	}
 }
 
@@ -67,52 +64,5 @@ func TestCountCommonDifferential(t *testing.T) {
 		if got := CountCommon(a, b); got != len(want) {
 			t.Fatalf("trial %d: CountCommon = %d, want %d", trial, got, len(want))
 		}
-		if got := IntersectTo(nil, a, b); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: IntersectTo = %v, want %v", trial, got, want)
-		}
-	}
-}
-
-// TestIntersectToAppends pins that IntersectTo extends dst rather than
-// replacing it.
-func TestIntersectToAppends(t *testing.T) {
-	dst := []int32{-3}
-	got := IntersectTo(dst, []int32{1, 2, 3}, []int32{2, 3, 4})
-	if !slices.Equal(got, []int32{-3, 2, 3}) {
-		t.Fatalf("IntersectTo = %v, want [-3 2 3]", got)
-	}
-}
-
-// TestIntersectToInPlace locks the documented aliasing support: dst may be
-// a[:0] or b[:0], overwriting an input with the intersection in place.
-func TestIntersectToInPlace(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 300; trial++ {
-		a := sortedRand(r, r.Intn(40), 60)
-		b := sortedRand(r, r.Intn(40), 60)
-		want := naiveIntersect(a, b)
-
-		a1 := slices.Clone(a)
-		if got := IntersectTo(a1[:0], a1, b); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: in-place dst=a[:0] = %v, want %v", trial, got, want)
-		}
-		b1 := slices.Clone(b)
-		if got := IntersectTo(b1[:0], a, b1); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: in-place dst=b[:0] = %v, want %v", trial, got, want)
-		}
-	}
-}
-
-// TestIntersectToInPlaceNoRealloc pins the cap argument in the contract:
-// in-place intersection reuses the input's backing array.
-func TestIntersectToInPlaceNoRealloc(t *testing.T) {
-	a := []int32{1, 2, 3, 4, 5}
-	b := []int32{2, 4, 6}
-	got := IntersectTo(a[:0], a, b)
-	if !slices.Equal(got, []int32{2, 4}) {
-		t.Fatalf("got %v", got)
-	}
-	if &got[0] != &a[0] {
-		t.Fatal("in-place IntersectTo reallocated away from a's backing array")
 	}
 }

@@ -7,19 +7,6 @@ import "math"
 // synthetic suite tracks its real-graph analogues (degree skew, shell
 // structure, clustering).
 
-// DegreeHistogram returns hist where hist[d] is the number of vertices with
-// degree d. len(hist) == MaxDegree()+1 (empty slice for an empty graph).
-func DegreeHistogram(g *Graph) []int {
-	if g.N() == 0 {
-		return nil
-	}
-	hist := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		hist[g.Degree(v)]++
-	}
-	return hist
-}
-
 // ShellSizes returns sizes where sizes[c] is the number of vertices with
 // coreness exactly c. The paper's degeneracy ordering lists vertices in
 // segments of these k-shells.

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestDegreeHistogram(t *testing.T) {
-	g := buildGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {1, 3}})
-	hist := DegreeHistogram(g)
-	// Degrees: 1, 3, 1, 1, 0 -> hist = [1, 3, 0, 1].
-	want := []int{1, 3, 0, 1}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v, want %v", hist, want)
-	}
-	for d := range want {
-		if hist[d] != want[d] {
-			t.Errorf("hist[%d] = %d, want %d", d, hist[d], want[d])
-		}
-	}
-	sum := 0
-	for _, c := range hist {
-		sum += c
-	}
-	if sum != g.N() {
-		t.Errorf("histogram sums to %d, want n=%d", sum, g.N())
-	}
-	if DegreeHistogram(edgeless(t, 0)) != nil {
-		t.Error("empty graph histogram should be nil")
-	}
-}
-
 func edgeless(t *testing.T, n int) *Graph {
 	t.Helper()
 	g, err := new(Builder).Build(n)

@@ -7,45 +7,6 @@ package graph
 // diagnostic substrate: datasets whose common-neighbour mass is low are
 // exactly those where the second-order rules prune hard.
 
-// CommonNeighborCount returns |N(u) ∩ N(v)| by merging the two sorted
-// adjacency lists.
-func CommonNeighborCount(g *Graph, u, v int) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-// CommonNeighbors appends N(u) ∩ N(v) to dst and returns it.
-func CommonNeighbors(g *Graph, u, v int, dst []int32) []int32 {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
 // TriangleCounts returns the number of triangles through each vertex. It
 // uses the forward (degree-ordered) algorithm: every triangle is discovered
 // exactly once at its highest-rank vertex and credited to all three corners.

@@ -93,15 +93,11 @@ func TestTrianglesMatchesNaiveOnRandomGraphs(t *testing.T) {
 
 func TestCommonNeighborCount(t *testing.T) {
 	g := buildGraph(t, 5, [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {1, 4}})
-	if got := CommonNeighborCount(g, 0, 1); got != 2 {
-		t.Errorf("CommonNeighborCount(0,1) = %d, want 2", got)
+	if got := CountCommon(g.Neighbors(0), g.Neighbors(1)); got != 2 {
+		t.Errorf("CountCommon(N(0), N(1)) = %d, want 2", got)
 	}
-	if got := CommonNeighborCount(g, 0, 4); got != 0 {
-		t.Errorf("CommonNeighborCount(0,4) = %d, want 0", got)
-	}
-	cn := CommonNeighbors(g, 0, 1, nil)
-	if len(cn) != 2 || cn[0] != 2 || cn[1] != 3 {
-		t.Errorf("CommonNeighbors(0,1) = %v, want [2 3]", cn)
+	if got := CountCommon(g.Neighbors(0), g.Neighbors(4)); got != 0 {
+		t.Errorf("CountCommon(N(0), N(4)) = %d, want 0", got)
 	}
 }
 

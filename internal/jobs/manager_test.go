@@ -21,7 +21,7 @@ func testLoader(name string) (graph.CSR, string, func(), error) {
 		return nil, "", nil, fmt.Errorf("unknown graph %q", name)
 	}
 	g := cg.Build()
-	return g, graph.DigestHex(g), func() {}, nil
+	return g, graph.DigestHexOf(g), func() {}, nil
 }
 
 // refAggregate computes the uninterrupted ground truth for a (graph, k, q,

@@ -109,7 +109,7 @@ func TestSupportBoundIsUpperBound(t *testing.T) {
 
 				// Brute-force the true maximum: every subset of {seed}∪C
 				// containing the seed.
-				cands := C.Slice()
+				cands := C.AppendTo(nil)
 				best := 1
 				for mask := 0; mask < 1<<len(cands); mask++ {
 					set := []int{0}
@@ -182,7 +182,7 @@ func TestSortedBoundIsUpperBound(t *testing.T) {
 			ub := bs.supportBoundSorted(sg, k, 1, P, C2, degP, vp)
 
 			// Brute-force max k-plex containing {0, vp} within {0}∪C.
-			cands := C2.Slice()
+			cands := C2.AppendTo(nil)
 			best := 2
 			if !localIsKPlex(sg, []int{0, vp}, k) {
 				continue

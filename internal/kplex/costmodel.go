@@ -8,14 +8,13 @@ package kplex
 // reduced working graph, its degeneracy orientation), so CostFeatures
 // summarises it in O(n) once per Prepared handle, and CostModel maps the
 // summary to a predicted duration with a log-linear fit over the corpus
-// measurements (see FitCostModel and DefaultCostModel). Predictions are
+// measurements (see DefaultCostModel). Predictions are
 // order-of-magnitude estimates — exact enumeration cost is itself
 // #P-hard — which is exactly enough to separate "answer inline" from
 // "queue a job", and to pick a scheduler. kplexd additionally calibrates
 // the model online against observed runtimes (see internal/server).
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -85,8 +84,7 @@ func (f CostFeatures) vector() [costFeatureDim]float64 {
 }
 
 // CostModel is a log-linear predictor: log(seconds) = coef · vector(f).
-// The zero value predicts nothing useful; use DefaultCostModel or fit one
-// with FitCostModel.
+// The zero value predicts nothing useful; use DefaultCostModel.
 type CostModel struct {
 	Coef [costFeatureDim]float64
 }
@@ -110,79 +108,13 @@ func (m *CostModel) Predict(f CostFeatures) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// CostSample is one observed (features, runtime) pair for fitting.
-type CostSample struct {
-	F       CostFeatures
-	Elapsed time.Duration
-}
-
-// FitCostModel fits a CostModel to samples by least squares on
-// log(seconds), solving the normal equations with a small ridge term for
-// stability (the log-count features still co-vary on most graph families).
-// It needs at least costFeatureDim samples.
-func FitCostModel(samples []CostSample) (CostModel, error) {
-	if len(samples) < costFeatureDim {
-		return CostModel{}, fmt.Errorf("kplex: FitCostModel needs >= %d samples, got %d", costFeatureDim, len(samples))
-	}
-	const lambda = 1e-6
-	var ata [costFeatureDim][costFeatureDim]float64
-	var atb [costFeatureDim]float64
-	for _, s := range samples {
-		sec := s.Elapsed.Seconds()
-		if sec <= 0 {
-			sec = 1e-9
-		}
-		y := math.Log(sec)
-		x := s.F.vector()
-		for i := 0; i < costFeatureDim; i++ {
-			for j := 0; j < costFeatureDim; j++ {
-				ata[i][j] += x[i] * x[j]
-			}
-			atb[i] += x[i] * y
-		}
-	}
-	for i := 0; i < costFeatureDim; i++ {
-		ata[i][i] += lambda
-	}
-
-	// Gaussian elimination with partial pivoting on the small dense system.
-	for col := 0; col < costFeatureDim; col++ {
-		piv := col
-		for r := col + 1; r < costFeatureDim; r++ {
-			if math.Abs(ata[r][col]) > math.Abs(ata[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(ata[piv][col]) < 1e-12 {
-			return CostModel{}, fmt.Errorf("kplex: FitCostModel: singular normal equations (degenerate sample set)")
-		}
-		ata[col], ata[piv] = ata[piv], ata[col]
-		atb[col], atb[piv] = atb[piv], atb[col]
-		for r := col + 1; r < costFeatureDim; r++ {
-			fac := ata[r][col] / ata[col][col]
-			for c := col; c < costFeatureDim; c++ {
-				ata[r][c] -= fac * ata[col][c]
-			}
-			atb[r] -= fac * atb[col]
-		}
-	}
-	var m CostModel
-	for i := costFeatureDim - 1; i >= 0; i-- {
-		v := atb[i]
-		for j := i + 1; j < costFeatureDim; j++ {
-			v -= ata[i][j] * m.Coef[j]
-		}
-		m.Coef[i] = v / ata[i][i]
-	}
-	return m, nil
-}
-
-// DefaultCostModel is the built-in predictor, fitted offline with
-// FitCostModel over sequential corpus runs (every corpus graph × a (k, q)
-// sweep; see TestDefaultCostModelSane for the pinned quality bar). The
-// absolute scale is machine-dependent — kplexd's online calibration
-// absorbs that — but the feature weights transfer: they encode how cost
-// scales with size, k and q-headroom, which is hardware-independent.
+// DefaultCostModel is the built-in predictor, fitted offline over
+// sequential corpus runs (every corpus graph × a (k, q) sweep) with the
+// least-squares fitter FitCostModel in costmodel_test.go; see
+// TestDefaultCostModelSane for the pinned quality bar. The absolute scale
+// is machine-dependent — kplexd's online calibration absorbs that — but
+// the feature weights transfer: they encode how cost scales with size, k
+// and q-headroom, which is hardware-independent.
 var DefaultCostModel = CostModel{
 	Coef: [costFeatureDim]float64{
 		-12.8925, // intercept

@@ -12,6 +12,74 @@ import (
 	"repro/internal/graph"
 )
 
+// CostSample is one observed (features, runtime) pair for fitting.
+type CostSample struct {
+	F       CostFeatures
+	Elapsed time.Duration
+}
+
+// FitCostModel fits a CostModel to samples by least squares on
+// log(seconds), solving the normal equations with a small ridge term for
+// stability (the log-count features still co-vary on most graph families).
+// It needs at least costFeatureDim samples. It is the offline fitter that
+// produced DefaultCostModel; no serving path refits the model.
+func FitCostModel(samples []CostSample) (CostModel, error) {
+	if len(samples) < costFeatureDim {
+		return CostModel{}, fmt.Errorf("kplex: FitCostModel needs >= %d samples, got %d", costFeatureDim, len(samples))
+	}
+	const lambda = 1e-6
+	var ata [costFeatureDim][costFeatureDim]float64
+	var atb [costFeatureDim]float64
+	for _, s := range samples {
+		sec := s.Elapsed.Seconds()
+		if sec <= 0 {
+			sec = 1e-9
+		}
+		y := math.Log(sec)
+		x := s.F.vector()
+		for i := 0; i < costFeatureDim; i++ {
+			for j := 0; j < costFeatureDim; j++ {
+				ata[i][j] += x[i] * x[j]
+			}
+			atb[i] += x[i] * y
+		}
+	}
+	for i := 0; i < costFeatureDim; i++ {
+		ata[i][i] += lambda
+	}
+
+	// Gaussian elimination with partial pivoting on the small dense system.
+	for col := 0; col < costFeatureDim; col++ {
+		piv := col
+		for r := col + 1; r < costFeatureDim; r++ {
+			if math.Abs(ata[r][col]) > math.Abs(ata[piv][col]) {
+				piv = r
+			}
+		}
+		if math.Abs(ata[piv][col]) < 1e-12 {
+			return CostModel{}, fmt.Errorf("kplex: FitCostModel: singular normal equations (degenerate sample set)")
+		}
+		ata[col], ata[piv] = ata[piv], ata[col]
+		atb[col], atb[piv] = atb[piv], atb[col]
+		for r := col + 1; r < costFeatureDim; r++ {
+			fac := ata[r][col] / ata[col][col]
+			for c := col; c < costFeatureDim; c++ {
+				ata[r][c] -= fac * ata[col][c]
+			}
+			atb[r] -= fac * atb[col]
+		}
+	}
+	var m CostModel
+	for i := costFeatureDim - 1; i >= 0; i-- {
+		v := atb[i]
+		for j := i + 1; j < costFeatureDim; j++ {
+			v -= ata[i][j] * m.Coef[j]
+		}
+		m.Coef[i] = v / ata[i][i]
+	}
+	return m, nil
+}
+
 // TestCostFeatures pins the prologue summary on a hand-checkable graph: a
 // 5-path 0-1-2-3-4 with k=1, q=2 reduces to itself, and the degeneracy
 // orientation's later degrees are directly countable.

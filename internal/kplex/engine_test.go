@@ -194,7 +194,7 @@ func TestEmittedPlexesAreMaximal(t *testing.T) {
 			if !kplex.IsKPlex(g, p, kc.k) {
 				t.Fatalf("k=%d q=%d: emitted set %v is not a k-plex", kc.k, kc.q, p)
 			}
-			if i%stride == 0 && kplex.CanExtend(g, p, kc.k) {
+			if i%stride == 0 && graph.CanExtendKPlex(g, p, kc.k) {
 				t.Fatalf("k=%d q=%d: emitted k-plex %v is not maximal", kc.k, kc.q, p)
 			}
 		}

@@ -199,14 +199,6 @@ func growRows(s [][]uint64, n int) [][]uint64 {
 	return s[:n]
 }
 
-// buildSeedGraph constructs G_i for seed s over the degeneracy-relabelled
-// graph g ("later" is the numeric comparison u > s), with fresh scratch and
-// storage per call. Tests and the one-shot paths use it; the engine goes
-// through seedScratch.build with pooled storage instead.
-func buildSeedGraph(g *graph.Graph, s int, opts *Options) *seedGraph {
-	return newSeedScratch(g.N()).build(g, nil, s, opts, &seedStorage{}, nil)
-}
-
 // build constructs G_i for seed s into st's recycled storage. prep, when
 // non-nil, supplies the precomputed later-neighbour offsets of the working
 // graph; otherwise the split is recovered from the sorted adjacency row.

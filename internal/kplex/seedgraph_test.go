@@ -7,6 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
+// buildSeedGraph constructs G_i for seed s over the degeneracy-relabelled
+// graph g ("later" is the numeric comparison u > s), with fresh scratch and
+// storage per call. The engine goes through seedScratch.build with pooled
+// storage instead.
+func buildSeedGraph(g *graph.Graph, s int, opts *Options) *seedGraph {
+	return newSeedScratch(g.N()).build(g, nil, s, opts, &seedStorage{}, nil)
+}
+
 // buildFor is a test helper that constructs the seed graph of seed s on a
 // degeneracy-relabelled copy of g.
 func buildFor(t *testing.T, g *graph.Graph, s int, opts Options) (*seedGraph, *graph.Graph) {

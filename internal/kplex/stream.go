@@ -139,7 +139,7 @@ func RunStreamPrepared(ctx context.Context, p *Prepared, opts Options) (*StreamH
 		res, err := RunPrepared(runCtx, p, opts)
 		*h.res = res
 		h.err = err
-		st.Close(err) // happens-before the channel close observed by the consumer
+		st.Close() // h.res and h.err happen-before the channel close the consumer observes
 		close(h.done)
 	}()
 	return h, nil

@@ -64,12 +64,12 @@ func TestCanExtendAndMaximal(t *testing.T) {
 	// {0,1} as a 1-plex (edge/clique): extendable? Adding 2 gives a path of
 	// 3 which is not a clique; so {0,1} is maximal as a clique... vertex 2
 	// adjacent to 1 but not 0.
-	if CanExtend(g, []int{0, 1}, 1) {
+	if graph.CanExtendKPlex(g, []int{0, 1}, 1) {
 		t.Error("{0,1} should be a maximal clique")
 	}
 	// {1,2} as a 2-plex: {0,1,2} is a 2-plex (0 misses 2 + itself = 2),
 	// so {1,2} is extendable.
-	if !CanExtend(g, []int{1, 2}, 2) {
+	if !graph.CanExtendKPlex(g, []int{1, 2}, 2) {
 		t.Error("{1,2} should be extendable under k=2")
 	}
 	if !IsMaximalKPlex(g, []int{0, 1}, 1) {
@@ -89,7 +89,7 @@ func TestCanExtendSmallPBranch(t *testing.T) {
 	// plus an edge. P={0} with k=2 extends with the isolated vertex 3
 	// ({0,3} is a 2-plex: each misses the other + itself = 2).
 	g := tinyGraph(t, 4, [][2]int{{0, 1}})
-	if !CanExtend(g, []int{0}, 2) {
+	if !graph.CanExtendKPlex(g, []int{0}, 2) {
 		t.Error("singleton should extend under k=2 even via non-neighbours")
 	}
 }

@@ -95,16 +95,6 @@ func (tr *Tracer) Start(name string) *Trace {
 	return tr.StartWithID(NewTraceID(), name)
 }
 
-// StartAlways begins a new trace regardless of sampling — used for
-// expensive, rare operations (jobs, cluster runs) where every instance is
-// worth keeping.
-func (tr *Tracer) StartAlways(name string) *Trace {
-	if tr == nil {
-		return nil
-	}
-	return tr.StartWithID(NewTraceID(), name)
-}
-
 // StartWithID begins a trace under a caller-chosen id — the propagation
 // path: a request arriving with a Traceparent header continues the
 // upstream trace so the coordinator and its workers agree on one id.

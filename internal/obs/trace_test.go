@@ -109,8 +109,8 @@ func TestNilSafety(t *testing.T) {
 	if tr.Recent(5) != nil {
 		t.Fatal("nil tracer Recent")
 	}
-	if tr.StartAlways("q") != nil || tr.StartWithID("id", "q") != nil {
-		t.Fatal("nil tracer StartAlways/StartWithID")
+	if tr.Start("q") != nil || tr.StartWithID("id", "q") != nil {
+		t.Fatal("nil tracer Start/StartWithID")
 	}
 
 	var f *Inflight
@@ -146,7 +146,7 @@ func TestDetachedTraceGraft(t *testing.T) {
 
 	// Coordinator side: graft them into a ring-backed trace.
 	tr := NewTracer(4, 1)
-	job := tr.StartAlways("job")
+	job := tr.Start("job")
 	job.StartSpan("lease").End()
 	job.AddSpans(spans)
 	job.Finish()
@@ -210,7 +210,7 @@ func TestContextPlumbing(t *testing.T) {
 // goroutines; the -race CI job is the real assertion.
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTracer(16, 1)
-	tc := tr.StartAlways("busy")
+	tc := tr.Start("busy")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -189,9 +189,6 @@ func newTenant(tc TenantConfig, now time.Time) *tenant {
 	}
 }
 
-// Slots returns the pool size.
-func (c *Controller) Slots() int { return c.slots }
-
 // tenantLocked resolves (or lazily creates) the tenant record for name.
 func (c *Controller) tenantLocked(name string) *tenant {
 	t := c.tenants[name]
@@ -388,11 +385,4 @@ func (c *Controller) Snapshot() []TenantSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// InUse returns the number of currently held slots (introspection).
-func (c *Controller) InUse() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.slots - c.free
 }

@@ -111,7 +111,7 @@ func TestClusterRunStreamsRange(t *testing.T) {
 	ref := clusterRef(t, name, k, q, topn)
 	g := gen.CorpusGraphByName(name).Build()
 	req := cluster.RangeRequest{
-		Graph: "corpus:" + name, Digest: graph.DigestHex(g),
+		Graph: "corpus:" + name, Digest: graph.DigestHexOf(g),
 		K: k, Q: q, TopN: topn,
 	}
 	opts, err := cluster.BuildOptions(&req, 1)

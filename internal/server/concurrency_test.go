@@ -20,6 +20,13 @@ import (
 	"repro/internal/graph"
 )
 
+// observations returns how many runtimes have been folded in.
+func (cr *costRouter) observations() int64 {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return cr.obs
+}
+
 // TestCostRouterConcurrentObservePredict hammers the calibrator from many
 // goroutines. The lock discipline is what's under test (via -race); the
 // functional assertions are that no observation is lost and the bias

@@ -94,13 +94,6 @@ func (cr *costRouter) observe(f kplex.CostFeatures, elapsed time.Duration) {
 	cr.mu.Unlock()
 }
 
-// observations returns how many runtimes have been folded in (metrics).
-func (cr *costRouter) observations() int64 {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.obs
-}
-
 // observeCost feeds one complete run's measured cost into the calibrator.
 // It is the single funnel for every execution path: the prepare-and-run
 // path's complete runs (run.end) and, wired as jobs.Config.ObserveCost,

@@ -345,9 +345,6 @@ func New(cfg Config) (*Server, error) {
 // subsystem is disabled.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
-// Cluster exposes the distributed-job coordinator; nil when disabled.
-func (s *Server) Cluster() *cluster.Coordinator { return s.cluster }
-
 // jobGraph adapts the graph registry to the job manager's loader: the
 // graph stays pinned for the whole run.
 func (s *Server) jobGraph(name string) (graph.CSR, string, func(), error) {
@@ -365,10 +362,6 @@ func (s *Server) jobGraph(name string) (graph.CSR, string, func(), error) {
 func (s *Server) jobPrepared(g graph.CSR, digest string, opts kplex.Options) (*kplex.Prepared, error) {
 	return s.prepared(g, digest, &opts)
 }
-
-// Catalog exposes the persistent graph catalog (tests and the preload
-// path); nil when Config.CatalogDir is empty.
-func (s *Server) Catalog() *store.Catalog { return s.catalog }
 
 // tenantWeights builds the job scheduler's weight lookup from the declared
 // tenant profiles; unknown tenants weigh 1 (the lookup returns 0 and the
@@ -498,8 +491,5 @@ func (s *Server) admit(ctx context.Context, tenant string) (release func(), err 
 	}
 	return nil, err
 }
-
-// QoS exposes the admission controller (tests and introspection).
-func (s *Server) QoS() *qos.Controller { return s.qos }
 
 var errBusy = fmt.Errorf("server at capacity: all enumeration slots busy")

@@ -28,7 +28,6 @@ type Writer struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	binary bool
-	count  int64
 	err    error
 	buf    []byte
 }
@@ -78,17 +77,7 @@ func (w *Writer) Write(p []int) error {
 		w.buf = append(w.buf, '\n')
 		_, w.err = w.bw.Write(w.buf)
 	}
-	if w.err == nil {
-		w.count++
-	}
 	return w.err
-}
-
-// Count returns the number of plexes written so far.
-func (w *Writer) Count() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
 }
 
 // errClosed poisons a Writer after Close so later Writes fail loudly.

@@ -14,7 +14,8 @@ package sink
 //     returns false once the stream is cancelled, letting workers stop
 //     copying results nobody will read.
 //   - The single owner calls Close exactly once, after every producer has
-//     finished, recording the run's terminal error and closing the channel.
+//     finished, closing the channel. The run's terminal error travels
+//     beside the stream (kplex.StreamHandle.Wait), not through it.
 //   - The consumer ranges over C until it is closed, or walks away by
 //     calling Cancel (dropping an HTTP client does this via context
 //     plumbing). Cancel unblocks every producer stuck in Emit.
@@ -29,9 +30,6 @@ type Stream struct {
 
 	cancelOnce sync.Once
 	closeOnce  sync.Once
-
-	mu  sync.Mutex
-	err error // terminal run error, set by Close
 }
 
 // NewStream returns a Stream whose channel buffers up to buf plexes
@@ -46,8 +44,7 @@ func NewStream(buf int) *Stream {
 	}
 }
 
-// C returns the receive side. It is closed by Close, after which Err
-// reports how the run ended.
+// C returns the receive side. It is closed by Close.
 func (s *Stream) C() <-chan []int { return s.ch }
 
 // Emit copies p and delivers it to the consumer, blocking while the buffer
@@ -76,23 +73,8 @@ func (s *Stream) Cancel() {
 	s.cancelOnce.Do(func() { close(s.done) })
 }
 
-// Done is closed when the stream has been cancelled.
-func (s *Stream) Done() <-chan struct{} { return s.done }
-
-// Close records the run's terminal error and closes the channel. It must be
-// called exactly once, by the producer side, after all Emit calls have
-// returned.
-func (s *Stream) Close(err error) {
-	s.mu.Lock()
-	s.err = err
-	s.mu.Unlock()
+// Close closes the channel. It must be called exactly once, by the
+// producer side, after all Emit calls have returned.
+func (s *Stream) Close() {
 	s.closeOnce.Do(func() { close(s.ch) })
-}
-
-// Err returns the terminal error recorded by Close. It is meaningful only
-// after C has been closed.
-func (s *Stream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }

@@ -1,7 +1,6 @@
 package sink
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ func TestStreamDeliversInOrder(t *testing.T) {
 				break
 			}
 		}
-		s.Close(nil)
+		s.Close()
 	}()
 	i := 0
 	for p := range s.C() {
@@ -27,9 +26,6 @@ func TestStreamDeliversInOrder(t *testing.T) {
 	}
 	if i != 10 {
 		t.Fatalf("received %d plexes, want 10", i)
-	}
-	if s.Err() != nil {
-		t.Errorf("Err = %v, want nil", s.Err())
 	}
 }
 
@@ -42,7 +38,7 @@ func TestStreamEmitCopies(t *testing.T) {
 	if got[0] != 1 {
 		t.Errorf("Emit aliased the producer's buffer: %v", got)
 	}
-	s.Close(nil)
+	s.Close()
 }
 
 // Cancel must unblock a producer stuck on a full channel, and every later
@@ -70,19 +66,7 @@ func TestStreamCancelUnblocksEmit(t *testing.T) {
 		t.Error("Emit succeeded on a cancelled stream")
 	}
 	s.Cancel() // idempotent
-	s.Close(nil)
-}
-
-func TestStreamCloseRecordsError(t *testing.T) {
-	s := NewStream(0)
-	want := errors.New("boom")
-	s.Close(want)
-	if _, ok := <-s.C(); ok {
-		t.Fatal("channel open after Close")
-	}
-	if !errors.Is(s.Err(), want) {
-		t.Errorf("Err = %v, want %v", s.Err(), want)
-	}
+	s.Close()
 }
 
 // Concurrent producers with a cancelling consumer: no panic, no deadlock,
@@ -106,7 +90,7 @@ func TestStreamConcurrentEmitAndCancel(t *testing.T) {
 	}
 	s.Cancel()
 	wg.Wait()
-	s.Close(nil)
+	s.Close()
 	for range s.C() { // drain the buffered tail
 	}
 }

@@ -93,9 +93,6 @@ func OpenCatalog(dir string) (*Catalog, error) {
 	return c, nil
 }
 
-// Dir returns the catalog directory.
-func (c *Catalog) Dir() string { return c.dir }
-
 // adoptUntracked registers every *.kpg in the directory the manifest does
 // not know, dropping entries whose file has vanished. Called at open,
 // before the catalog is shared, so it runs lockless.
@@ -186,18 +183,6 @@ func (c *Catalog) Lookup(name string) *CatalogEntry {
 		return &cp
 	}
 	return nil
-}
-
-// List returns the manifest entries sorted by name.
-func (c *Catalog) List() []CatalogEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CatalogEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // OpenGraph maps the named graph and verifies the file still carries the

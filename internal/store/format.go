@@ -98,9 +98,6 @@ type Header struct {
 	Digest     [32]byte
 }
 
-// HasDigest reports whether the file carries a content digest.
-func (h *Header) HasDigest() bool { return h.Flags&flagDigest != 0 }
-
 // encode serialises h into a header page, including the trailing CRC.
 func (h *Header) encode() []byte {
 	buf := make([]byte, pageSize)

@@ -97,9 +97,6 @@ func (r *Reader) Close() error {
 // Header returns the decoded file header.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Path returns the file the Reader is mapped over.
-func (r *Reader) Path() string { return r.path }
-
 // N returns the vertex count.
 func (r *Reader) N() int { return int(r.hdr.N) }
 
