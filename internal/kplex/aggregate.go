@@ -67,49 +67,8 @@ func (a *Aggregate) AddPlex(p []int) {
 		a.xor[i] ^= h[i]
 	}
 	if a.TopN > 0 {
-		a.insertTopK(p, false)
+		a.TopK = insertTopK(a.TopK, a.TopN, p, false)
 	}
-}
-
-// plexBefore orders plexes size-descending, then lexicographically
-// ascending — the order EnumerateTopK reports and ties never recur in
-// (each maximal plex is enumerated exactly once).
-func plexBefore(x, y []int) bool {
-	if len(x) != len(y) {
-		return len(x) > len(y)
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return x[i] < y[i]
-		}
-	}
-	return false
-}
-
-// insertTopK places p into the bounded sorted TopK list. owned marks a
-// slice the aggregate may keep without copying (merge paths).
-func (a *Aggregate) insertTopK(p []int, owned bool) {
-	if len(a.TopK) == a.TopN && !plexBefore(p, a.TopK[a.TopN-1]) {
-		return
-	}
-	// Binary search for the insertion point.
-	lo, hi := 0, len(a.TopK)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if plexBefore(a.TopK[mid], p) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if !owned {
-		p = append([]int(nil), p...)
-	}
-	if len(a.TopK) < a.TopN {
-		a.TopK = append(a.TopK, nil)
-	}
-	copy(a.TopK[lo+1:], a.TopK[lo:])
-	a.TopK[lo] = p
 }
 
 // Merge folds b into a. The two must summarise disjoint plex sets.
@@ -128,7 +87,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		a.xor[i] ^= b.xor[i]
 	}
 	for _, p := range b.TopK {
-		a.insertTopK(p, true)
+		a.TopK = insertTopK(a.TopK, a.TopN, p, true)
 	}
 	a.Stats.Add(b.Stats)
 }

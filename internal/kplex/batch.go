@@ -237,7 +237,7 @@ func (br *BatchRunner) Run(ctx context.Context, g graph.CSR, queries []BatchQuer
 }
 
 // batchMember is the accumulation state of one member during its group's
-// walk. The mutex serialises the mode payload (heap / histogram); count
+// walk. The mutex serialises the mode payload (top-k list / histogram); count
 // and maxSize are atomics, so count-only members stay lock-free on the
 // fan-out hot path.
 type batchMember struct {
@@ -249,7 +249,7 @@ type batchMember struct {
 	count   atomic.Int64
 	maxSize atomic.Int64
 	mu      sync.Mutex
-	heap    plexHeap
+	top     [][]int // top-k list in plexBefore order, len <= topN
 	hist    map[int]int64
 	done    atomic.Bool // top-k saturation: no remaining seed can change the answer
 }
@@ -271,7 +271,7 @@ func (m *batchMember) add(p []int) {
 	switch m.mode {
 	case BatchTopK:
 		m.mu.Lock()
-		m.heap.topkOffer(p, m.topN)
+		m.top = insertTopK(m.top, m.topN, p, false)
 		m.mu.Unlock()
 	case BatchHistogram:
 		m.mu.Lock()
@@ -280,8 +280,8 @@ func (m *batchMember) add(p []int) {
 	}
 }
 
-// saturated reports whether a top-k member can no longer change: its heap
-// is full and its weakest entry is strictly larger than maxRemaining, the
+// saturated reports whether a top-k member can no longer change: its list
+// is full and its last entry is strictly larger than maxRemaining, the
 // size bound of every unfinished seed. Strict: a tie could still replace
 // the weakest entry with a lexicographically smaller plex.
 func (m *batchMember) saturated(maxRemaining int) bool {
@@ -292,7 +292,7 @@ func (m *batchMember) saturated(maxRemaining int) bool {
 		return true
 	}
 	m.mu.Lock()
-	sat := len(m.heap) == m.topN && len(m.heap[0]) > maxRemaining
+	sat := len(m.top) == m.topN && len(m.top[m.topN-1]) > maxRemaining
 	m.mu.Unlock()
 	if sat {
 		m.done.Store(true)
@@ -380,7 +380,7 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 			m.hist = make(map[int]int64)
 			allTopK = false
 		case BatchTopK:
-			m.heap = make(plexHeap, 0, q.TopN)
+			m.top = make([][]int, 0, q.TopN)
 		default:
 			allTopK = false
 		}
@@ -455,7 +455,7 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 		r.Stats.MaxPlexSize = int64(r.MaxSize)
 		switch m.mode {
 		case BatchTopK:
-			r.TopK = m.heap.topkSorted()
+			r.TopK = m.top
 		case BatchHistogram:
 			r.Histogram = m.hist
 		}

@@ -47,15 +47,15 @@ func runDenseCell(t *testing.T, g *gen.CorpusGraph, k, q int, sched SchedulerSty
 	if err != nil {
 		t.Fatalf("%s k=%d q=%d sched=%v crossover=%d: %v", g.Name, k, q, sched, crossover, err)
 	}
-	var h plexHeap
+	var top [][]int
 	for _, p := range plexes {
-		h.topkOffer(p, 5)
+		top = insertTopK(top, 5, p, false)
 	}
 	return denseCell{
 		Count:   res.Count,
 		MaxSize: int(res.Stats.MaxPlexSize),
 		SHA256:  canonicalHash(plexes),
-		TopK:    h.topkSorted(),
+		TopK:    top,
 	}, res.Stats
 }
 

@@ -3,47 +3,62 @@ package kplex
 // Top-N retrieval of the largest maximal k-plexes. Community-detection
 // pipelines (the paper's motivating application) usually inspect only the
 // few largest structures, while the full enumeration can return billions;
-// this wrapper keeps a bounded min-heap over the stream of results so
+// this wrapper keeps a bounded sorted list over the stream of results so
 // memory stays O(N * plex size) regardless of the result-set size.
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
 )
 
-// plexHeap is a min-heap on (size, lexicographic order), so the root is
-// always the weakest member and eviction is O(log N).
-type plexHeap [][]int
-
-func (h plexHeap) Len() int { return len(h) }
-func (h plexHeap) Less(i, j int) bool {
-	if len(h[i]) != len(h[j]) {
-		return len(h[i]) < len(h[j])
+// plexBefore orders plexes size-descending, then lexicographically
+// ascending — the order EnumerateTopK reports and ties never recur in
+// (each maximal plex is enumerated exactly once).
+func plexBefore(x, y []int) bool {
+	if len(x) != len(y) {
+		return len(x) > len(y)
 	}
-	return lexGreater(h[i], h[j]) // among equal sizes, evict the largest lexicographically
-}
-func (h plexHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *plexHeap) Push(x any)   { *h = append(*h, x.([]int)) }
-func (h *plexHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func lexGreater(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] > b[i]
+	for i := range x {
+		if x[i] != y[i] {
+			return x[i] < y[i]
 		}
 	}
-	return len(a) > len(b)
+	return false
+}
+
+// insertTopK places p into top, the list of the topN (>= 1) largest
+// plexes kept in plexBefore order, and returns the list. A plex that does
+// not beat the last entry of a full list is rejected after one comparison,
+// so among size-tied plexes the lexicographically smallest are kept and
+// the answer does not depend on discovery order. owned marks a slice the
+// list may keep without copying (merge paths). Every top-k answer —
+// EnumerateTopK, a batch member, an Aggregate — is kept by this function.
+func insertTopK(top [][]int, topN int, p []int, owned bool) [][]int {
+	if len(top) == topN && !plexBefore(p, top[topN-1]) {
+		return top
+	}
+	// Binary search for the insertion point.
+	lo, hi := 0, len(top)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if plexBefore(top[mid], p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if !owned {
+		p = append([]int(nil), p...)
+	}
+	if len(top) < topN {
+		top = append(top, nil)
+	}
+	copy(top[lo+1:], top[lo:])
+	top[lo] = p
+	return top
 }
 
 // EnumerateTopK returns the topN largest maximal k-plexes with at least q
@@ -67,49 +82,22 @@ func EnumerateTopK(ctx context.Context, g graph.CSR, opts Options, topN int) ([]
 	return EnumerateTopKPrepared(ctx, p, opts, topN)
 }
 
-// topkOffer folds one plex into a bounded min-heap keeping the topN
-// largest (ties kept lexicographically smallest). Shared by EnumerateTopK
-// and the batch layer so the two paths keep identical tie semantics.
-func (h *plexHeap) topkOffer(p []int, topN int) {
-	if len(*h) < topN {
-		heap.Push(h, append([]int(nil), p...))
-		return
-	}
-	if len(p) > len((*h)[0]) || (len(p) == len((*h)[0]) && lexGreater((*h)[0], p)) {
-		(*h)[0] = append([]int(nil), p...)
-		heap.Fix(h, 0)
-	}
-}
-
-// topkSorted returns the heap's contents in reporting order: size
-// descending, ties by ascending vertex sequence. The heap is consumed.
-func (h plexHeap) topkSorted() [][]int {
-	out := [][]int(h)
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return lexGreater(out[j], out[i])
-	})
-	return out
-}
-
 // EnumerateTopKPrepared is EnumerateTopK against a Prepared handle,
 // skipping the run prologue.
 func EnumerateTopKPrepared(ctx context.Context, p *Prepared, opts Options, topN int) ([][]int, Result, error) {
 	if topN < 1 {
 		return nil, Result{}, fmt.Errorf("kplex: topN must be >= 1, got %d", topN)
 	}
-	h := make(plexHeap, 0, topN)
+	top := make([][]int, 0, topN)
 	var mu sync.Mutex
 	opts.OnPlex = func(p []int) {
 		mu.Lock()
-		defer mu.Unlock()
-		h.topkOffer(p, topN)
+		top = insertTopK(top, topN, p, false)
+		mu.Unlock()
 	}
 	res, err := RunPrepared(ctx, p, opts)
 	if err != nil {
 		return nil, res, err
 	}
-	return h.topkSorted(), res, nil
+	return top, res, nil
 }

@@ -1,19 +1,21 @@
 package kplex
 
-// Tie-semantics grid for top-k reporting. EnumerateTopK and the batch
-// layer share topkOffer/topkSorted, and this file pins the semantics both
-// depend on: among size-tied plexes the lexicographically smallest vertex
-// sequences are kept, reported size-descending then ascending — and the
-// answer is invariant to discovery order. That invariance is what lets the
-// dense-kernel seed path, the merge path, and both parallel schedulers
-// (each of which permutes discovery order) report byte-identical top-k
-// lists.
+// Tie-semantics grid for top-k reporting. EnumerateTopK, the batch layer
+// and the Aggregate under a SeedCollector (the deadline, job and cluster
+// answers) all keep their lists with insertTopK, and this file pins the
+// semantics they depend on: among size-tied plexes the lexicographically
+// smallest vertex sequences are kept, reported size-descending then
+// ascending — and the answer is invariant to discovery order. That
+// invariance is what lets the dense-kernel seed path, the merge path, and
+// both parallel schedulers (each of which permutes discovery order) report
+// byte-identical top-k lists.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,8 +23,8 @@ import (
 )
 
 // TestTopkOfferOrderInvariance feeds a crafted, heavily size-tied plex set
-// to topkOffer in many shuffled discovery orders and requires the same
-// topkSorted answer every time.
+// to insertTopK in many shuffled discovery orders and requires the same
+// list every time.
 func TestTopkOfferOrderInvariance(t *testing.T) {
 	// 12 sets: four sizes × three size-tied members each.
 	var plexes [][]int
@@ -40,17 +42,16 @@ func TestTopkOfferOrderInvariance(t *testing.T) {
 		r := rand.New(rand.NewSource(42))
 		for trial := 0; trial < 50; trial++ {
 			order := r.Perm(len(plexes))
-			h := make(plexHeap, 0, topN)
+			got := make([][]int, 0, topN)
 			for _, idx := range order {
-				h.topkOffer(plexes[idx], topN)
+				got = insertTopK(got, topN, plexes[idx], false)
 			}
-			got := h.topkSorted()
 			if want == nil {
 				want = got
 				// Sanity: sizes descending, ties ascending lexicographically.
 				for i := 1; i < len(want); i++ {
 					a, b := want[i-1], want[i]
-					if len(a) < len(b) || (len(a) == len(b) && lexGreater(a, b)) {
+					if len(a) < len(b) || (len(a) == len(b) && plexBefore(b, a)) {
 						t.Fatalf("topN=%d: unsorted output at %d: %v before %v", topN, i, a, b)
 					}
 				}
@@ -65,9 +66,11 @@ func TestTopkOfferOrderInvariance(t *testing.T) {
 
 // TestTopKTieGrid is the end-to-end grid: corpus graphs × (k, q) × the
 // two parallel schedulers × dense/merge seed kernels, each compared
-// member-wise against the batch path. regular-flat and ws-ring produce
-// many size-tied plexes by construction, so a tie-order drift in any
-// execution path shows up as a list mismatch here.
+// member-wise against the batch path and against a SeedCollector member
+// (the accumulation the deadline, job and cluster answers read).
+// regular-flat and ws-ring produce many size-tied plexes by construction,
+// so a tie-order drift in any execution path shows up as a list mismatch
+// here.
 func TestTopKTieGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep")
@@ -112,6 +115,26 @@ func TestTopKTieGrid(t *testing.T) {
 					}
 					if !reflect.DeepEqual(res[0].TopK, want) {
 						t.Fatalf("%s: batch top-k disagrees with EnumerateTopK:\ngot  %v\nwant %v", label, res[0].TopK, want)
+					}
+
+					// So must a SeedCollector member on a RunPrepared run.
+					copts := NewOptions(k, q)
+					copts.Threads = 4
+					copts.Scheduler = sched
+					copts.TaskTimeout = 100 * time.Microsecond
+					copts.denseCrossover = crossover
+					p, err := Prepare(g, copts)
+					if err != nil {
+						t.Fatalf("%s prepare: %v", label, err)
+					}
+					col := NewSeedCollector(p.SeedSpace(), []CollectMember{{TopN: topN}}, nil)
+					col.Install(&copts, 0)
+					if _, err := RunPrepared(context.Background(), p, copts); err != nil {
+						t.Fatalf("%s collector: %v", label, err)
+					}
+					aggs, _ := col.Snapshot()
+					if !slices.EqualFunc(aggs[0].TopK, want, slices.Equal[[]int]) { // an empty aggregate keeps a nil list
+						t.Fatalf("%s: collector top-k disagrees with EnumerateTopK:\ngot  %v\nwant %v", label, aggs[0].TopK, want)
 					}
 				}
 			}
