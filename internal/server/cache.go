@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/kplex"
 )
 
@@ -22,6 +23,11 @@ type queryResult struct {
 	Digest     string
 	ComputedAt time.Time
 	Sample     *kplex.SampleEstimate // sample:<rate> queries only
+
+	// Job is set instead of a result when a route=auto query was handed
+	// to the job subsystem; such a value answers 202 and is never cached.
+	Job       *jobs.Manifest
+	Predicted time.Duration // the calibrated prediction that routed Job
 }
 
 // lru is a mutex-guarded least-recently-used map with a fixed capacity.

@@ -327,19 +327,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if req.Route == "auto" && s.jobs != nil && req.Sample == 0 {
-		if man, pred, routed := s.maybeRouteAsync(entry, &req, opts, tenant); routed {
-			s.met.RoutedAsync.Add(1)
-			writeJSON(w, http.StatusAccepted, map[string]any{
-				"job":         man,
-				"predictedMs": float64(pred) / float64(time.Millisecond),
-			})
-			return
-		}
+	// A route=auto query decides between this request and a background job
+	// inside its flight, after admission and its one prepare stage. Its
+	// flight key is its own, so a synchronous query never shares a flight
+	// that answers with a job.
+	routeAuto := req.Route == "auto" && s.jobs != nil && req.Sample == 0
+	flightKey := key
+	if routeAuto {
+		flightKey += "|route=auto"
 	}
 
 	flightSpan := t.StartSpan("singleflight")
-	val, fromCache, shared, err := s.flight.do(key, func() (*queryResult, bool, error) {
+	val, fromCache, shared, err := s.flight.do(flightKey, func() (*queryResult, bool, error) {
 		// A just-finished flight may have filled the cache between our miss
 		// and this call; re-check before paying for an enumeration.
 		if val, ok := s.cache.get(key); ok {
@@ -356,12 +355,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return nil, false, err
 		}
 		defer release()
-		s.met.Executions.Add(1)
 		var val *queryResult
 		if req.Sample > 0 {
+			s.met.Executions.Add(1)
 			val, err = s.executeSampled(x, entry, opts)
 		} else {
-			val, err = s.execute(x, entry, opts)
+			var p *kplex.Prepared
+			p, err = x.prepare(entry, opts)
+			if err == nil && routeAuto {
+				if job := s.routeAsync(p, &req, tenant); job != nil {
+					return job, false, nil
+				}
+			}
+			s.met.Executions.Add(1)
+			if err == nil {
+				val, err = s.execute(x, entry, p)
+			}
 		}
 		if err != nil {
 			return nil, false, err
@@ -388,6 +397,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if val.Job != nil {
+		writeJSON(w, http.StatusAccepted, map[string]any{
+			"job":         val.Job,
+			"predictedMs": float64(val.Predicted) / float64(time.Millisecond),
+		})
+		return
+	}
 	// Exactly one counter per answered query: served from cache, shared an
 	// in-flight call, or executed (counted inside the flight fn).
 	switch {
@@ -399,23 +415,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, answer(&req, val, fromCache, shared))
 }
 
-// execute runs one cacheable enumeration on x's prepare-and-run path. The
-// context is detached from the requesting client: the result is
-// cacheable, so completing it is useful even if the first asker is gone;
-// Config.QueryTimeout is its bound and Server.Close its shutdown path.
-// Requests that share this execution through singleflight see only their
-// own "singleflight" span.
-func (s *Server) execute(x *run, entry *GraphEntry, opts kplex.Options) (*queryResult, error) {
+// execute runs one cacheable enumeration on x's prepare-and-run path,
+// over the prologue p that x.prepare resolved. The context is detached
+// from the requesting client: the result is cacheable, so completing it
+// is useful even if the first asker is gone; Config.QueryTimeout is its
+// bound and Server.Close its shutdown path. Requests that share this
+// execution through singleflight see only their own "singleflight" span.
+func (s *Server) execute(x *run, entry *GraphEntry, p *kplex.Prepared) (*queryResult, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.QueryTimeout)
 	defer cancel()
-	p, err := x.prepare(entry, opts)
-	if err != nil {
-		return nil, err
-	}
 	req := x.req
 	span := x.enumerate(p.SeedSpace()).Attr("mode", req.Mode)
 	val := &queryResult{Mode: req.Mode, Digest: entry.Digest, ComputedAt: time.Now()}
 	var res kplex.Result
+	var err error
 	switch req.Mode {
 	case "count":
 		res, err = kplex.RunPrepared(ctx, p, x.opts)
@@ -438,19 +451,15 @@ func (s *Server) execute(x *run, entry *GraphEntry, opts kplex.Options) (*queryR
 	return val, nil
 }
 
-// maybeRouteAsync converts a route=auto query into a background job when
-// its calibrated predicted runtime exceeds the async threshold. A false
-// return (prediction under threshold, prologue failure, submit failure)
-// falls through to the synchronous path, which will surface any real error
-// with proper status mapping.
-func (s *Server) maybeRouteAsync(entry *GraphEntry, req *queryRequest, opts kplex.Options, tenant string) (*jobs.Manifest, time.Duration, bool) {
-	p, err := s.prepared(entry.G, entry.Digest, &opts)
-	if err != nil {
-		return nil, 0, false
-	}
+// routeAsync converts a route=auto query into a background job when the
+// calibrated prediction for its prologue p exceeds the async threshold,
+// and returns the job as the flight's value. A nil return (prediction
+// under threshold, submit failure) leaves the query on the synchronous
+// path, which reuses p.
+func (s *Server) routeAsync(p *kplex.Prepared, req *queryRequest, tenant string) *queryResult {
 	pred := s.router.predict(p.CostFeatures())
 	if pred <= s.cfg.RouteAsyncThreshold {
-		return nil, pred, false
+		return nil
 	}
 	spec := jobs.Spec{Graph: req.Graph, K: req.K, Q: req.Q, Threads: req.Threads, Tenant: tenant}
 	if req.Mode == "topk" {
@@ -464,9 +473,10 @@ func (s *Server) maybeRouteAsync(entry *GraphEntry, req *queryRequest, opts kple
 	}
 	man, err := s.jobs.Submit(spec)
 	if err != nil {
-		return nil, 0, false
+		return nil
 	}
-	return man, pred, true
+	s.met.RoutedAsync.Add(1)
+	return &queryResult{Job: man, Predicted: pred}
 }
 
 // answer renders a query result as the /query response body. Empty topk

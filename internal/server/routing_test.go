@@ -6,9 +6,11 @@ package server
 // job subsystem.
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +202,72 @@ func TestRouteAutoFallsThroughSync(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("route=auto without jobs = %d, want 200", code)
 	}
+}
+
+// TestRouteAutoAdmitsBeforePrologue: a route=auto query resolves the
+// prologue its routing decision reads inside the prepare stage, after
+// admission. With every enumeration slot held, a cold route=auto query
+// refused at admission (429) or abandoned there by its client computes no
+// prologue; once a slot is free it pays exactly one.
+func TestRouteAutoAdmitsBeforePrologue(t *testing.T) {
+	const body = `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","route":"auto"}`
+	t.Run("refused", func(t *testing.T) {
+		s, hs := newTestServer(t, Config{JobsDir: t.TempDir(), MaxConcurrent: 1, AdmissionTimeout: 50 * time.Millisecond})
+		release, err := s.qos.Admit(context.Background(), "blocker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _ := postQuery(t, hs.URL, body); code != http.StatusTooManyRequests {
+			t.Fatalf("status %d with every slot held, want 429", code)
+		}
+		if m := stats(t, hs.URL); m["prepared_misses"] != 0 {
+			t.Fatalf("prepared_misses = %d after a refused route=auto query, want 0", m["prepared_misses"])
+		}
+		release()
+		if code, _ := postQuery(t, hs.URL, body); code != http.StatusOK {
+			t.Fatalf("status %d with a free slot, want 200", code)
+		}
+		if m := stats(t, hs.URL); m["prepared_misses"] != 1 || m["prepared_hits"] != 0 {
+			t.Fatalf("prepared_misses=%d prepared_hits=%d for one answered route=auto query, want 1 and 0",
+				m["prepared_misses"], m["prepared_hits"])
+		}
+	})
+	t.Run("abandoned", func(t *testing.T) {
+		s, hs := newTestServer(t, Config{JobsDir: t.TempDir(), MaxConcurrent: 1, AdmissionTimeout: 30 * time.Second})
+		release, err := s.qos.Admit(context.Background(), "blocker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		queued := func() bool {
+			for _, ts := range s.qos.Snapshot() {
+				if ts.Queued > 0 {
+					return true
+				}
+			}
+			return false
+		}
+		waitFor(t, 5*time.Second, "query never queued at admission", queued)
+		cancel()
+		<-done
+		waitFor(t, 5*time.Second, "admission waiter survived its client", func() bool { return !queued() })
+		if m := stats(t, hs.URL); m["prepared_misses"] != 0 {
+			t.Fatalf("prepared_misses = %d after an abandoned route=auto query, want 0", m["prepared_misses"])
+		}
+	})
 }
 
 // TestSchedulerAutoOnBoundedQueries: scheduler=auto is tuned on the

@@ -50,18 +50,26 @@ func TestPrepareRunTraceContract(t *testing.T) {
 		name, path, body string
 		stats            bool // the reply returns engine Stats
 		prepares         int  // one prepare span per prologue: a batch resolves one per group
+		jobs             bool // the job subsystem is on, so route=auto can decide
 	}{
-		{"count", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count"}`, true, 1},
-		{"topk", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"topk","topn":3}`, true, 1},
-		{"histogram", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"histogram"}`, true, 1},
-		{"deadline-beaten", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","deadlineMs":600000}`, true, 1},
-		{"sample", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","sample":0.5}`, true, 1},
-		{"stream", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"stream"}`, false, 1},
-		{"batch", "/batch", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6,"mode":"count"},{"k":3,"q":8,"mode":"histogram"}]}`, true, 2},
+		{"count", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count"}`, true, 1, false},
+		{"topk", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"topk","topn":3}`, true, 1, false},
+		{"histogram", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"histogram"}`, true, 1, false},
+		{"deadline-beaten", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","deadlineMs":600000}`, true, 1, false},
+		{"sample", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","sample":0.5}`, true, 1, false},
+		{"stream", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"stream"}`, false, 1, false},
+		{"batch", "/batch", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6,"mode":"count"},{"k":3,"q":8,"mode":"histogram"}]}`, true, 2, false},
+		// The default 30s async threshold is far above this prediction, so
+		// the query answers synchronously on the prologue its routing read.
+		{"route-auto", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","route":"auto"}`, true, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, hs := newTestServer(t, Config{})
+			var cfg Config
+			if tc.jobs {
+				cfg.JobsDir = t.TempDir()
+			}
+			_, hs := newTestServer(t, cfg)
 			resp, data := postJSON(t, hs.URL+tc.path, tc.body)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, data)
