@@ -118,11 +118,7 @@ func TestTopKTieGrid(t *testing.T) {
 					}
 
 					// So must a SeedCollector member on a RunPrepared run.
-					copts := NewOptions(k, q)
-					copts.Threads = 4
-					copts.Scheduler = sched
-					copts.TaskTimeout = 100 * time.Microsecond
-					copts.denseCrossover = crossover
+					copts := opts
 					p, err := Prepare(g, copts)
 					if err != nil {
 						t.Fatalf("%s prepare: %v", label, err)
