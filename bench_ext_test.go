@@ -8,9 +8,7 @@ package kplex_test
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
-	"time"
 
 	kplex "repro"
 )
@@ -111,35 +109,6 @@ func BenchmarkOracleBaselines(b *testing.B) {
 			runOnce(b, g, opts)
 		}
 	})
-}
-
-// BenchmarkSchedulerAblation compares the paper's stage scheduler against
-// the barrier-free work-stealing one; both run the same worker loop and
-// differ only in how seeds are claimed.
-func BenchmarkSchedulerAblation(b *testing.B) {
-	g := benchGraph("large")
-	const k, q = 2, 12
-	threads := runtime.GOMAXPROCS(0)
-	if threads > 16 {
-		threads = 16
-	}
-	for _, v := range []struct {
-		name  string
-		sched kplex.SchedulerStyle
-	}{
-		{"Stages", kplex.SchedulerStages},
-		{"Steal", kplex.SchedulerSteal},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := kplex.NewOptions(k, q)
-			opts.Threads = threads
-			opts.TaskTimeout = 100 * time.Microsecond
-			opts.Scheduler = v.sched
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g, opts)
-			}
-		})
-	}
 }
 
 // BenchmarkExtendedStats measures the statistics pipeline behind

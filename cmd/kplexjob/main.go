@@ -225,7 +225,7 @@ func cmdSubmit(b backend, local bool, args []string) error {
 	fs.IntVar(&spec.Q, "q", 0, "minimum plex size")
 	fs.IntVar(&spec.TopN, "topn", 0, "largest plexes kept (default 10)")
 	fs.IntVar(&spec.Threads, "threads", 0, "engine threads (0: server default)")
-	fs.StringVar(&spec.Scheduler, "scheduler", "", "stages | steal")
+	fs.StringVar(&spec.Scheduler, "scheduler", "", "stages | steal (deprecated: both run the same claim)")
 	fs.IntVar(&spec.Priority, "priority", 0, "higher runs first")
 	items := fs.String("items", "", `batch job: comma-separated "k:q[:topn]" cells (leave -k/-q/-topn unset); cells with equal k share one traversal`)
 	fs.IntVar(&spec.Ranges, "ranges", 0, "seed ranges the job is split into (-cluster only; default: coordinator's ranges-per-worker × workers)")

@@ -63,23 +63,4 @@ func main() {
 		}
 		fmt.Printf("%12v %12v %9d\n", tau, res.Elapsed.Round(time.Millisecond), res.Stats.Splits)
 	}
-
-	// Scheduler comparison at full threads: the paper's stage barriers and
-	// the barrier-free work-stealing scheme.
-	fmt.Printf("\nscheduler comparison (%d threads, τ=0.1ms):\n%14s %12s %9s %9s\n",
-		maxThreads, "scheduler", "time", "splits", "steals")
-	for _, sched := range []kplex.SchedulerStyle{
-		kplex.SchedulerStages, kplex.SchedulerSteal,
-	} {
-		opts := kplex.NewOptions(k, q)
-		opts.Threads = maxThreads
-		opts.TaskTimeout = 100 * time.Microsecond
-		opts.Scheduler = sched
-		res, err := kplex.Enumerate(context.Background(), g, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%14v %12v %9d %9d\n", sched,
-			res.Elapsed.Round(time.Millisecond), res.Stats.Splits, res.Stats.Steals)
-	}
 }

@@ -1,9 +1,8 @@
 // Command straggler demonstrates the Section 6 machinery: a workload with
 // a few huge seed subgraphs (planted overlapping communities) creates
 // straggler tasks that serialise a naive parallel run. The example sweeps
-// the τ_time task-split threshold, prints the split counts alongside the
-// wall-clock times, and contrasts the paper's stage-based scheduler with the
-// barrier-free work-stealing scheduler (SchedulerSteal).
+// the τ_time task-split threshold and prints the split and steal counts
+// alongside the wall-clock times.
 package main
 
 import (
@@ -31,11 +30,10 @@ func main() {
 	fmt.Printf("graph: %s, %d threads, k=%d q=%d\n",
 		kplex.ComputeGraphStats(g), threads, k, q)
 
-	run := func(label string, tau time.Duration, sched kplex.SchedulerStyle) {
+	run := func(label string, tau time.Duration) {
 		opts := kplex.NewOptions(k, q)
 		opts.Threads = threads
 		opts.TaskTimeout = tau
-		opts.Scheduler = sched
 		res, err := kplex.Enumerate(context.Background(), g, opts)
 		if err != nil {
 			log.Fatal(err)
@@ -45,15 +43,11 @@ func main() {
 			res.Stats.Splits, res.Stats.Steals)
 	}
 
-	fmt.Println("τ_time sweep (stage scheduler):")
-	run("no splitting (τ=∞)", 0, kplex.SchedulerStages)
+	fmt.Println("τ_time sweep (0.1ms is the paper's default):")
+	run("no splitting (τ=∞)", 0)
 	for _, tau := range []time.Duration{
 		10 * time.Millisecond, time.Millisecond, 100 * time.Microsecond, 10 * time.Microsecond,
 	} {
-		run(fmt.Sprintf("τ=%v", tau), tau, kplex.SchedulerStages)
+		run(fmt.Sprintf("τ=%v", tau), tau)
 	}
-
-	fmt.Println("scheduler comparison (τ=0.1ms, the paper's default):")
-	run("stage barriers", 100*time.Microsecond, kplex.SchedulerStages)
-	run("work stealing (steal-half)", 100*time.Microsecond, kplex.SchedulerSteal)
 }

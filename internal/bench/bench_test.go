@@ -67,16 +67,6 @@ func TestAlgoFamilies(t *testing.T) {
 			}
 		}
 	}
-	if got := len(SchedulerVariants()); got != 2 {
-		t.Fatalf("SchedulerVariants = %d, want 2", got)
-	}
-	for _, v := range SchedulerVariants() {
-		o := kplex.NewOptions(2, 8)
-		o.Scheduler = v.Style
-		if err := o.Validate(); err != nil {
-			t.Fatalf("scheduler %s options invalid: %v", v.Name, err)
-		}
-	}
 }
 
 func TestRunAndRunMeasured(t *testing.T) {

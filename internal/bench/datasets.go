@@ -143,8 +143,7 @@ func Suite() []Dataset {
 		{
 			// Overlapping planted communities of very different local
 			// density: a few seeds own almost all of the search tree, the
-			// worst case for the stage barrier and the workload the
-			// scheduler ablation (TableScheduler) is built around.
+			// worst case for straggler splitting and stealing.
 			Name: "straggler-syn", Class: Stress, Analog: "straggler stress",
 			Build: func() *graph.Graph {
 				return gen.Planted(gen.PlantedConfig{

@@ -68,9 +68,7 @@ func (c *Config) Figure7() error {
 
 // Figure8 prints the parallel speedup series (paper Figure 8): Ours with
 // 1, 2, 4, 8 and min(16, GOMAXPROCS) threads on the large datasets, with
-// one time column per scheduler (the scheduler-ablation extension) and the
-// speedup of the best scheduler at each thread count over the one-thread
-// run.
+// the speedup at each thread count over the one-thread run.
 func (c *Config) Figure8() error {
 	maxT := c.threads()
 	threadSteps := []int{1, 2, 4, 8, 16}
@@ -83,12 +81,11 @@ func (c *Config) Figure8() error {
 	if len(steps) == 0 {
 		steps = []int{1}
 	}
-	variants := SchedulerVariants()
 	ds := ByClass(Large)
 	if c.Quick {
 		ds = ds[:1]
 	}
-	c.printf("Figure 8 — Speedup of parallel Ours per scheduler\n")
+	c.printf("Figure 8 — Speedup of parallel Ours\n")
 	for _, d := range ds {
 		g := d.Build()
 		params := d.Params
@@ -97,52 +94,28 @@ func (c *Config) Figure8() error {
 		}
 		for _, kq := range params {
 			c.printf("# %s (k=%d, q=%d)\n", d.Name, kq.K, kq.Q)
-			c.printf("%8s", "threads")
-			for _, v := range variants {
-				c.printf(" %10s", v.Name)
-			}
-			c.printf(" %8s\n", "speedup")
+			c.printf("%8s %10s %8s\n", "threads", "time", "speedup")
 			var base time.Duration
 			var count int64 = -1
 			for _, th := range steps {
-				best := time.Duration(1<<63 - 1)
-				times := make([]time.Duration, len(variants))
-				for i, v := range variants {
-					if th == 1 && i > 0 {
-						// One thread with no splitting runs the sequential
-						// path whatever the scheduler; reuse the measurement.
-						times[i] = times[0]
-						continue
-					}
-					opts := kplex.NewOptions(kq.K, kq.Q)
-					opts.Threads = th
-					opts.Scheduler = v.Style
-					if th > 1 {
-						opts.TaskTimeout = 100 * time.Microsecond
-					}
-					m, err := Run(g, opts)
-					if err != nil {
-						return fmt.Errorf("figure8 %s t=%d %s: %w", d.Name, th, v.Name, err)
-					}
-					if count == -1 {
-						count = m.Count
-					} else if m.Count != count {
-						return fmt.Errorf("figure8 %s t=%d %s: count %d, want %d",
-							d.Name, th, v.Name, m.Count, count)
-					}
-					times[i] = m.Elapsed
-					if m.Elapsed < best {
-						best = m.Elapsed
-					}
+				opts := kplex.NewOptions(kq.K, kq.Q)
+				opts.Threads = th
+				if th > 1 {
+					opts.TaskTimeout = 100 * time.Microsecond
+				}
+				m, err := Run(g, opts)
+				if err != nil {
+					return fmt.Errorf("figure8 %s t=%d: %w", d.Name, th, err)
+				}
+				if count == -1 {
+					count = m.Count
+				} else if m.Count != count {
+					return fmt.Errorf("figure8 %s t=%d: count %d, want %d", d.Name, th, m.Count, count)
 				}
 				if th == 1 {
-					base = times[0] // one-thread stage run, the paper's baseline
+					base = m.Elapsed // the one-thread run, the paper's baseline
 				}
-				c.printf("%8d", th)
-				for _, t := range times {
-					c.printf(" %10s", FormatDuration(t))
-				}
-				c.printf(" %8.2f\n", float64(base)/float64(best))
+				c.printf("%8d %10s %8.2f\n", th, FormatDuration(m.Elapsed), float64(base)/float64(m.Elapsed))
 			}
 		}
 	}

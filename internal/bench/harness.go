@@ -69,22 +69,6 @@ func AblationRuleAlgos() []Algo {
 	}
 }
 
-// SchedulerVariant names one parallel work-distribution scheme of the
-// scheduler ablation (TableScheduler, Figure8).
-type SchedulerVariant struct {
-	Name  string
-	Style kplex.SchedulerStyle
-}
-
-// SchedulerVariants returns the scheduler ablation grid in display order:
-// the paper's stage scheme and the barrier-free work-stealing extension.
-func SchedulerVariants() []SchedulerVariant {
-	return []SchedulerVariant{
-		{"stages", kplex.SchedulerStages},
-		{"steal", kplex.SchedulerSteal},
-	}
-}
-
 // Measurement is one timed enumeration.
 type Measurement struct {
 	Count    int64

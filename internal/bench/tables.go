@@ -173,68 +173,6 @@ func (c *Config) Table4() error {
 	return nil
 }
 
-// TableScheduler prints the scheduler ablation (extension of the paper's
-// Section 6 discussion): parallel Ours under each work-distribution scheme
-// on the straggler-heavy planted datasets, with the split/steal counters
-// that explain the differences. All schedulers must report identical
-// counts; a mismatch invalidates the row and is returned as an error.
-func (c *Config) TableScheduler() error {
-	threads := c.threads()
-	variants := SchedulerVariants()
-	c.printf("Table S — Scheduler ablation (sec, %d threads, τ=0.1ms)\n", threads)
-	c.printf("%-14s %2s %3s %12s", "Network", "k", "q", "#k-plexes")
-	for _, v := range variants {
-		c.printf(" %10s", v.Name)
-	}
-	c.printf(" %8s %8s\n", "splits", "steals")
-	names := []string{"straggler-syn", "arabic-syn", "dblp-syn"}
-	if c.Quick {
-		names = names[:1]
-	}
-	for _, name := range names {
-		d, ok := ByName(name)
-		if !ok {
-			return fmt.Errorf("tableScheduler: dataset %s missing", name)
-		}
-		g := d.Build()
-		params := d.Params
-		if c.Quick {
-			params = params[:1]
-		}
-		for _, kq := range params {
-			times := make([]time.Duration, len(variants))
-			var count int64
-			var stealRun Measurement
-			for i, v := range variants {
-				opts := kplex.NewOptions(kq.K, kq.Q)
-				opts.Threads = threads
-				opts.TaskTimeout = 100 * time.Microsecond
-				opts.Scheduler = v.Style
-				m, err := Run(g, opts)
-				if err != nil {
-					return fmt.Errorf("tableScheduler %s %s: %w", d.Name, v.Name, err)
-				}
-				if i == 0 {
-					count = m.Count
-				} else if m.Count != count {
-					return fmt.Errorf("tableScheduler %s k=%d q=%d: count mismatch %s=%d vs %s=%d",
-						d.Name, kq.K, kq.Q, v.Name, m.Count, variants[0].Name, count)
-				}
-				times[i] = m.Elapsed
-				if v.Style == kplex.SchedulerSteal {
-					stealRun = m
-				}
-			}
-			c.printf("%-14s %2d %3d %12d", d.Name, kq.K, kq.Q, count)
-			for _, t := range times {
-				c.printf(" %10s", FormatDuration(t))
-			}
-			c.printf(" %8d %8d\n", stealRun.Stats.Splits, stealRun.Stats.Steals)
-		}
-	}
-	return nil
-}
-
 // ablationCases picks the four representative datasets the paper uses for
 // Tables 5 and 6.
 func (c *Config) ablationCases() []Dataset {

@@ -86,8 +86,9 @@ func TestBatchJobMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBatchJobCrashResume crashes a batch job mid-run on every scheduler
-// and verifies the reopened manager resumes it to per-item results
+// TestBatchJobCrashResume crashes a batch job mid-run under both
+// scheduler names a spec may carry (committed job logs hold either; both
+// run the same parallel runtime) and verifies the reopened manager resumes it to per-item results
 // identical to an uninterrupted run — the WAL's per-item aggregate vector
 // and the global seed-id mapping survive the round trip.
 func TestBatchJobCrashResume(t *testing.T) {

@@ -171,8 +171,8 @@ func waitCrashed(t *testing.T, m *Manager) {
 // TestCrashResume is the acceptance test: kill a job mid-run after M
 // seeds, reopen the manager over the same directory, and require the
 // resumed result to be identical (count, top-k, histogram, order-
-// independent plex-set digest) to an uninterrupted run — for every
-// scheduler.
+// independent plex-set digest) to an uninterrupted run — under both
+// scheduler names a spec may carry, which committed job logs hold.
 func TestCrashResume(t *testing.T) {
 	const graphName, k, q, topn = "corpus:planted-overlap", 2, 6, 7
 	ref := refAggregate(t, graphName, k, q, topn)

@@ -12,7 +12,7 @@ import (
 // order-independent digest of the plex set, and the accrued search
 // counters. Merging is associative and commutative over disjoint plex
 // sets, which is what lets a SeedCollector commit per-seed contributions
-// in whatever order the schedulers complete them — and the cluster layer
+// in whatever order the parallel workers complete them — and the cluster layer
 // merge per-range ones — and still converge to the result of an
 // uninterrupted run.
 type Aggregate struct {

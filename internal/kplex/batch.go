@@ -186,10 +186,10 @@ type BatchRunner struct {
 	// Prepare, when non-nil, resolves each group's prologue handle — hosts
 	// wire their prepared-graph cache here so a batch warms (and is warmed
 	// by) the single-query cache. The options are the group's Cell; the
-	// hook may finalize its execution knobs (Threads, Scheduler,
-	// TaskTimeout) for the group's walk, for instance from a cost
-	// prediction over the returned handle. When nil, the runner prepares
-	// directly from the graph.
+	// hook may finalize its execution knobs (Threads, TaskTimeout) for
+	// the group's walk, for instance from a cost prediction over the
+	// returned handle. When nil, the runner prepares directly from the
+	// graph.
 	Prepare func(cell *Options) (*Prepared, error)
 	// OnResult, when non-nil, receives each member's result as soon as its
 	// group's walk completes (members of one group land together, in
@@ -203,8 +203,8 @@ type BatchRunner struct {
 // Results are positionally aligned with queries. Each member's result is
 // identical to what the equivalent standalone Run / EnumerateTopK /
 // SizeHistogram call would report; the differential grid in batch_test.go
-// pins that equivalence across the corpus, the sequential path and both
-// schedulers.
+// pins that equivalence across the corpus, the sequential path and the
+// parallel runtime.
 func RunBatch(ctx context.Context, g graph.CSR, queries []BatchQuery) ([]BatchResult, error) {
 	return (&BatchRunner{}).Run(ctx, g, queries)
 }

@@ -8,6 +8,7 @@ package kplex
 
 import (
 	"context"
+	"encoding/json"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -244,5 +245,37 @@ func TestCollectorResume(t *testing.T) {
 	}
 	if err := NewSeedCollector(4, []CollectMember{{}}, nil).Resume(nil, nil); err == nil {
 		t.Error("member/aggregate arity mismatch accepted")
+	}
+}
+
+// TestAggregateUnsealRoundTrip: an aggregate written by Snapshot (a job
+// log record, a worker's range answer) reads back with the same plex
+// digest, an empty one reads back as the empty set, and a corrupt digest
+// is refused rather than merged.
+func TestAggregateUnsealRoundTrip(t *testing.T) {
+	a := NewAggregate(2)
+	for _, p := range [][]int{{1, 2, 3}, {2, 3, 4, 5}, {0, 9}} {
+		a.AddPlex(p)
+	}
+	data, err := json.Marshal(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Aggregate
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Unseal(); err != nil || back.PlexDigest() != a.PlexDigest() || back.Count != 3 {
+		t.Fatalf("round trip: err %v, digest %s count %d; want %s and 3", err, back.PlexDigest(), back.Count, a.PlexDigest())
+	}
+	empty := Aggregate{PlexXor: ""}
+	if err := empty.Unseal(); err != nil || empty.PlexDigest() != NewAggregate(0).PlexDigest() {
+		t.Fatalf("empty digest: err %v, digest %s", err, empty.PlexDigest())
+	}
+	for _, bad := range []string{"zz", "abcd"} {
+		corrupt := Aggregate{PlexXor: bad}
+		if corrupt.Unseal() == nil {
+			t.Errorf("Unseal accepted corrupt digest %q", bad)
+		}
 	}
 }

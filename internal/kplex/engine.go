@@ -23,10 +23,11 @@ type engine struct {
 	// pipeline performs no heap allocation at all.
 	sgPool sync.Pool
 
-	deques  []*stealDeque // one per worker; nil on the sequential path
-	pending atomic.Int64  // tasks pushed but not yet finished
-	seeding atomic.Int64  // workers inside a seed claim (see runParallel)
-	stop    atomic.Bool
+	deques   []*stealDeque // one per worker; nil on the sequential path
+	pending  atomic.Int64  // tasks pushed but not yet finished
+	seeding  atomic.Int64  // workers inside a seed claim (see runParallel)
+	nextSeed atomic.Int64  // next seed id to claim on the parallel path
+	stop     atomic.Bool
 	// extStop, when non-nil, is an additional stop flag owned by the
 	// caller (Options.earlyStop). Unlike context cancellation, which is
 	// mirrored into stop by a watcher goroutine, a store to extStop is
@@ -86,15 +87,13 @@ func Run(ctx context.Context, g graph.CSR, opts Options) (Result, error) {
 
 // processSeed builds and enumerates one seed group on worker w, honouring
 // the resume skip set and the seed-completion hooks; emit receives the
-// generated tasks (schedulers queue them, the sequential path runs them
-// inline). It is the single choke point the sequential and parallel run
-// paths share, so skip and checkpoint semantics cannot drift between
-// schedulers. It reports whether it built a group, which then emitted at
-// least one task; skipped seeds and seeds pruned before any task existed
-// report false.
-func (e *engine) processSeed(w *worker, s int, emit func(*task)) bool {
+// generated tasks (the parallel path queues them, the sequential path runs
+// them inline). It is the single choke point the sequential and parallel
+// run paths share, so skip and checkpoint semantics cannot drift between
+// them.
+func (e *engine) processSeed(w *worker, s int, emit func(*task)) {
 	if e.skipSeed(s) {
-		return false
+		return
 	}
 	if w.sc == nil {
 		w.sc = newSeedScratch(e.g.N())
@@ -113,7 +112,7 @@ func (e *engine) processSeed(w *worker, s int, emit func(*task)) bool {
 		// and its untouched storage goes straight back to the pool.
 		e.sgPool.Put(st)
 		e.seedDoneEmpty(s)
-		return false
+		return
 	}
 	if e.opts.OnSeedDone != nil {
 		// One outstanding unit for the generation phase; emitted tasks add
@@ -126,7 +125,6 @@ func (e *engine) processSeed(w *worker, s int, emit func(*task)) bool {
 		w.settleRelease(sg.track)
 	}
 	e.releaseSeed(sg) // the generation phase's reference
-	return true
 }
 
 // runSequential processes every seed group in order on the calling

@@ -21,7 +21,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/sink"
@@ -80,14 +82,22 @@ func canonicalHash(plexes [][]int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// enumerateGoldenCase runs the deterministic sequential enumeration for
-// one cell and fills in the measured fields.
-func enumerateGoldenCase(t *testing.T, cg gen.CorpusGraph, k, q int) goldenCase {
+// enumerateGoldenCase runs one cell's enumeration — sequential unless exec
+// sets parallel knobs — and fills in the measured fields.
+func enumerateGoldenCase(t *testing.T, cg gen.CorpusGraph, k, q int, exec func(*Options)) goldenCase {
 	t.Helper()
 	g := cg.Build()
+	var mu sync.Mutex
 	var plexes [][]int
 	opts := NewOptions(k, q)
-	opts.OnPlex = func(p []int) { plexes = append(plexes, append([]int(nil), p...)) }
+	if exec != nil {
+		exec(&opts)
+	}
+	opts.OnPlex = func(p []int) {
+		mu.Lock()
+		plexes = append(plexes, append([]int(nil), p...))
+		mu.Unlock()
+	}
 	res, err := Run(context.Background(), g, opts)
 	if err != nil {
 		t.Fatalf("%s k=%d q=%d: %v", cg.Name, k, q, err)
@@ -253,7 +263,7 @@ func TestGoldenCorpus(t *testing.T) {
 			cg, k, q := cg, kq[0], kq[1]
 			t.Run(fmt.Sprintf("%s/k%d_q%d", cg.Name, k, q), func(t *testing.T) {
 				t.Parallel()
-				got := enumerateGoldenCase(t, cg, k, q)
+				got := enumerateGoldenCase(t, cg, k, q, nil)
 				path := goldenPath(got)
 				if *updateGolden {
 					data, err := json.MarshalIndent(got, "", "  ")
@@ -275,6 +285,15 @@ func TestGoldenCorpus(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("golden mismatch\n got: %+v\nwant: %+v", got, want)
+				}
+				// Both scheduler constants run the same parallel claim and
+				// must reproduce the sequential golden digest.
+				for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
+					if par := enumerateGoldenCase(t, cg, k, q, func(o *Options) {
+						o.Threads, o.TaskTimeout, o.Scheduler = 3, 20*time.Microsecond, sched
+					}); par != want {
+						t.Errorf("%v: parallel run diverges from the golden\n got: %+v\nwant: %+v", sched, par, want)
+					}
 				}
 			})
 		}

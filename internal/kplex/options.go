@@ -4,7 +4,7 @@
 // Branch procedure (Algorithm 3), the upper bounds of Theorems 5.3/5.5/5.7,
 // the vertex-pair pruning rules of Theorems 5.13-5.15, the Ours_P branching
 // variant (Eq 4-6), and the parallel engine with timeout task splitting
-// (Section 6) under its stage and work-stealing schedulers.
+// (Section 6) under a barrier-free work-stealing runtime.
 package kplex
 
 import (
@@ -99,24 +99,21 @@ func (s PartitionStyle) String() string {
 	}
 }
 
-// SchedulerStyle selects how parallel workers obtain work (Section 6).
+// SchedulerStyle names a parallel work-distribution scheme.
+//
+// Deprecated: both values run the same barrier-free seed claim (see
+// steal.go); the field and its names remain so that options, job specs and
+// range requests that carry them keep working.
 type SchedulerStyle int
 
-// Both schedulers run the same worker loop over per-worker bounded deques
-// (LIFO local pops, batched FIFO steal-half from random victims); they
-// differ only in when a worker claims seeds. See steal.go.
 const (
-	// SchedulerStages is the paper's scheme: stages of M live seed groups,
-	// one per worker, with a barrier between stages. Seeds pruned before
-	// any task exists, and skipped seeds, take no stage slot. Maximises
-	// cache locality on the shared seed subgraphs while stage barriers
-	// bound memory to M live groups.
+	// SchedulerStages is the zero value and the name "stages".
+	//
+	// Deprecated: it runs the same claim as SchedulerSteal.
 	SchedulerStages SchedulerStyle = iota
-	// SchedulerSteal is the barrier-free scheme: a worker claims a fresh
-	// seed whenever its deque runs dry and seeds remain. It keeps the stage
-	// scheme's cache locality (workers run their own seed's tasks
-	// back-to-front) while removing the stage barrier that leaves cores
-	// idle on straggler-heavy inputs.
+	// SchedulerSteal is the name "steal".
+	//
+	// Deprecated: it runs the same claim as SchedulerStages.
 	SchedulerSteal
 )
 
@@ -132,7 +129,8 @@ func (s SchedulerStyle) String() string {
 }
 
 // ParseScheduler resolves a scheduler name as the service surfaces accept
-// it: "stages" (or empty) or "steal".
+// it: "stages" (or empty) or "steal". Both names run the same claim; the
+// names stay accepted because committed job and range logs carry them.
 func ParseScheduler(name string) (SchedulerStyle, error) {
 	switch name {
 	case "", "stages":
@@ -173,8 +171,10 @@ type Options struct {
 	Partition PartitionStyle
 	// Threads is the number of workers; values < 1 mean 1 (sequential).
 	Threads int
-	// Scheduler selects the parallel work-distribution scheme; the zero
-	// value is the paper's stage-based scheme (see SchedulerStyle).
+	// Scheduler is accepted for compatibility and has no effect.
+	//
+	// Deprecated: every parallel run takes the same barrier-free seed
+	// claim, whichever SchedulerStyle it carries.
 	Scheduler SchedulerStyle
 	// TaskTimeout is τ_time from Section 6: once a task has run this long,
 	// further branches are materialised as new tasks for other workers to

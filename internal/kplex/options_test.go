@@ -60,11 +60,35 @@ func TestEnumConstantsString(t *testing.T) {
 		{PartitionSubtasks.String(), "subtasks"},
 		{PartitionWhole2Hop.String(), "whole-2hop"},
 		{PartitionStyle(7).String(), "PartitionStyle(7)"},
+		{BatchCount.String(), "count"},
+		{BatchTopK.String(), "topk"},
+		{BatchHistogram.String(), "histogram"},
+		{BatchMode(7).String(), "BatchMode(7)"},
 	}
 	for _, p := range pairs {
 		if p.got != p.want {
 			t.Errorf("String() = %q, want %q", p.got, p.want)
 		}
+	}
+}
+
+// TestParseSchedulerNames: job specs, range requests and HTTP clients
+// carry scheduler names, so every name ever accepted still parses (both
+// to a constant Validate accepts) and an unknown one is still rejected.
+func TestParseSchedulerNames(t *testing.T) {
+	for name, want := range map[string]SchedulerStyle{"": SchedulerStages, "stages": SchedulerStages, "steal": SchedulerSteal} {
+		got, err := ParseScheduler(name)
+		if err != nil || got != want {
+			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		o := NewOptions(2, 4)
+		o.Scheduler = got
+		if err := o.Validate(); err != nil {
+			t.Errorf("ParseScheduler(%q): %v", name, err)
+		}
+	}
+	if _, err := ParseScheduler("lifo"); err == nil {
+		t.Error("ParseScheduler accepted an unknown name")
 	}
 }
 

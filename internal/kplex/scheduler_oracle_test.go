@@ -11,17 +11,19 @@ import (
 	"repro/internal/kplex"
 )
 
-// TestSchedulersMatchOracle is the differential grid of the scheduler
-// ablation: for Planted and SBM graphs × (k, q) × every scheduler × both
-// partition styles, the engine must return exactly the plex set of the
-// naive Bron-Kerbosch oracle — identical counts and identical sorted sets.
-// The scheduler decides who runs a task, never what it computes, so any
-// divergence here is a lost or duplicated task.
-// allSchedulers is the full scheduler grid for the differential tests.
+// allSchedulers holds both scheduler constants. They run the same seed
+// claim; the oracle grid keeps both so that options carrying either value
+// keep giving the oracle's answer.
 var allSchedulers = []kplex.SchedulerStyle{
 	kplex.SchedulerStages, kplex.SchedulerSteal,
 }
 
+// TestSchedulersMatchOracle is the differential grid of the parallel
+// runtime: for Planted and SBM graphs × (k, q) × both scheduler constants ×
+// both partition styles, the engine must return exactly the plex set of the
+// naive Bron-Kerbosch oracle — identical counts and identical sorted sets.
+// The runtime decides who runs a task, never what it computes, so any
+// divergence here is a lost or duplicated task.
 func TestSchedulersMatchOracle(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -66,10 +68,9 @@ func TestSchedulersMatchOracle(t *testing.T) {
 	}
 }
 
-// TestSchedulersAgreeOnLargerGraph cross-checks both schedulers
-// against each other (and the sequential run) on a graph too big for the
-// oracle: identical counts and identical sorted plex sets across thread
-// counts and timeout settings.
+// TestSchedulersAgreeOnLargerGraph cross-checks the parallel runtime
+// against the sequential run on a graph too big for the oracle: identical
+// sorted plex sets across thread counts and timeout settings.
 func TestSchedulersAgreeOnLargerGraph(t *testing.T) {
 	n := 600
 	if testing.Short() {
@@ -90,16 +91,13 @@ func TestSchedulersAgreeOnLargerGraph(t *testing.T) {
 	}
 	for _, threads := range threadGrid {
 		for _, tau := range tauGrid {
-			for _, sched := range allSchedulers {
-				opts := kplex.NewOptions(k, q)
-				opts.Threads = threads
-				opts.TaskTimeout = tau
-				opts.Scheduler = sched
-				got := collect(t, g, opts)
-				if !equalSets(got, want) {
-					t.Errorf("threads=%d tau=%v sched=%v: plex set diverges (got %d, want %d)",
-						threads, tau, sched, len(got), len(want))
-				}
+			opts := kplex.NewOptions(k, q)
+			opts.Threads = threads
+			opts.TaskTimeout = tau
+			got := collect(t, g, opts)
+			if !equalSets(got, want) {
+				t.Errorf("threads=%d tau=%v: plex set diverges (got %d, want %d)",
+					threads, tau, len(got), len(want))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,23 +14,72 @@ import (
 	"repro/internal/graph"
 )
 
-// TestStealSchedulerBoundedDeque forces tiny deque bounds under both
-// schedulers so the overflow path (owner runs tasks inline, during seed
-// generation and on splits) is exercised; results must be unaffected.
+// TestStealSchedulerBoundedDeque forces tiny deque bounds so the overflow
+// path (owner runs tasks inline, during seed generation and on splits) is
+// exercised; results must be unaffected.
 func TestStealSchedulerBoundedDeque(t *testing.T) {
 	g := gen.ChungLu(400, 14, 2.2, 58)
 	const k, q = 2, 7
 	want := mustRun(t, g, NewOptions(k, q))
+	for _, bound := range []int{1, 2, 16} {
+		opts := NewOptions(k, q)
+		opts.Threads = 4
+		opts.TaskTimeout = time.Microsecond
+		opts.queueBound = bound
+		res := mustRun(t, g, opts)
+		if res.Count != want.Count {
+			t.Errorf("bound=%d: count %d, want %d", bound, res.Count, want.Count)
+		}
+	}
+}
+
+// TestSchedulerLiveGroupBound pins the memory bound of Section 6: at most
+// M seed groups are alive at a time, one per worker. A seed that has
+// emitted a plex but is not yet reported done is a live group, so the set
+// of such seeds must never hold more than Threads entries, under either
+// scheduler constant, with and without task splitting.
+func TestSchedulerLiveGroupBound(t *testing.T) {
+	g := gen.Planted(gen.PlantedConfig{
+		N: 400, BackgroundP: 0.01, Communities: 8, CommSize: 14,
+		DropPerV: 2, Overlap: 3, Seed: 61,
+	})
+	want := mustRun(t, g, NewOptions(2, 6))
+	if want.Stats.Seeds < 20 {
+		t.Fatalf("%d live groups: too few to exercise the bound", want.Stats.Seeds)
+	}
 	for _, sched := range []SchedulerStyle{SchedulerStages, SchedulerSteal} {
-		for _, bound := range []int{1, 2, 16} {
-			opts := NewOptions(k, q)
-			opts.Threads = 4
-			opts.TaskTimeout = time.Microsecond
-			opts.Scheduler = sched
-			opts.queueBound = bound
-			res := mustRun(t, g, opts)
-			if res.Count != want.Count {
-				t.Errorf("%v bound=%d: count %d, want %d", sched, bound, res.Count, want.Count)
+		for _, threads := range []int{2, 3, 4} {
+			for _, tau := range []time.Duration{0, 50 * time.Microsecond} {
+				t.Run(fmt.Sprintf("%v/threads=%d/tau=%v", sched, threads, tau), func(t *testing.T) {
+					var mu sync.Mutex
+					live := make(map[int]bool)
+					peak := 0
+					opts := NewOptions(2, 6)
+					opts.Threads = threads
+					opts.TaskTimeout = tau
+					opts.Scheduler = sched
+					opts.OnPlexSeed = func(seed int, _ []int) {
+						mu.Lock()
+						live[seed] = true
+						peak = max(peak, len(live))
+						mu.Unlock()
+					}
+					opts.OnSeedDone = func(seed int, _ Stats) {
+						mu.Lock()
+						delete(live, seed)
+						mu.Unlock()
+					}
+					res := mustRun(t, g, opts)
+					if res.Count != want.Count {
+						t.Errorf("count %d, want %d", res.Count, want.Count)
+					}
+					if peak > threads {
+						t.Errorf("%d seed groups alive at once, want at most %d", peak, threads)
+					}
+					if len(live) != 0 {
+						t.Errorf("%d seeds emitted plexes but were never reported done", len(live))
+					}
+				})
 			}
 		}
 	}
@@ -65,7 +115,7 @@ func TestTryStealMovesHalf(t *testing.T) {
 	}
 }
 
-// TestStealSchedulerCountersFire runs the steal scheduler on a
+// TestStealSchedulerCountersFire runs the parallel engine on a
 // straggler-heavy workload and reports the counters. Whether tasks
 // actually migrate depends on host scheduling, so like the splits test
 // below this logs rather than asserts the counter values; correctness of
@@ -82,7 +132,6 @@ func TestStealSchedulerCountersFire(t *testing.T) {
 	opts := NewOptions(3, 9)
 	opts.Threads = 4
 	opts.TaskTimeout = 20 * time.Microsecond
-	opts.Scheduler = SchedulerSteal
 	res, err := Run(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +147,6 @@ func TestStealSchedulerCancellation(t *testing.T) {
 	opts := NewOptions(3, 9)
 	opts.Threads = 4
 	opts.TaskTimeout = 50 * time.Microsecond
-	opts.Scheduler = SchedulerSteal
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	_, err := Run(ctx, g, opts)
@@ -173,11 +221,10 @@ func deadSeedGraph(t *testing.T) (*graph.Graph, int) {
 	return g, space
 }
 
-// TestStagesSchedulerDeadSeedSpace pins the stage scheduler on a seed
-// space where dead seeds outnumber live groups by 600 to 1: a stage holds
-// M live groups, so workers claim past pruned and skipped seeds without
-// a barrier each. Counts, per-seed reporting and the skip-set partition
-// must be exactly those of the sequential run.
+// TestStagesSchedulerDeadSeedSpace pins the parallel seed claim on a seed
+// space where dead seeds outnumber live groups by 600 to 1: workers claim
+// through pruned and skipped seeds one by one. Counts, per-seed reporting
+// and the skip-set partition must be exactly those of the sequential run.
 func TestStagesSchedulerDeadSeedSpace(t *testing.T) {
 	g, space := deadSeedGraph(t)
 	want := mustRun(t, g, NewOptions(2, 10))
@@ -202,7 +249,6 @@ func TestStagesSchedulerDeadSeedSpace(t *testing.T) {
 					opts := NewOptions(2, 10)
 					opts.Threads = threads
 					opts.TaskTimeout = tau
-					opts.Scheduler = SchedulerStages
 					opts.SkipSeeds = skip
 					rec := newSeedRecorder()
 					rec.install(&opts)
@@ -244,12 +290,12 @@ func TestStagesSchedulerDeadSeedSpace(t *testing.T) {
 	}
 }
 
-// TestStagesSchedulerCancelDeadSeeds cancels stage runs while the workers
-// are claiming through the dead seed space: the run must stop claiming,
-// return the context error and leave no goroutine behind. The live groups
-// are skipped, so no worker can leave the claim loop by building one, and
-// the seed hook sleeps briefly, so claiming the whole space takes far
-// longer than the cancellation needs to land.
+// TestStagesSchedulerCancelDeadSeeds cancels parallel runs while the
+// workers are claiming through the dead seed space: the run must stop
+// claiming, return the context error and leave no goroutine behind. The
+// live groups are skipped, so every claim is a dead seed, and the seed
+// hook sleeps briefly, so claiming the whole space takes far longer than
+// the cancellation needs to land.
 func TestStagesSchedulerCancelDeadSeeds(t *testing.T) {
 	g, space := deadSeedGraph(t)
 	p, err := Prepare(g, NewOptions(2, 10))
@@ -289,7 +335,6 @@ func TestStagesSchedulerCancelDeadSeeds(t *testing.T) {
 			opts := NewOptions(2, 10)
 			opts.Threads = 4
 			opts.TaskTimeout = 50 * time.Microsecond
-			opts.Scheduler = SchedulerStages
 			opts.SkipSeeds = live
 			opts.OnSeedDone = func(int, Stats) {
 				if reported.Add(1) == tc.afterN {

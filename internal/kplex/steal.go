@@ -1,41 +1,37 @@
 package kplex
 
-// The parallel runtime behind both schedulers (Section 6). Each worker owns
-// a bounded deque; it pushes and pops at the back (LIFO keeps the current
-// seed subgraph cache-hot) while thieves take from the front, where the
-// oldest tasks — the roots of the largest remaining subtrees — sit. A thief
-// transfers *half* of the victim's deque in one locked operation instead of
-// one task per probe, amortising the synchronisation cost and giving the
-// thief a private runway before it must steal again.
+// The parallel runtime (Section 6). Each worker owns a bounded deque; it
+// pushes and pops at the back (LIFO keeps the current seed subgraph
+// cache-hot) while thieves take from the front, where the oldest tasks —
+// the roots of the largest remaining subtrees — sit. A thief transfers
+// *half* of the victim's deque in one locked operation instead of one task
+// per probe, amortising the synchronisation cost and giving the thief a
+// private runway before it must steal again.
 //
-// The two schedulers share this worker loop and differ only in how a
-// worker claims seeds (see runParallel):
-//
-//   - SchedulerStages claims once per stage: each worker claims seeds until
-//     one builds a group, and the stage ends at a barrier, so at most M
-//     seed groups are alive at a time, as in the paper.
-//   - SchedulerSteal claims a fresh seed whenever its deque runs dry and
-//     seeds remain, with no barrier, so cores never idle waiting for the
-//     slowest seed of a stage to finish.
+// A worker claims a fresh seed only when its own deque is empty, and no
+// worker steals while seeds remain (see workLoop). Every task of a group
+// therefore stays with the worker that built it until the seeds run out,
+// so at most M seed groups are alive at a time, one per worker, as in the
+// paper's stage scheme — without its barrier, so cores never idle waiting
+// for the slowest group of a stage to finish.
 //
 // Combined with the timeout task-splitting path (Options.TaskTimeout), a
 // worker that owns a straggler subtree continuously sheds its oldest
-// frontier into its deque where any idle worker can grab a batch. The deque
-// bound keeps memory proportional to threads × 4096 tasks: on overflow the
-// owner simply runs the task inline instead of queueing it, which is always
-// safe (the task tree is finite) and restores the depth-first memory
-// profile of the sequential run.
+// frontier into its deque where any idle worker can grab a batch once the
+// seeds are claimed. The deque bound keeps memory proportional to
+// threads × 4096 tasks: on overflow the owner simply runs the task inline
+// instead of queueing it, which is always safe (the task tree is finite)
+// and restores the depth-first memory profile of the sequential run.
 //
-// The scheduler decides only *who* runs a task, never what the task
-// computes, so the emitted plex set and count are identical under both
-// schedulers — the differential tests in scheduler_oracle_test.go pin this
-// down.
+// The runtime decides only *who* runs a task, never what the task
+// computes, so the emitted plex set and count are identical to the
+// sequential run's — the differential tests in scheduler_oracle_test.go
+// pin this down.
 
 import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -111,15 +107,13 @@ func (d *stealDeque) stealHalf(dst []*task, maxTake int) []*task {
 	return dst
 }
 
-// runParallel runs the worker loop on threads goroutines under the
-// configured scheduler's seed claim. A claim reports whether the worker
-// claimed anything; once it reports false, no claim is left for that
-// worker until the next stage. Termination is detected from three monotone
-// conditions read in order: no claim is left, no worker is inside a claim
-// (seeding), and no task is queued or running (pending). A claim raises
-// pending for every task it queues before it lowers seeding, and a running
-// task raises pending for every split before it lowers its own, so a
-// worker that reads all three cannot miss work still to come.
+// runParallel runs the worker loop on threads goroutines. Termination is
+// detected from three monotone conditions read in order: no seed is left
+// to claim, no worker is inside a claim (seeding), and no task is queued
+// or running (pending). A claim raises pending for every task it queues
+// before it lowers seeding, and a running task raises pending for every
+// split before it lowers its own, so a worker that reads all three cannot
+// miss work still to come.
 func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 	done := watchContext(ctx, e)
 	defer done()
@@ -135,64 +129,15 @@ func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 		workers[i] = &worker{id: i, eng: e, splitting: e.opts.TaskTimeout > 0}
 	}
 
-	n := int64(e.g.N())
-	var nextSeed atomic.Int64
 	var wg sync.WaitGroup
-	run := func(claim func(w *worker) bool) {
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				e.workLoop(w, claim)
-			}(w)
-		}
-		wg.Wait()
+	for _, w := range workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			e.workLoop(w)
+		}(w)
 	}
-
-	if e.opts.Scheduler == SchedulerSteal {
-		// One seed per claim, whenever seeds remain. seeding must rise
-		// before the claim so the termination check cannot miss the tasks
-		// this claim is about to push. The Load fast path keeps idle
-		// spinners off the shared counters once seeds are exhausted.
-		run(func(w *worker) bool {
-			if nextSeed.Load() >= n {
-				return false
-			}
-			e.seeding.Add(1)
-			s := nextSeed.Add(1) - 1
-			if s < n {
-				e.processSeed(w, int(s), w.enqueue)
-			}
-			e.seeding.Add(-1)
-			return s < n
-		})
-	} else {
-		// Stages of M live seed groups: every worker claims once per stage,
-		// taking seeds until one builds a group, so seeds pruned before any
-		// task exists and skipped seeds take no stage slot. seeding starts
-		// at M and each claim lowers it once.
-		claimed := make([]bool, threads)
-		claim := func(w *worker) bool {
-			if claimed[w.id] {
-				return false
-			}
-			claimed[w.id] = true
-			for !e.cancelled() {
-				if s := nextSeed.Add(1) - 1; s >= n || e.processSeed(w, int(s), w.enqueue) {
-					break
-				}
-			}
-			e.seeding.Add(-1)
-			return true
-		}
-		for nextSeed.Load() < n && !e.cancelled() {
-			e.seeding.Store(int64(threads))
-			clear(claimed)
-			run(claim)
-			// Stage barrier: all deques are empty here; the seed subgraphs
-			// of this stage become garbage, bounding memory as in the paper.
-		}
-	}
+	wg.Wait()
 
 	var total Stats
 	for _, w := range workers {
@@ -201,11 +146,12 @@ func (e *engine) runParallel(ctx context.Context, threads int) Stats {
 	return total
 }
 
-// workLoop is the worker loop of both schedulers. A worker prefers (1) its
-// own deque back-to-front, then (2) a seed claim — building its own seed
-// subgraph is cheaper than dragging someone else's working set across
-// caches — then (3) stealing half of a random victim's frontier.
-func (e *engine) workLoop(w *worker, claim func(w *worker) bool) {
+// workLoop is the worker loop. A worker prefers (1) its own deque
+// back-to-front, then (2) a seed claim — building its own seed subgraph is
+// cheaper than dragging someone else's working set across caches — then
+// (3) stealing half of a random victim's frontier. A claim fails only once
+// every seed is claimed, so (3) never runs while seeds remain.
+func (e *engine) workLoop(w *worker) {
 	my := e.deques[w.id]
 	rng := stealRand(uint64(w.id) + 1)
 	var loot []*task
@@ -217,7 +163,7 @@ func (e *engine) workLoop(w *worker, claim func(w *worker) bool) {
 			idleSpins = 0
 			continue
 		}
-		if claim(w) {
+		if e.claimSeed(w) {
 			idleSpins = 0
 			continue
 		}
@@ -254,6 +200,25 @@ func (e *engine) workLoop(w *worker, claim func(w *worker) bool) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// claimSeed builds and queues the next unclaimed seed group on w, and
+// reports false once every seed is claimed. seeding must rise before the
+// claim so the termination check cannot miss the tasks this claim is about
+// to push. The Load fast path keeps idle spinners off the shared counters
+// once seeds are exhausted.
+func (e *engine) claimSeed(w *worker) bool {
+	n := int64(e.g.N())
+	if e.nextSeed.Load() >= n {
+		return false
+	}
+	e.seeding.Add(1)
+	s := e.nextSeed.Add(1) - 1
+	if s < n {
+		e.processSeed(w, int(s), w.enqueue)
+	}
+	e.seeding.Add(-1)
+	return s < n
 }
 
 // trySteal probes the other deques in a random rotation and moves half of

@@ -4,7 +4,7 @@ package kplex
 // callback, which forces the caller to either materialise the result set
 // ([][]int — unusable at the paper's result-set sizes) or to hand-roll the
 // concurrency around a callback invoked from many workers. RunStream
-// instead returns a bounded channel fed by all schedulers' workers, with
+// instead returns a bounded channel fed by every parallel worker, with
 // two-way cancellation:
 //
 //   - ctx cancellation (a dropped HTTP client, a deadline) stops the
@@ -63,9 +63,9 @@ func (h *StreamHandle) Wait() (Result, error) {
 // RunStream starts an enumeration whose results are delivered over a
 // bounded channel instead of the OnPlex callback. Validation errors are
 // returned synchronously; after that the run proceeds on background
-// goroutines under all the same scheduler options as Run (sequential,
-// stages, steal). Cancelling ctx stops the engine and closes
-// the channel promptly even if the consumer has stopped receiving.
+// goroutines under all the same execution options as Run (sequential or
+// parallel). Cancelling ctx stops the engine and closes the channel
+// promptly even if the consumer has stopped receiving.
 //
 // opts.OnPlex must be nil: the streaming path owns result delivery.
 //

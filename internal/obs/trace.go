@@ -284,6 +284,18 @@ func (s *Span) Attr(k, v string) *Span {
 	return s
 }
 
+// Exclude takes d out of the span: time spent inside it on work that
+// another span accounts for. The recorded start moves later by d, so the
+// span keeps its end and its duration counts only the rest.
+func (s *Span) Exclude(d time.Duration) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.start = s.start.Add(d)
+	s.mu.Unlock()
+}
+
 // End finishes the span with status "ok".
 func (s *Span) End() { s.EndStatus("ok") }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -166,6 +167,67 @@ func TestClusterRunStreamsRange(t *testing.T) {
 	}
 	if got := stats(t, hs.URL)["range_runs"]; got != 1 {
 		t.Errorf("range_runs = %d, want 1", got)
+	}
+}
+
+// TestClusterRunAdmitsBeforePrologue: a leased range waits for an
+// enumeration slot before it computes its prologue, so a range whose
+// coordinator gives up while every slot is held leaves the prepared cache
+// untouched. TestRouteAutoAdmitsBeforePrologue does the same for queries.
+func TestClusterRunAdmitsBeforePrologue(t *testing.T) {
+	g := gen.CorpusGraphByName("planted-a").Build()
+	req := cluster.RangeRequest{Graph: "corpus:planted-a", Digest: graph.DigestHexOf(g), K: 2, Q: 6}
+	opts, err := cluster.BuildOptions(&req, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := kplex.Prepare(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.TotalSeeds, req.Hi = p.SeedSpace(), p.SeedSpace()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, hs := newTestServer(t, Config{MaxConcurrent: 1})
+	release, err := s.qos.Admit(context.Background(), "blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/cluster/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		if resp, err := http.DefaultClient.Do(hreq); err == nil {
+			resp.Body.Close()
+		}
+		close(done)
+	}()
+	queued := func() bool { return queuedAtAdmission(s) }
+	waitFor(t, 5*time.Second, "range never queued at admission", queued)
+	cancel()
+	<-done
+	waitFor(t, 5*time.Second, "admission waiter survived its client", func() bool { return !queued() })
+	if m := stats(t, hs.URL); m["prepared_misses"] != 0 || m["range_runs"] != 0 {
+		t.Fatalf("prepared_misses=%d range_runs=%d after an abandoned range, want 0 and 0",
+			m["prepared_misses"], m["range_runs"])
+	}
+
+	release()
+	resp, err := http.Post(hs.URL+"/cluster/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if m := stats(t, hs.URL); resp.StatusCode != http.StatusOK || m["prepared_misses"] != 1 || m["range_runs"] != 1 {
+		t.Fatalf("status %d, prepared_misses=%d range_runs=%d for one served range, want 200, 1 and 1",
+			resp.StatusCode, m["prepared_misses"], m["range_runs"])
 	}
 }
 

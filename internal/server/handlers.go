@@ -27,10 +27,11 @@ type queryRequest struct {
 	TopN int `json:"topn,omitempty"`
 	// Threads overrides the engine parallelism (default Config.DefaultThreads).
 	Threads int `json:"threads,omitempty"`
-	// Scheduler is "stages", "steal" or "auto" (default stages). "auto"
-	// lets the server pick threads, scheduler and τ_time from the query's
-	// predicted cost; execution knobs only, the result set and cache
-	// identity are unchanged.
+	// Scheduler is "stages", "steal" or "auto". The first two (and empty)
+	// run the same barrier-free claim with the request's threads and the
+	// default τ_time; "auto" lets the server pick threads and τ_time from
+	// the query's predicted cost. Execution knobs only: the result set and
+	// cache identity are unchanged.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Route is "sync" (default) or "auto": with "auto", a query whose
 	// predicted runtime exceeds the server's async threshold is converted
@@ -215,7 +216,7 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 	if opts.Threads <= 0 {
 		opts.Threads = s.cfg.DefaultThreads
 	}
-	// "auto" keeps the provisional stages default, finalized against the
+	// "auto" keeps the provisional defaults, finalized against the
 	// predicted cost once the prepared prologue (and with it the cost
 	// features) is resident.
 	if req.Scheduler != "auto" {
@@ -465,10 +466,7 @@ func (s *Server) routeAsync(p *kplex.Prepared, req *queryRequest, tenant string)
 	if req.Mode == "topk" {
 		spec.TopN = req.TopN
 	}
-	if req.Scheduler == "auto" {
-		// Predicted past the async threshold: that is tuneFor's top tier.
-		spec.Scheduler = "steal"
-	} else {
+	if req.Scheduler != "auto" {
 		spec.Scheduler = req.Scheduler
 	}
 	man, err := s.jobs.Submit(spec)

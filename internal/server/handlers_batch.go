@@ -220,7 +220,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	var runErr error
 	if len(order) > 0 {
-		span := x.open().Attr("mode", "batch").Attr("items", strconv.Itoa(len(order)))
 		queries := make([]kplex.BatchQuery, len(order))
 		for ui, p := range order {
 			timePhases(&itemOpts[p.item])
@@ -232,11 +231,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 		defer cancel()
 		groups := 0
+		// The enumerate span opens once the first group's prologue is
+		// resident. A later group's prologue runs inside it and is taken
+		// out, so enumerate time never counts what a prepare span counts.
+		var span *obs.Span
+		open := func() {
+			span = x.open().Attr("mode", "batch").Attr("items", strconv.Itoa(len(order)))
+		}
 		runner := &kplex.BatchRunner{
 			Prepare: func(cell *kplex.Options) (*kplex.Prepared, error) {
 				groups++
 				defer inf.SetStage("enumerate")
+				t0 := time.Now()
 				p, err := x.prepare(entry, *cell)
+				if span == nil {
+					open()
+				} else {
+					span.Exclude(time.Since(t0))
+				}
 				if err == nil {
 					x.tune(x.predict(p.SeedSpace()), cell)
 				}
@@ -276,6 +288,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 		_, runErr = runner.Run(ctx, entry.G, queries)
+		if span == nil {
+			open() // the batch failed before any group was prepared
+		}
 		summary.Groups = groups
 		span.Attr("groups", strconv.Itoa(groups)).EndErr(runErr)
 	}

@@ -96,6 +96,19 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	inf := s.inflight.Register("range", req.Graph, req.K, req.Q, "", traceID)
 	defer inf.Done()
 
+	// Ranges are queued work, like jobs: block for a slot rather than 429.
+	// The stream has not started yet, so the coordinator's watchdog covers
+	// a worker stuck here (no heartbeats until admission). Admission comes
+	// before the prologue, so a queued range computes none.
+	inf.SetStage("admission")
+	admSpan := wt.StartSpan("admission").Attr("range", rangeAttr)
+	release, err := s.admitJob(r.Context(), tenantOf(r))
+	admSpan.EndErr(err)
+	if err != nil {
+		return // client gone while waiting; nothing to answer
+	}
+	defer release()
+
 	x := s.newRun(wt, inf, nil)
 	p, err := x.prepare(e, opts, "range", rangeAttr)
 	if err != nil {
@@ -110,18 +123,6 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("range [%d, %d) outside the %d-seed space", req.Lo, req.Hi, req.TotalSeeds))
 		return
 	}
-
-	// Ranges are queued work, like jobs: block for a slot rather than 429.
-	// The stream has not started yet, so the coordinator's watchdog covers
-	// a worker stuck here (no heartbeats until admission).
-	inf.SetStage("admission")
-	admSpan := wt.StartSpan("admission").Attr("range", rangeAttr)
-	release, err := s.admitJob(r.Context(), tenantOf(r))
-	admSpan.EndErr(err)
-	if err != nil {
-		return // client gone while waiting; nothing to answer
-	}
-	defer release()
 	s.met.RangeRuns.Add(1)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -13,10 +13,9 @@ package server
 //     sequentially (worker startup and queue traffic dominate sub-50ms
 //     enumerations) and predicted-expensive ones on the default thread
 //     budget;
-//   - scheduler/τ_time: mid-range queries keep the paper's stage scheme;
-//     long ones switch to the barrier-free work-stealing scheduler with a
-//     tighter split budget, which tolerates the skewed subtree depths that
-//     long enumerations imply.
+//   - τ_time: long queries split straggler tasks on a tighter budget,
+//     which tolerates the skewed subtree depths that long enumerations
+//     imply.
 //
 // The model ships with coefficients fitted offline (kplex.DefaultCostModel),
 // so its absolute scale is wrong on any other machine. costRouter corrects
@@ -40,9 +39,9 @@ const (
 	// routeSequentialBelow: under this, thread startup and queue traffic
 	// cost more than they save; run sequentially.
 	routeSequentialBelow = 50 * time.Millisecond
-	// routeStealAbove: over this, subtree-depth skew dominates and the
-	// stage barrier wastes workers; switch to work stealing.
-	routeStealAbove = 2 * time.Second
+	// routeSplitFastAbove: over this, subtree-depth skew dominates; split
+	// straggler tasks at a shorter τ_time.
+	routeSplitFastAbove = 2 * time.Second
 )
 
 // costRouter is the calibrated predictor. Safe for concurrent use.
@@ -113,31 +112,20 @@ func (s *Server) observeCost(f kplex.CostFeatures, elapsed time.Duration) {
 
 // tuneFor finalizes the execution knobs of a scheduler=auto query from the
 // calibrated prediction. An explicitly requested thread count (threads > 0
-// in the request) is honoured; only the scheduler and τ_time are always
-// chosen here. The choices are execution-only — they never change the
-// result set, the cache key or the golden digests.
+// in the request) is honoured; τ_time is always chosen here. The choices
+// are execution-only — they never change the result set, the cache key or
+// the golden digests.
 func tuneFor(pred time.Duration, explicitThreads, defaultThreads int, opts *kplex.Options) {
-	switch {
-	case pred < routeSequentialBelow:
-		if explicitThreads <= 0 {
+	if explicitThreads <= 0 {
+		opts.Threads = defaultThreads
+		if pred < routeSequentialBelow {
 			opts.Threads = 1
 		}
-		opts.Scheduler = kplex.SchedulerStages
-	case pred < routeStealAbove:
-		if explicitThreads <= 0 {
-			opts.Threads = defaultThreads
-		}
-		opts.Scheduler = kplex.SchedulerStages
-	default:
-		if explicitThreads <= 0 {
-			opts.Threads = defaultThreads
-		}
-		opts.Scheduler = kplex.SchedulerSteal
 	}
 	switch {
 	case opts.Threads <= 1:
 		opts.TaskTimeout = 0 // no siblings to starve
-	case opts.Scheduler == kplex.SchedulerSteal:
+	case pred >= routeSplitFastAbove:
 		opts.TaskTimeout = time.Millisecond // long runs: split aggressively
 	default:
 		opts.TaskTimeout = kplex.DefaultTaskTimeout

@@ -64,18 +64,17 @@ func TestCostRouterCalibration(t *testing.T) {
 
 func TestTuneForTiers(t *testing.T) {
 	cases := []struct {
-		name      string
-		pred      time.Duration
-		threads   int // explicit request, 0 = let the tuner pick
-		wantTh    int
-		wantSched kplex.SchedulerStyle
-		wantTau   time.Duration
+		name    string
+		pred    time.Duration
+		threads int // explicit request, 0 = let the tuner pick
+		wantTh  int
+		wantTau time.Duration
 	}{
-		{"cheap-sequential", 10 * time.Millisecond, 0, 1, kplex.SchedulerStages, 0},
-		{"mid-stages", 500 * time.Millisecond, 0, 8, kplex.SchedulerStages, 2 * time.Millisecond},
-		{"long-steal", 10 * time.Second, 0, 8, kplex.SchedulerSteal, time.Millisecond},
-		{"explicit-threads-honoured", 10 * time.Millisecond, 4, 4, kplex.SchedulerStages, 2 * time.Millisecond},
-		{"explicit-one-thread", 10 * time.Second, 1, 1, kplex.SchedulerSteal, 0},
+		{"cheap-sequential", 10 * time.Millisecond, 0, 1, 0},
+		{"mid", 500 * time.Millisecond, 0, 8, 2 * time.Millisecond},
+		{"long", 10 * time.Second, 0, 8, time.Millisecond},
+		{"explicit-threads-honoured", 10 * time.Millisecond, 4, 4, 2 * time.Millisecond},
+		{"explicit-one-thread", 10 * time.Second, 1, 1, 0},
 	}
 	for _, tc := range cases {
 		opts := kplex.NewOptions(2, 8)
@@ -84,10 +83,9 @@ func TestTuneForTiers(t *testing.T) {
 			opts.Threads = 8
 		}
 		tuneFor(tc.pred, tc.threads, 8, &opts)
-		if opts.Threads != tc.wantTh || opts.Scheduler != tc.wantSched || opts.TaskTimeout != tc.wantTau {
-			t.Errorf("%s: got threads=%d sched=%v tau=%v, want %d/%v/%v",
-				tc.name, opts.Threads, opts.Scheduler, opts.TaskTimeout,
-				tc.wantTh, tc.wantSched, tc.wantTau)
+		if opts.Threads != tc.wantTh || opts.TaskTimeout != tc.wantTau {
+			t.Errorf("%s: got threads=%d tau=%v, want %d/%v",
+				tc.name, opts.Threads, opts.TaskTimeout, tc.wantTh, tc.wantTau)
 		}
 	}
 }
@@ -137,8 +135,8 @@ func TestRouteAutoAsync(t *testing.T) {
 	if acc.PredictedMs <= 0 {
 		t.Fatalf("predictedMs = %v, want > 0", acc.PredictedMs)
 	}
-	if acc.Job.Spec.Scheduler != "steal" {
-		t.Fatalf("async job from scheduler=auto got scheduler %q, want steal", acc.Job.Spec.Scheduler)
+	if acc.Job.Spec.Scheduler != "" {
+		t.Fatalf("async job from scheduler=auto got scheduler %q, want the default", acc.Job.Spec.Scheduler)
 	}
 
 	v, err := s.Jobs().Wait(t.Context(), acc.Job.ID)
@@ -252,14 +250,7 @@ func TestRouteAutoAdmitsBeforePrologue(t *testing.T) {
 			}
 			done <- err
 		}()
-		queued := func() bool {
-			for _, ts := range s.qos.Snapshot() {
-				if ts.Queued > 0 {
-					return true
-				}
-			}
-			return false
-		}
+		queued := func() bool { return queuedAtAdmission(s) }
 		waitFor(t, 5*time.Second, "query never queued at admission", queued)
 		cancel()
 		<-done
@@ -268,6 +259,17 @@ func TestRouteAutoAdmitsBeforePrologue(t *testing.T) {
 			t.Fatalf("prepared_misses = %d after an abandoned route=auto query, want 0", m["prepared_misses"])
 		}
 	})
+}
+
+// queuedAtAdmission reports whether any request waits for an admission
+// slot on s.
+func queuedAtAdmission(s *Server) bool {
+	for _, ts := range s.qos.Snapshot() {
+		if ts.Queued > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSchedulerAutoOnBoundedQueries: scheduler=auto is tuned on the

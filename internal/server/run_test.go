@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/kplex"
 	"repro/internal/obs"
@@ -59,6 +60,7 @@ func TestPrepareRunTraceContract(t *testing.T) {
 		{"sample", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","sample":0.5}`, true, 1, false},
 		{"stream", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"stream"}`, false, 1, false},
 		{"batch", "/batch", `{"graph":"corpus:planted-a","items":[{"k":2,"q":6,"mode":"count"},{"k":3,"q":8,"mode":"histogram"}]}`, true, 2, false},
+		{"batch-auto", "/batch", `{"graph":"corpus:planted-a","scheduler":"auto","items":[{"k":2,"q":6,"mode":"count"},{"k":3,"q":8,"mode":"histogram"}]}`, true, 2, false},
 		// The default 30s async threshold is far above this prediction, so
 		// the query answers synchronously on the prologue its routing read.
 		{"route-auto", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","route":"auto"}`, true, 1, true},
@@ -115,6 +117,40 @@ func TestPrepareRunTraceContract(t *testing.T) {
 				t.Errorf("%d prepare spans, want %d", n, tc.prepares)
 			}
 		})
+	}
+}
+
+// TestBatchEnumerateExcludesPrepare: a batch's groups resolve their
+// prologues as the walk reaches them, and the one enumerate span must not
+// count that time again. From the first prepare span's start to the
+// enumerate span's end, the prepare spans and the enumerate span together
+// cannot account for more time than passed.
+func TestBatchEnumerateExcludesPrepare(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	resp, data := postJSON(t, hs.URL+"/batch",
+		`{"graph":"corpus:gnp-dense","items":[{"k":2,"q":10,"mode":"count"},{"k":3,"q":12,"mode":"histogram"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	td := getTrace(t, hs.URL, resp.Header.Get("X-Trace-Id"))
+	prepares, enums := spansNamed(td, "prepare"), spansNamed(td, "enumerate")
+	if len(prepares) != 2 || len(enums) != 1 {
+		t.Fatalf("%d prepare and %d enumerate spans, want 2 and 1: %v", len(prepares), len(enums), spanNames(td))
+	}
+	enum := enums[0]
+	end := enum.Start.Add(time.Duration(enum.DurationMS * 1e6))
+	first := prepares[0].Start
+	sum := enum.DurationMS
+	for _, sp := range prepares {
+		sum += sp.DurationMS
+		if sp.Start.Before(first) {
+			first = sp.Start
+		}
+	}
+	window := float64(end.Sub(first)) / 1e6
+	if sum > window+0.01 {
+		t.Errorf("prepare + enumerate spans sum to %.3f ms over a %.3f ms window: enumerate counts prepare time (enumerate %.3f ms, prepares %.3f and %.3f ms)",
+			sum, window, enum.DurationMS, prepares[0].DurationMS, prepares[1].DurationMS)
 	}
 }
 

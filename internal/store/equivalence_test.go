@@ -16,7 +16,7 @@ import (
 
 // plexSetDigest is an order-independent digest of an enumeration's result
 // set: sha256 each sorted plex, XOR the hashes. Delivery order differs
-// between schedulers and between backends, so equality of this digest is
+// between parallel runs and between backends, so equality of this digest is
 // equality of the result sets themselves.
 type plexSetDigest struct {
 	mu  sync.Mutex
@@ -44,7 +44,7 @@ func (d *plexSetDigest) add(plex []int) {
 func (d *plexSetDigest) hex() string { return hex.EncodeToString(d.acc[:]) }
 
 // TestMmapExecutionEquivalence is the golden grid of this package: for a
-// slice of the regression corpus, every (k, q) cell and every scheduler,
+// slice of the regression corpus and every (k, q) cell, a parallel run over
 // the mmap-backed Reader must produce byte-identical results — count,
 // top-k sets and the order-independent plex-set digest — to the in-memory
 // graph the file was written from. This is the acceptance property of the
@@ -52,9 +52,6 @@ func (d *plexSetDigest) hex() string { return hex.EncodeToString(d.acc[:]) }
 func TestMmapExecutionEquivalence(t *testing.T) {
 	graphs := []string{"planted-a", "sbm-blocks", "gnp-dense", "chunglu-tail"}
 	cells := []struct{ k, q int }{{2, 6}, {3, 8}}
-	schedulers := []kplex.SchedulerStyle{
-		kplex.SchedulerStages, kplex.SchedulerSteal,
-	}
 	for _, name := range graphs {
 		g := gen.CorpusGraphByName(name).Build()
 		// A tiny block size and cache force real block churn during the run.
@@ -68,49 +65,43 @@ func TestMmapExecutionEquivalence(t *testing.T) {
 		}
 		defer r.Close()
 		for _, cell := range cells {
-			for _, sched := range schedulers {
-				opts := kplex.Options{
-					K: cell.k, Q: cell.q, UseCTCP: true,
-					Threads: 4, Scheduler: sched,
-				}
-				var memSet, mmapSet plexSetDigest
-				memOpts, mmapOpts := opts, opts
-				memOpts.OnPlex = memSet.add
-				mmapOpts.OnPlex = mmapSet.add
+			opts := kplex.Options{K: cell.k, Q: cell.q, UseCTCP: true, Threads: 4}
+			var memSet, mmapSet plexSetDigest
+			memOpts, mmapOpts := opts, opts
+			memOpts.OnPlex = memSet.add
+			mmapOpts.OnPlex = mmapSet.add
 
-				memRes, err := kplex.Run(context.Background(), g, memOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mmapRes, err := kplex.Run(context.Background(), r, mmapOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := name + "/" + sched.String() + "/" + "kq"
-				if memRes.Count != mmapRes.Count {
-					t.Errorf("%s k=%d q=%d: count mmap=%d mem=%d", tag, cell.k, cell.q, mmapRes.Count, memRes.Count)
-				}
-				if memSet.hex() != mmapSet.hex() {
-					t.Errorf("%s k=%d q=%d: plex-set digest differs (mmap %s, mem %s)",
-						tag, cell.k, cell.q, mmapSet.hex()[:16], memSet.hex()[:16])
-				}
+			memRes, err := kplex.Run(context.Background(), g, memOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mmapRes, err := kplex.Run(context.Background(), r, mmapOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memRes.Count != mmapRes.Count {
+				t.Errorf("%s k=%d q=%d: count mmap=%d mem=%d", name, cell.k, cell.q, mmapRes.Count, memRes.Count)
+			}
+			if memSet.hex() != mmapSet.hex() {
+				t.Errorf("%s k=%d q=%d: plex-set digest differs (mmap %s, mem %s)",
+					name, cell.k, cell.q, mmapSet.hex()[:16], memSet.hex()[:16])
+			}
 
-				memTop, _, err := kplex.EnumerateTopK(context.Background(), g, opts, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mmapTop, _, err := kplex.EnumerateTopK(context.Background(), r, opts, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(memTop) != len(mmapTop) {
-					t.Fatalf("%s k=%d q=%d: topk lengths differ", tag, cell.k, cell.q)
-				}
-				for i := range memTop {
-					if len(memTop[i]) != len(mmapTop[i]) {
-						t.Errorf("%s k=%d q=%d: topk[%d] sizes differ (%d vs %d)",
-							tag, cell.k, cell.q, i, len(mmapTop[i]), len(memTop[i]))
-					}
+			memTop, _, err := kplex.EnumerateTopK(context.Background(), g, opts, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mmapTop, _, err := kplex.EnumerateTopK(context.Background(), r, opts, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(memTop) != len(mmapTop) {
+				t.Fatalf("%s k=%d q=%d: topk lengths differ", name, cell.k, cell.q)
+			}
+			for i := range memTop {
+				if len(memTop[i]) != len(mmapTop[i]) {
+					t.Errorf("%s k=%d q=%d: topk[%d] sizes differ (%d vs %d)",
+						name, cell.k, cell.q, i, len(mmapTop[i]), len(memTop[i]))
 				}
 			}
 		}

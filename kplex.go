@@ -48,7 +48,9 @@ type (
 	BranchingStyle = kplex.BranchingStyle
 	// PartitionStyle selects the task decomposition.
 	PartitionStyle = kplex.PartitionStyle
-	// SchedulerStyle selects the parallel work-distribution scheme.
+	// SchedulerStyle names a parallel work-distribution scheme.
+	//
+	// Deprecated: both values run the same barrier-free seed claim.
 	SchedulerStyle = kplex.SchedulerStyle
 	// PlantedConfig parameterises the planted-community generator.
 	PlantedConfig = gen.PlantedConfig

@@ -25,7 +25,6 @@ func TestPublicEnumerateStream(t *testing.T) {
 
 	opts := kplex.NewOptions(k, q)
 	opts.Threads = 4
-	opts.Scheduler = kplex.SchedulerSteal
 	ch, res, err := kplex.EnumerateStream(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
