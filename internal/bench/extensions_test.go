@@ -43,6 +43,4 @@ func TestExtensionRunnersQuick(t *testing.T) {
 	if !strings.Contains(out, "Table M") || strings.Count(out, "\n") < 3 {
 		t.Errorf("TableMaximum output malformed:\n%s", out)
 	}
-	// Every row must have binsrch == bnb by construction (the runner
-	// errors out otherwise), so reaching here is the assertion.
 }

@@ -158,24 +158,3 @@ func partition(total, n int) []jobs.Range {
 	}
 	return out
 }
-
-// BuildOptions translates a range request into the engine options a
-// worker runs it with, defaultThreads filling an unset thread count. The
-// worker-side host (the kplexd handler) uses it so request → options
-// translation cannot drift between coordinator and worker.
-func BuildOptions(req *RangeRequest, defaultThreads int) (kplex.Options, error) {
-	o := kplex.NewOptions(req.K, req.Q)
-	o.Threads = req.Threads
-	if o.Threads <= 0 {
-		o.Threads = defaultThreads
-	}
-	sched, err := kplex.ParseScheduler(req.Scheduler)
-	if err != nil {
-		return kplex.Options{}, fmt.Errorf("cluster: %w", err)
-	}
-	o.Scheduler = sched
-	if o.Threads > 1 {
-		o.TaskTimeout = kplex.DefaultTaskTimeout
-	}
-	return o, nil
-}

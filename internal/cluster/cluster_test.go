@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -126,33 +125,6 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-func TestBuildOptions(t *testing.T) {
-	req := &RangeRequest{K: 2, Q: 6, Scheduler: "steal", Threads: 3}
-	opts, err := BuildOptions(req, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Scheduler != kplex.SchedulerSteal || opts.Threads != 3 {
-		t.Errorf("opts = sched %v threads %d, want steal/3", opts.Scheduler, opts.Threads)
-	}
-	if opts.TaskTimeout != 2*time.Millisecond {
-		t.Errorf("multi-thread TaskTimeout = %v, want 2ms", opts.TaskTimeout)
-	}
-
-	req = &RangeRequest{K: 2, Q: 6} // defaults
-	opts, err = BuildOptions(req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Threads != 1 || opts.TaskTimeout != 0 {
-		t.Errorf("single-thread opts = threads %d tau %v, want 1/0", opts.Threads, opts.TaskTimeout)
-	}
-
-	if _, err := BuildOptions(&RangeRequest{K: 2, Q: 6, Scheduler: "lifo"}, 1); err == nil {
-		t.Error("unknown scheduler accepted")
-	}
-}
-
 // TestRunRangeMergesToFullRun splits a corpus cell into ranges, runs each
 // through RunRange, merges, and requires the merged aggregate to be
 // identical to the uninterrupted run — for several partitionings.
@@ -167,7 +139,7 @@ func TestRunRangeMergesToFullRun(t *testing.T) {
 
 	for _, nRanges := range []int{1, 3, 7} {
 		t.Run(fmt.Sprintf("ranges=%d", nRanges), func(t *testing.T) {
-			opts, err := BuildOptions(&RangeRequest{K: k, Q: q, Threads: 2}, 2)
+			opts, err := kplex.ServiceOptions(k, q, 2, 2, "")
 			if err != nil {
 				t.Fatal(err)
 			}

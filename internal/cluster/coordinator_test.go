@@ -102,7 +102,7 @@ func (fw *fakeWorker) serve(w http.ResponseWriter, r *http.Request, req *RangeRe
 		fail(fmt.Errorf("digest mismatch: have %s, coordinator wants %s", digest, req.Digest))
 		return
 	}
-	opts, err := BuildOptions(req, 2)
+	opts, err := kplex.ServiceOptions(req.K, req.Q, req.Threads, 2, req.Scheduler)
 	if err != nil {
 		fail(err)
 		return

@@ -78,7 +78,7 @@ type Spec struct {
 	Graph     string     `json:"graph"`
 	K         int        `json:"k,omitempty"`
 	Q         int        `json:"q,omitempty"`
-	TopN      int        `json:"topn,omitempty"`      // largest plexes kept (default 10)
+	TopN      int        `json:"topn,omitempty"`      // largest plexes kept (default kplex.DefaultTopN)
 	Items     []SpecItem `json:"items,omitempty"`     // batch job: one entry per query
 	Threads   int        `json:"threads,omitempty"`   // 0: manager default
 	Scheduler string     `json:"scheduler,omitempty"` // "", stages, steal
@@ -94,7 +94,7 @@ type Spec struct {
 type SpecItem struct {
 	K    int `json:"k"`
 	Q    int `json:"q"`
-	TopN int `json:"topn,omitempty"` // default 10, capped by Config.MaxTopN
+	TopN int `json:"topn,omitempty"` // default kplex.DefaultTopN, capped by Config.MaxTopN
 }
 
 // ResolvedItems returns the job's query items: the batch spec's Items, or
@@ -114,19 +114,9 @@ func (s *Spec) queries(defaultThreads int) ([]SpecItem, []kplex.BatchGroup, erro
 	items := s.ResolvedItems()
 	qs := make([]kplex.BatchQuery, len(items))
 	for i, it := range items {
-		o := kplex.NewOptions(it.K, it.Q)
-		o.Threads = s.Threads
-		if o.Threads <= 0 {
-			o.Threads = defaultThreads
-		}
-		sched, err := kplex.ParseScheduler(s.Scheduler)
+		o, err := kplex.ServiceOptions(it.K, it.Q, s.Threads, defaultThreads, s.Scheduler)
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobs: %w", err)
-		}
-		o.Scheduler = sched
-		if o.Threads > 1 {
-			// Same straggler-splitting default as the interactive query path.
-			o.TaskTimeout = kplex.DefaultTaskTimeout
 		}
 		qs[i] = kplex.BatchQuery{Opts: o}
 	}
@@ -266,18 +256,16 @@ type Config struct {
 	// dominant cost, so batches are only flushed once the gap has passed
 	// (the interval trigger still bounds staleness).
 	MinCheckpointGap time.Duration
-	// DefaultTopN is the top-k size when a spec leaves it zero (default 10).
-	DefaultTopN int
 	// MaxTopN rejects specs asking for more (default 1000).
 	MaxTopN int
 	// DefaultThreads is the engine parallelism when a spec leaves it zero
 	// (default NumCPU).
 	DefaultThreads int
-	// Admit, when non-nil, gates each job's enumeration on the host's
-	// admission control (kplexd passes its QoS controller, so background
-	// jobs and interactive queries share one capacity budget), identified
-	// by the submitting tenant. Jobs block until a slot frees rather than
-	// being rejected.
+	// Admit, when non-nil, gates each job incarnation — its prologue and
+	// its enumeration — on the host's admission control (kplexd passes its
+	// QoS controller, so background jobs and interactive queries share one
+	// capacity budget), identified by the submitting tenant. Jobs block
+	// until a slot frees rather than being rejected.
 	Admit func(ctx context.Context, tenant string) (release func(), err error)
 	// TenantWeight, when non-nil, maps a tenant name to its weighted-fair
 	// share of the job worker pool: under a backlog, tenants' started-job
@@ -336,9 +324,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinCheckpointGap > c.CheckpointInterval {
 		c.MinCheckpointGap = c.CheckpointInterval
-	}
-	if c.DefaultTopN <= 0 {
-		c.DefaultTopN = 10
 	}
 	if c.MaxTopN <= 0 {
 		c.MaxTopN = 1000
@@ -669,7 +654,7 @@ func (m *Manager) normalizeSpec(spec *Spec) error {
 		for i := range spec.Items {
 			it := &spec.Items[i]
 			if it.TopN == 0 {
-				it.TopN = m.cfg.DefaultTopN
+				it.TopN = kplex.DefaultTopN
 			}
 			if it.TopN < 1 || it.TopN > m.cfg.MaxTopN {
 				return fmt.Errorf("jobs: item %d: topn must be in [1, %d], got %d", i, m.cfg.MaxTopN, it.TopN)
@@ -677,7 +662,7 @@ func (m *Manager) normalizeSpec(spec *Spec) error {
 		}
 	} else {
 		if spec.TopN == 0 {
-			spec.TopN = m.cfg.DefaultTopN
+			spec.TopN = kplex.DefaultTopN
 		}
 		if spec.TopN < 1 || spec.TopN > m.cfg.MaxTopN {
 			return fmt.Errorf("jobs: topn must be in [1, %d], got %d", m.cfg.MaxTopN, spec.TopN)

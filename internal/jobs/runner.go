@@ -13,7 +13,7 @@ import (
 
 // Executor is what a running job does once the manager has resolved its
 // prologue. The manager owns everything around it: the queue, recovery,
-// the graph load and prepare, the digest and seed-space pin, admission,
+// admission, the graph load and prepare, the digest and seed-space pin,
 // the result file and the terminal transition. The local executor (the
 // default) enumerates on this node with seed-level checkpoints; the
 // cluster package supplies one that leases seed ranges to workers.
@@ -139,9 +139,11 @@ func (m *Manager) runJob(j *job) {
 	}
 }
 
-// runIncarnation is the run prologue shared by every executor — load the
-// graph, prepare it, pin or verify the decomposition, take an admission
-// slot — followed by the executor's run and the result write.
+// runIncarnation runs one incarnation of a job in the order every kplexd
+// surface keeps — admit, prepare, enumerate: take an admission slot, load
+// and prepare the graph, pin or verify the decomposition ahead of the
+// StateRunning write it guards, then hand over to the executor and write
+// the result.
 func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCauseFunc, j *job) error {
 	j.mu.Lock()
 	id, spec := j.man.ID, j.man.Spec
@@ -159,6 +161,18 @@ func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCause
 	items, groups, err := spec.queries(m.cfg.DefaultThreads)
 	if err != nil {
 		return err
+	}
+
+	// Share the host's enumeration capacity with interactive queries. The
+	// slot comes before the prologue, so a job queued here computes none.
+	if m.cfg.Admit != nil {
+		admitSpan := t.StartSpan("admission")
+		releaseSlot, err := m.cfg.Admit(ctx, spec.Tenant)
+		admitSpan.EndErr(err)
+		if err != nil {
+			return m.interruptCause(ctx, err)
+		}
+		defer releaseSlot()
 	}
 
 	prepSpan := t.StartSpan("prepare").Attr("graph", spec.Graph)
@@ -207,17 +221,6 @@ func (m *Manager) runIncarnation(ctx context.Context, cancel context.CancelCause
 		return fmt.Errorf("seed space changed since the job was checkpointed (%d, was %d); delete and resubmit", r.TotalSeeds, j.man.TotalSeeds)
 	}
 	j.mu.Unlock()
-
-	// Share the host's enumeration capacity with interactive queries.
-	if m.cfg.Admit != nil {
-		admitSpan := t.StartSpan("admission")
-		releaseSlot, err := m.cfg.Admit(ctx, spec.Tenant)
-		admitSpan.EndErr(err)
-		if err != nil {
-			return m.interruptCause(ctx, err)
-		}
-		defer releaseSlot()
-	}
 
 	j.mu.Lock()
 	j.man.State = StateRunning

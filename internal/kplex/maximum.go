@@ -77,3 +77,57 @@ func FindMaximumKPlex(ctx context.Context, g *graph.Graph, k int) ([]int, error)
 	}
 	return best, nil
 }
+
+// FindMaximumKPlexBnB returns a maximum-cardinality k-plex of g among those
+// with at least 2k-1 vertices (nil when none exists).
+//
+// Deprecated: use FindMaximumKPlex, which it runs.
+func FindMaximumKPlexBnB(ctx context.Context, g *graph.Graph, k int) ([]int, error) {
+	return FindMaximumKPlex(ctx, g, k)
+}
+
+// GreedyKPlex returns a (usually good) k-plex found greedily: vertices are
+// scanned in reverse degeneracy order (densest first) and added whenever
+// the set stays a k-plex. A standalone heuristic: a quick lower bound on
+// the maximum k-plex size.
+func GreedyKPlex(g *graph.Graph, k int) []int {
+	if g.N() == 0 || k < 1 {
+		return nil
+	}
+	cd := graph.Cores(g)
+	var P []int
+	degP := make(map[int]int) // degree into P for members and frontier
+	for i := g.N() - 1; i >= 0; i-- {
+		v := int(cd.Order[i])
+		// P ∪ {v} is a k-plex iff v misses at most k-1 members and no
+		// member's budget overflows.
+		dv := 0
+		for _, u := range g.Neighbors(v) {
+			if _, in := degP[int(u)]; in {
+				dv++
+			}
+		}
+		if len(P)+1-dv > k {
+			continue
+		}
+		ok := true
+		for _, u := range P {
+			du := degP[u]
+			if !g.HasEdge(u, v) && len(P)+1-du > k {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		for _, u := range P {
+			if g.HasEdge(u, v) {
+				degP[u]++
+			}
+		}
+		degP[v] = dv
+		P = append(P, v)
+	}
+	return P
+}

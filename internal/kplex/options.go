@@ -146,6 +146,35 @@ func ParseScheduler(name string) (SchedulerStyle, error) {
 // one deep subtree cannot pin a worker while its siblings idle.
 const DefaultTaskTimeout = 2 * time.Millisecond
 
+// DefaultTopN is the top-k budget of a service request that names none: a
+// topk query, a job, a batch job item.
+const DefaultTopN = 10
+
+// ServiceOptions returns the validated Options a service request runs its
+// (k, q) cell with. Every service surface builds them here: a query, a
+// batch item, a job item and a leased range. threads <= 0 takes
+// defaultThreads, the scheduler name goes through ParseScheduler, and a
+// multi-threaded run splits straggler tasks at DefaultTaskTimeout.
+func ServiceOptions(k, q, threads, defaultThreads int, scheduler string) (Options, error) {
+	o := NewOptions(k, q)
+	o.Threads = threads
+	if o.Threads <= 0 {
+		o.Threads = defaultThreads
+	}
+	sched, err := ParseScheduler(scheduler)
+	if err != nil {
+		return Options{}, err
+	}
+	o.Scheduler = sched
+	if o.Threads > 1 {
+		o.TaskTimeout = DefaultTaskTimeout
+	}
+	if err := o.Validate(); err != nil {
+		return Options{}, err
+	}
+	return o, nil
+}
+
 // Options configures one enumeration run. The zero value is not valid; use
 // NewOptions or fill K and Q explicitly. The ablation variants of the
 // paper's Tables 5-6 are expressed by toggling UpperBound, UseSubtaskBound

@@ -92,6 +92,43 @@ func TestParseSchedulerNames(t *testing.T) {
 	}
 }
 
+// TestServiceOptions pins the one request-to-Options translation every
+// service surface shares: the thread default, the scheduler name, τ_time
+// only when a run is parallel, and Validate's verdict on the cell.
+func TestServiceOptions(t *testing.T) {
+	opts, err := ServiceOptions(2, 6, 3, 2, "steal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Scheduler != SchedulerSteal || opts.Threads != 3 {
+		t.Errorf("opts = sched %v threads %d, want steal/3", opts.Scheduler, opts.Threads)
+	}
+	if opts.TaskTimeout != DefaultTaskTimeout {
+		t.Errorf("multi-thread TaskTimeout = %v, want %v", opts.TaskTimeout, DefaultTaskTimeout)
+	}
+
+	opts, err = ServiceOptions(2, 6, 0, 1, "") // defaults
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Threads != 1 || opts.TaskTimeout != 0 {
+		t.Errorf("single-thread opts = threads %d tau %v, want 1/0", opts.Threads, opts.TaskTimeout)
+	}
+	if bare := NewOptions(2, 6); opts.ResultKey() != bare.ResultKey() {
+		t.Errorf("ResultKey %q, want the bare cell's %q", opts.ResultKey(), bare.ResultKey())
+	}
+
+	if _, err := ServiceOptions(2, 6, 1, 1, "lifo"); err == nil {
+		t.Error("unknown scheduler accepted")
+	}
+	if _, err := ServiceOptions(2, 2, 1, 1, ""); err == nil {
+		t.Error("q < 2k-1 accepted")
+	}
+	if _, err := ServiceOptions(0, 6, 1, 1, ""); err == nil {
+		t.Error("k = 0 accepted")
+	}
+}
+
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Seeds: 1, Tasks: 2, TasksPrunedR1: 3, Branches: 4, UBPruned: 5, Splits: 6, Emitted: 7}
 	b := a

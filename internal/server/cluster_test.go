@@ -105,6 +105,38 @@ func TestClusterRunValidation(t *testing.T) {
 	}
 }
 
+// TestClusterRunRejectsInvalidCellBeforeAdmission: a range whose cell
+// breaks q >= 2k-1 is answered 400 from its options alone, before it
+// queues for a slot or looks up a prologue. Every slot is held, so a
+// handler that validated only after admission would never answer.
+func TestClusterRunRejectsInvalidCellBeforeAdmission(t *testing.T) {
+	s, hs := newTestServer(t, Config{MaxConcurrent: 1})
+	release, err := s.qos.Admit(context.Background(), "blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/cluster/run",
+		strings.NewReader(`{"graph":"corpus:planted-a","k":3,"q":4,"totalSeeds":1,"hi":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("q < 2k-1 range with every slot held: %v, want an immediate 400", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if m := stats(t, hs.URL); m["prepared_misses"] != 0 {
+		t.Fatalf("prepared_misses = %d after an invalid range, want 0", m["prepared_misses"])
+	}
+}
+
 // TestClusterRunStreamsRange drives the worker endpoint directly with a
 // correct handshake and checks the streamed aggregate for a full range.
 func TestClusterRunStreamsRange(t *testing.T) {
@@ -115,7 +147,7 @@ func TestClusterRunStreamsRange(t *testing.T) {
 		Graph: "corpus:" + name, Digest: graph.DigestHexOf(g),
 		K: k, Q: q, TopN: topn,
 	}
-	opts, err := cluster.BuildOptions(&req, 1)
+	opts, err := kplex.ServiceOptions(req.K, req.Q, req.Threads, 1, req.Scheduler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +209,7 @@ func TestClusterRunStreamsRange(t *testing.T) {
 func TestClusterRunAdmitsBeforePrologue(t *testing.T) {
 	g := gen.CorpusGraphByName("planted-a").Build()
 	req := cluster.RangeRequest{Graph: "corpus:planted-a", Digest: graph.DigestHexOf(g), K: 2, Q: 6}
-	opts, err := cluster.BuildOptions(&req, 1)
+	opts, err := kplex.ServiceOptions(req.K, req.Q, req.Threads, 1, req.Scheduler)
 	if err != nil {
 		t.Fatal(err)
 	}

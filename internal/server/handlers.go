@@ -192,39 +192,28 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 	if req.Graph == "" {
 		return kplex.Options{}, fmt.Errorf("graph is required")
 	}
-	if req.K < 1 || req.K > s.cfg.MaxK {
-		return kplex.Options{}, fmt.Errorf("k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
-	}
 	switch req.Mode {
 	case "count", "topk", "histogram", "stream":
 	default:
 		return kplex.Options{}, fmt.Errorf("mode must be count, topk, histogram or stream, got %q", req.Mode)
 	}
+	topn := 0 // only a topk query has a budget to check
 	if req.Mode == "topk" {
 		if req.TopN == 0 {
-			req.TopN = 10
+			req.TopN = kplex.DefaultTopN
 		}
-		if req.TopN < 1 || req.TopN > s.cfg.MaxTopN {
-			return kplex.Options{}, fmt.Errorf("topn must be in [1, %d], got %d", s.cfg.MaxTopN, req.TopN)
-		}
-	}
-	if req.Threads < 0 || req.Threads > s.cfg.MaxThreads {
-		return kplex.Options{}, fmt.Errorf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, req.Threads)
-	}
-	opts := kplex.NewOptions(req.K, req.Q)
-	opts.Threads = req.Threads
-	if opts.Threads <= 0 {
-		opts.Threads = s.cfg.DefaultThreads
+		topn = req.TopN
 	}
 	// "auto" keeps the provisional defaults, finalized against the
 	// predicted cost once the prepared prologue (and with it the cost
 	// features) is resident.
-	if req.Scheduler != "auto" {
-		sched, err := kplex.ParseScheduler(req.Scheduler)
-		if err != nil {
-			return kplex.Options{}, err
-		}
-		opts.Scheduler = sched
+	sched := req.Scheduler
+	if sched == "auto" {
+		sched = ""
+	}
+	opts, err := s.options(req.K, req.Q, req.Threads, topn, sched)
+	if err != nil {
+		return kplex.Options{}, err
 	}
 	switch req.Route {
 	case "", "sync":
@@ -252,15 +241,36 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 			return kplex.Options{}, fmt.Errorf("sample and deadlineMs are mutually exclusive bounded-answer modes")
 		}
 	}
-	if opts.Threads > 1 {
-		// Straggler splitting: a service must not let one deep subtree pin
-		// a worker while its siblings idle (Section 6's τ_time).
-		opts.TaskTimeout = kplex.DefaultTaskTimeout
-	}
-	if err := opts.Validate(); err != nil {
+	return opts, nil
+}
+
+// options holds a request's (k, q) cell and execution knobs to the host's
+// ceilings and builds its validated engine options. /query, /stream,
+// /batch and /cluster/run build theirs here; a job's are built by its
+// manager from the same kplex.ServiceOptions, after submit has checked
+// the same ceilings.
+func (s *Server) options(k, q, threads, topn int, scheduler string) (kplex.Options, error) {
+	if err := s.checkCeilings(k, threads, topn); err != nil {
 		return kplex.Options{}, err
 	}
-	return opts, nil
+	return kplex.ServiceOptions(k, q, threads, s.cfg.DefaultThreads, scheduler)
+}
+
+// checkCeilings holds k, threads and a top-k budget to Config.MaxK,
+// MaxThreads and MaxTopN; threads and topn 0 ask for the default. An open
+// service needs the ceilings: enumeration cost explodes with k, and the
+// engine spawns a worker, a queue and scratch buffers per thread.
+func (s *Server) checkCeilings(k, threads, topn int) error {
+	if k < 1 || k > s.cfg.MaxK {
+		return fmt.Errorf("k must be in [1, %d], got %d", s.cfg.MaxK, k)
+	}
+	if topn < 0 || topn > s.cfg.MaxTopN {
+		return fmt.Errorf("topn must be in [0, %d], got %d", s.cfg.MaxTopN, topn)
+	}
+	if threads < 0 || threads > s.cfg.MaxThreads {
+		return fmt.Errorf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, threads)
+	}
+	return nil
 }
 
 // cacheKey is the result-cache identity of a cacheable query: content

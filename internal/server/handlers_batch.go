@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -75,29 +77,22 @@ type batchSummary struct {
 // on per-request fan-out just as it does on k and threads.
 const maxBatchItems = 256
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return
-	}
+// parseBatch validates every item of req up front — a batch is
+// all-or-nothing at the request level, so a bad item must fail before any
+// line is written — and returns each item as a single query with its
+// engine options.
+func (s *Server) parseBatch(req *batchRequest) ([]queryRequest, []kplex.Options, error) {
 	if len(req.Items) == 0 {
-		s.fail(w, http.StatusBadRequest, "items must hold at least one query")
-		return
+		return nil, nil, errors.New("items must hold at least one query")
 	}
 	if len(req.Items) > maxBatchItems {
-		s.fail(w, http.StatusBadRequest, "too many items (max "+strconv.Itoa(maxBatchItems)+")")
-		return
+		return nil, nil, fmt.Errorf("too many items (max %d)", maxBatchItems)
 	}
-
-	// Validate every item up front: a batch is all-or-nothing at the
-	// request level, so a bad item must fail before any line is written.
 	itemReqs := make([]queryRequest, len(req.Items))
 	itemOpts := make([]kplex.Options, len(req.Items))
 	for i, it := range req.Items {
 		if it.Mode == "stream" {
-			s.fail(w, http.StatusBadRequest, "item "+strconv.Itoa(i)+": stream mode is not batchable; use /stream per query")
-			return
+			return nil, nil, fmt.Errorf("item %d: stream mode is not batchable; use /stream per query", i)
 		}
 		itemReqs[i] = queryRequest{
 			Graph:     req.Graph,
@@ -110,10 +105,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		opts, err := s.parseOptions(&itemReqs[i])
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "item "+strconv.Itoa(i)+": "+err.Error())
-			return
+			return nil, nil, fmt.Errorf("item %d: %w", i, err)
 		}
 		itemOpts[i] = opts
+	}
+	return itemReqs, itemOpts, nil
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req batchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		s.fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		return
+	}
+	itemReqs, itemOpts, err := s.parseBatch(&req)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	tenant := tenantOf(r)

@@ -50,19 +50,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
-	if req.K < 1 || req.K > s.cfg.MaxK {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d], got %d", s.cfg.MaxK, req.K))
-		return
-	}
-	if req.Threads < 0 || req.Threads > s.cfg.MaxThreads {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, req.Threads))
-		return
-	}
-	if req.TopN < 0 || req.TopN > s.cfg.MaxTopN {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("topn must be in [0, %d], got %d", s.cfg.MaxTopN, req.TopN))
-		return
-	}
-	opts, err := cluster.BuildOptions(&req, s.cfg.DefaultThreads)
+	opts, err := s.options(req.K, req.Q, req.Threads, req.TopN, req.Scheduler)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return

@@ -70,22 +70,13 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
 	// The service-level ceilings that protect the interactive path protect
 	// the background path too, item by item for a batch job.
 	for i, it := range spec.ResolvedItems() {
-		where := ""
-		if len(spec.Items) > 0 {
-			where = fmt.Sprintf("item %d: ", i)
-		}
-		if it.K < 1 || it.K > s.cfg.MaxK {
-			s.fail(w, http.StatusBadRequest, fmt.Sprintf("%sk must be in [1, %d], got %d", where, s.cfg.MaxK, it.K))
+		if err := s.checkCeilings(it.K, spec.Threads, it.TopN); err != nil {
+			if len(spec.Items) > 0 {
+				err = fmt.Errorf("item %d: %w", i, err)
+			}
+			s.fail(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if it.TopN < 0 || it.TopN > s.cfg.MaxTopN {
-			s.fail(w, http.StatusBadRequest, fmt.Sprintf("%stopn must be in [0, %d], got %d", where, s.cfg.MaxTopN, it.TopN))
-			return
-		}
-	}
-	if spec.Threads < 0 || spec.Threads > s.cfg.MaxThreads {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("threads must be in [0, %d], got %d", s.cfg.MaxThreads, spec.Threads))
-		return
 	}
 	// Resolve the graph eagerly so an unknown name is a 404 at submit time
 	// instead of a failed job minutes later.

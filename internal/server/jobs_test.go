@@ -327,3 +327,53 @@ func TestJobsRunningGaugeAtDone(t *testing.T) {
 		}
 	}
 }
+
+// TestJobAdmitsBeforePrologue: a job takes its enumeration slot before it
+// loads and prepares its graph, like a route=auto query and a leased
+// range. With every slot held, a cold job cancelled while it waits at
+// admission computes no prologue; once a slot is free, one job pays
+// exactly one.
+func TestJobAdmitsBeforePrologue(t *testing.T) {
+	const body = `{"graph":"corpus:planted-a","k":2,"q":6}`
+	s, hs := newTestServer(t, Config{JobsDir: t.TempDir(), MaxConcurrent: 1})
+	release, err := s.qos.Admit(context.Background(), "blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() string {
+		t.Helper()
+		resp, data := postJSON(t, hs.URL+"/jobs", body)
+		var man jobs.Manifest
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(data, &man) != nil {
+			t.Fatalf("submit = %d (%s), want 202 with a manifest", resp.StatusCode, data)
+		}
+		return man.ID
+	}
+	wait := func(id string, want jobs.State) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if v, err := s.Jobs().Wait(ctx, id); err != nil || v.State != want {
+			t.Fatalf("job %s: %v (view %+v), want %s", id, err, v, want)
+		}
+	}
+
+	id := submit()
+	queued := func() bool { return queuedAtAdmission(s) }
+	waitFor(t, 5*time.Second, "job never queued at admission", queued)
+	if resp, data := postJSON(t, hs.URL+"/jobs/"+id+"/cancel", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel = %d (%s), want 200", resp.StatusCode, data)
+	}
+	wait(id, jobs.StateCancelled)
+	waitFor(t, 5*time.Second, "admission waiter survived its job", func() bool { return !queued() })
+	if m := stats(t, hs.URL); m["prepared_misses"] != 0 {
+		t.Fatalf("prepared_misses = %d after a job cancelled at admission, want 0", m["prepared_misses"])
+	}
+
+	release()
+	id = submit()
+	wait(id, jobs.StateDone)
+	if m := stats(t, hs.URL); m["prepared_misses"] != 1 {
+		t.Fatalf("prepared_misses = %d for one completed job, want 1", m["prepared_misses"])
+	}
+}

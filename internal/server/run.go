@@ -6,6 +6,12 @@ package server
 // trace and to the cost calibrator whichever endpoint asked. A handler
 // keeps only what is its own: the singleflight and result cache, a
 // collector and resume job, the sample estimator, its NDJSON loop.
+//
+// Every surface runs its stages in one order — admit, prepare, enumerate —
+// so work queued for a slot computes no prologue. A /jobs job keeps the
+// same order in jobs.Manager.runIncarnation, which takes its slot through
+// Server.admitJob; a /cluster/jobs job's ranges take theirs on the workers,
+// in handleClusterRun.
 
 import (
 	"context"

@@ -2,22 +2,31 @@ package server
 
 // Tests of the prepare-and-run path that every enumerating request shares:
 // one trace shape and phase-timed Stats across query modes, deadline,
-// sample, stream and batch.
+// sample, stream, batch, job and leased range.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/kplex"
 	"repro/internal/obs"
 )
 
-// replyStats decodes the Stats a reply carries: the /query body's, or
-// every executed item's in a /batch NDJSON reply. A stream carries none.
+// replyStats decodes the Stats a reply carries: the /query body's, every
+// executed item's in a /batch NDJSON reply, or a /cluster/run range's
+// aggregate. A stream carries none.
 func replyStats(t *testing.T, path string, data []byte) []kplex.Stats {
 	t.Helper()
 	var out []kplex.Stats
@@ -31,22 +40,37 @@ func replyStats(t *testing.T, path string, data []byte) []kplex.Stats {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line struct{ Stats *kplex.Stats }
+		var line struct {
+			Stats *kplex.Stats
+			Agg   *kplex.Aggregate
+		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %s: %v", sc.Bytes(), err)
 		}
-		if line.Stats != nil {
+		switch {
+		case line.Stats != nil:
 			out = append(out, *line.Stats)
+		case line.Agg != nil:
+			out = append(out, line.Agg.Stats)
 		}
 	}
 	return out
 }
 
 // TestPrepareRunTraceContract: every request that enumerates runs the same
-// path, so every one leaves the same evidence — a trace whose prepare
-// span(s) end before its enumerate span, and phase times wherever the
-// reply returns Stats.
+// path, so every one leaves the same evidence — a trace whose admission
+// span starts before its first prepare span, prepare span(s) that end
+// before its enumerate span, and phase times wherever the reply returns
+// Stats. A job's trace is the one its manifest names; a leased range's is
+// the share the worker ships back on its Done line.
 func TestPrepareRunTraceContract(t *testing.T) {
+	g := gen.CorpusGraphByName("planted-a").Build()
+	p, err := kplex.Prepare(g, kplex.NewOptions(2, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeBody := fmt.Sprintf(`{"graph":"corpus:planted-a","digest":%q,"k":2,"q":6,"topn":5,"totalSeeds":%d,"hi":%d}`,
+		graph.DigestHexOf(g), p.SeedSpace(), p.SeedSpace())
 	cases := []struct {
 		name, path, body string
 		stats            bool // the reply returns engine Stats
@@ -64,6 +88,9 @@ func TestPrepareRunTraceContract(t *testing.T) {
 		// The default 30s async threshold is far above this prediction, so
 		// the query answers synchronously on the prologue its routing read.
 		{"route-auto", "/query", `{"graph":"corpus:planted-a","k":2,"q":6,"mode":"count","route":"auto"}`, true, 1, true},
+		// A job's one prepare span covers every traversal group.
+		{"job", "/jobs", `{"graph":"corpus:planted-a","k":2,"q":6}`, false, 1, true},
+		{"range", "/cluster/run", rangeBody, true, 1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,15 +98,8 @@ func TestPrepareRunTraceContract(t *testing.T) {
 			if tc.jobs {
 				cfg.JobsDir = t.TempDir()
 			}
-			_, hs := newTestServer(t, cfg)
-			resp, data := postJSON(t, hs.URL+tc.path, tc.body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, data)
-			}
-			id := resp.Header.Get("X-Trace-Id")
-			if id == "" {
-				t.Fatal("no X-Trace-Id header")
-			}
+			s, hs := newTestServer(t, cfg)
+			td, data := contractTrace(t, s, hs.URL, tc.path, tc.body)
 			if tc.stats {
 				stats := replyStats(t, tc.path, data)
 				if len(stats) == 0 {
@@ -92,7 +112,6 @@ func TestPrepareRunTraceContract(t *testing.T) {
 				}
 			}
 
-			td := getTrace(t, hs.URL, id)
 			prepare, enumerate := -1, -1
 			for i, sp := range td.Spans {
 				switch {
@@ -113,11 +132,79 @@ func TestPrepareRunTraceContract(t *testing.T) {
 					t.Errorf("span %q status %q, want ok", sp.Name, sp.Status)
 				}
 			}
-			if n := len(spansNamed(td, "prepare")); n != tc.prepares {
+			prepares := spansNamed(td, "prepare")
+			if n := len(prepares); n != tc.prepares {
 				t.Errorf("%d prepare spans, want %d", n, tc.prepares)
+			}
+			admissions := spansNamed(td, "admission")
+			if len(admissions) != 1 {
+				t.Fatalf("%d admission spans, want 1: %v", len(admissions), spanNames(td))
+			}
+			for _, sp := range prepares {
+				if sp.Start.Before(admissions[0].Start) {
+					t.Errorf("admission span starts at %v, not before the prepare span at %v", admissions[0].Start, sp.Start)
+				}
 			}
 		})
 	}
+}
+
+// contractTrace submits one request of TestPrepareRunTraceContract and
+// returns its trace and reply body: the X-Trace-Id trace of a /query or
+// /batch, the manifest's trace of a completed job, and the spans a leased
+// range ships back when the request propagates a trace.
+func contractTrace(t *testing.T, s *Server, base, path, body string) (obs.TraceData, []byte) {
+	t.Helper()
+	switch path {
+	case "/jobs":
+		resp, data := postJSON(t, base+path, body)
+		var man jobs.Manifest
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(data, &man) != nil {
+			t.Fatalf("submit = %d (%s), want 202 with a manifest", resp.StatusCode, data)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		v, err := s.Jobs().Wait(ctx, man.ID)
+		if err != nil || v.State != jobs.StateDone {
+			t.Fatalf("job: %v (view %+v), want done", err, v)
+		}
+		return getTrace(t, base, v.TraceID), data
+	case "/cluster/run":
+		req, err := http.NewRequest(http.MethodPost, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.TraceparentHeader, obs.Traceparent(obs.NewTraceID()))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var td obs.TraceData
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var rl cluster.RangeLine
+			if err := json.Unmarshal(line, &rl); err != nil {
+				t.Fatalf("bad NDJSON line %s: %v", line, err)
+			}
+			if rl.Done {
+				td.Spans = rl.Spans
+			}
+		}
+		return td, data
+	}
+	resp, data := postJSON(t, base+path, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	if id == "" {
+		t.Fatal("no X-Trace-Id header")
+	}
+	return getTrace(t, base, id), data
 }
 
 // TestBatchEnumerateExcludesPrepare: a batch's groups resolve their

@@ -234,16 +234,16 @@ func FindMaximumKPlex(ctx context.Context, g *Graph, k int) ([]int, error) {
 	return kplex.FindMaximumKPlex(ctx, g, k)
 }
 
-// FindMaximumKPlexBnB solves the same problem as FindMaximumKPlex with a
-// single incumbent-pruned branch-and-bound pass (the kPlexS-style
-// formulation from the related work). The two solvers return plexes of the
-// same size; the tie choice may differ.
+// FindMaximumKPlexBnB returns a maximum-cardinality k-plex of g among
+// those with at least 2k-1 vertices (nil if none exists).
+//
+// Deprecated: use FindMaximumKPlex, which it runs.
 func FindMaximumKPlexBnB(ctx context.Context, g *Graph, k int) ([]int, error) {
-	return kplex.FindMaximumKPlexBnB(ctx, g, k)
+	return kplex.FindMaximumKPlex(ctx, g, k)
 }
 
 // GreedyKPlex returns a heuristic k-plex built greedily along the reverse
-// degeneracy ordering; it is the warm start of FindMaximumKPlexBnB.
+// degeneracy ordering: a quick lower bound on the maximum k-plex size.
 func GreedyKPlex(g *Graph, k int) []int { return kplex.GreedyKPlex(g, k) }
 
 // EnumerateTopK returns the topN largest maximal k-plexes with at least
