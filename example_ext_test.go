@@ -39,26 +39,6 @@ func ExampleGreedyKPlex() {
 	// Output: 6
 }
 
-// ExampleFindMaximumKPlexBnB matches the binary-search solver.
-func ExampleFindMaximumKPlexBnB() {
-	var b kplex.Builder
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			if i == 0 && j == 1 {
-				continue // drop one edge: still a 2-plex overall
-			}
-			b.AddEdge(i, j)
-		}
-	}
-	g, _ := b.Build(5)
-	p, err := kplex.FindMaximumKPlexBnB(context.Background(), g, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(p))
-	// Output: 5
-}
-
 // ExampleD2KEnumerate cross-checks the standalone baseline on a triangle.
 func ExampleD2KEnumerate() {
 	var b kplex.Builder

@@ -163,34 +163,6 @@ func (s *Set) CountUpto(i int) int {
 	return c
 }
 
-// IntersectionCountPrefix returns |s ∩ t| counting only the first w words
-// (bits 0..64w-1). Callers that know all relevant bits live in a prefix of
-// the domain (e.g. candidate-space bits in a seed graph) use this to skip
-// the guaranteed-empty tail.
-func (s *Set) IntersectionCountPrefix(t *Set, w int) int {
-	if w > len(s.words) {
-		w = len(s.words)
-	}
-	c := 0
-	for i := 0; i < w; i++ {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
-	}
-	return c
-}
-
-// IsSubsetPrefix reports whether s ⊆ t considering only the first w words.
-func (s *Set) IsSubsetPrefix(t *Set, w int) bool {
-	if w > len(s.words) {
-		w = len(s.words)
-	}
-	for i := 0; i < w; i++ {
-		if s.words[i]&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Next returns the smallest set bit >= i, or -1 if none exists.
 func (s *Set) Next(i int) int {
 	if i < 0 {

@@ -55,29 +55,6 @@ func TestAnyOnEmpty(t *testing.T) {
 	}
 }
 
-func TestIsSubsetPrefixBoundary(t *testing.T) {
-	// Bits beyond the prefix must be ignored.
-	a := setOf(128, 2, 100) // 100 lives in word 1, outside prefix 1
-	b := setOf(128, 2)
-	if !a.IsSubsetPrefix(b, 1) {
-		t.Error("prefix subset should ignore bits past the prefix")
-	}
-	if a.IsSubsetPrefix(b, 2) {
-		t.Error("a two-word prefix should see bit 100")
-	}
-}
-
-func TestIntersectionCountPrefixBoundary(t *testing.T) {
-	a := setOf(128, 1, 2, 100)
-	b := setOf(128, 2, 100)
-	if got := a.IntersectionCountPrefix(b, 1); got != 1 {
-		t.Errorf("prefix intersection = %d, want 1", got)
-	}
-	if got := a.IntersectionCount(b); got != 2 {
-		t.Errorf("full intersection = %d, want 2", got)
-	}
-}
-
 func TestAppendToReusesDst(t *testing.T) {
 	s := setOf(64, 3, 5)
 	buf := make([]int, 0, 8)

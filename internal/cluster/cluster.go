@@ -113,7 +113,7 @@ func RunRange(ctx context.Context, p *kplex.Prepared, opts kplex.Options, req *R
 
 	// The collector spans only the range: seed s is its seed s-Lo.
 	n := req.Hi - req.Lo
-	col := kplex.NewSeedCollector(n, []kplex.CollectMember{{TopN: req.TopN}}, func(_ int, _ int64, _ []*kplex.Aggregate, done *kplex.SeedSet) {
+	col := kplex.NewSeedCollector(n, []kplex.CollectMember{{TopN: req.TopN}}, func(_ int, _ []*kplex.Aggregate, done *kplex.SeedSet) {
 		if onSeed != nil {
 			onSeed(done.Len())
 		}

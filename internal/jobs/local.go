@@ -214,7 +214,7 @@ func (localExecutor) Run(ctx context.Context, run *Run) ([]*kplex.Aggregate, flo
 // onCommit runs under the collector's lock for every committed seed
 // group: it queues the seed for the next checkpoint, which it takes when
 // the batch or interval threshold is reached.
-func (r *jobRun) onCommit(seed int, _ int64, aggs []*kplex.Aggregate, done *kplex.SeedSet) {
+func (r *jobRun) onCommit(seed int, aggs []*kplex.Aggregate, done *kplex.SeedSet) {
 	r.pendingSeeds = append(r.pendingSeeds, seed)
 	r.doneThisRun++
 	r.m.counters.SeedsDone.Add(1)

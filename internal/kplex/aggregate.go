@@ -1,10 +1,12 @@
 package kplex
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // Aggregate is the mergeable summary of (part of) an enumeration: the plex
@@ -37,6 +39,30 @@ func NewAggregate(topN int) *Aggregate {
 	return &Aggregate{TopN: topN}
 }
 
+// newRunAggregate returns an empty aggregate keeping the topN largest
+// plexes, with TopK and Histogram allocated so that an empty result reports
+// an empty list and map, not nil ones.
+func newRunAggregate(topN int) *Aggregate {
+	return &Aggregate{TopN: topN, TopK: make([][]int, 0, topN), Histogram: make(map[int]int64)}
+}
+
+// aggregatePrepared runs one enumeration against p and folds every plex
+// into one aggregate keeping the topN largest: the shared body of
+// EnumerateTopKPrepared and SizeHistogramPrepared. The run uses opts as
+// given except for OnPlex, which it owns. The aggregate is returned even
+// when the run fails, covering the plexes found before it stopped.
+func aggregatePrepared(ctx context.Context, p *Prepared, opts Options, topN int) (*Aggregate, Result, error) {
+	agg := newRunAggregate(topN)
+	var mu sync.Mutex
+	opts.OnPlex = func(pl []int) {
+		mu.Lock()
+		agg.add(pl)
+		mu.Unlock()
+	}
+	res, err := RunPrepared(ctx, p, opts)
+	return agg, res, err
+}
+
 // plexLine renders p in the canonical "v1 v2 ...\n" form shared with the
 // golden-corpus hashing, so digests are comparable across tooling.
 func plexLine(p []int) []byte {
@@ -50,9 +76,21 @@ func plexLine(p []int) []byte {
 	return append(line, '\n')
 }
 
-// AddPlex folds one maximal k-plex into the aggregate. The slice is copied
-// if retained, so callers may reuse it (the OnPlexSeed contract).
+// AddPlex folds one maximal k-plex into the aggregate, digest included.
+// The slice is copied if retained, so callers may reuse it (the OnPlexSeed
+// contract).
 func (a *Aggregate) AddPlex(p []int) {
+	a.add(p)
+	h := sha256.Sum256(plexLine(p))
+	for i := range a.xor {
+		a.xor[i] ^= h[i]
+	}
+}
+
+// add is AddPlex without the digest: the accumulation step of every
+// consumer that reports count, MaxSize, histogram or top-k but never
+// PlexDigest.
+func (a *Aggregate) add(p []int) {
 	a.Count++
 	n := len(p)
 	if n > a.MaxSize {
@@ -62,10 +100,6 @@ func (a *Aggregate) AddPlex(p []int) {
 		a.Histogram = make(map[int]int64)
 	}
 	a.Histogram[n]++
-	h := sha256.Sum256(plexLine(p))
-	for i := range a.xor {
-		a.xor[i] ^= h[i]
-	}
 	if a.TopN > 0 {
 		a.TopK = insertTopK(a.TopK, a.TopN, p, false)
 	}

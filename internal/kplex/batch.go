@@ -23,11 +23,12 @@ package kplex
 // before the walk does. Any plex reported by seed s has at most
 // k + |laterNeighbors(s)| vertices (the plex contains the seed, at most
 // k-1 vertices non-adjacent to it, and otherwise only later neighbours),
-// so once every member's heap is full and its weakest entry is strictly
-// larger than the bound of every unfinished seed, no remaining subproblem
-// can change any member's answer and the shared walk is cancelled. The
-// strict inequality keeps results byte-identical to the sequential path:
-// a tie could still swap in a lexicographically smaller plex.
+// so once every member's top-k list is full and its weakest entry is
+// strictly larger than the bound of every unfinished seed, no remaining
+// subproblem can change any member's answer and the shared walk is
+// cancelled. The strict inequality keeps results byte-identical to the
+// sequential path: a tie could still swap in a lexicographically smaller
+// plex.
 
 import (
 	"context"
@@ -236,68 +237,23 @@ func (br *BatchRunner) Run(ctx context.Context, g graph.CSR, queries []BatchQuer
 	return results, nil
 }
 
-// batchMember is the accumulation state of one member during its group's
-// walk. The mutex serialises the mode payload (top-k list / histogram); count
-// and maxSize are atomics, so count-only members stay lock-free on the
-// fan-out hot path.
+// batchMember is one member's part of its group's walk: the threshold its
+// plexes must meet, its OnPlex hook, and the aggregate it reports from.
+// The group's workers fill every member's aggregate under one group mutex.
 type batchMember struct {
 	q      int
-	mode   BatchMode
-	topN   int
 	onPlex func([]int)
-
-	count   atomic.Int64
-	maxSize atomic.Int64
-	mu      sync.Mutex
-	top     [][]int // top-k list in plexBefore order, len <= topN
-	hist    map[int]int64
-	done    atomic.Bool // top-k saturation: no remaining seed can change the answer
-}
-
-// add folds one discovered plex (already known to meet the member's
-// threshold) into the member's aggregate. Called concurrently by the
-// walk's workers.
-func (m *batchMember) add(p []int) {
-	m.count.Add(1)
-	if m.onPlex != nil {
-		m.onPlex(p)
-	}
-	for n := int64(len(p)); ; {
-		cur := m.maxSize.Load()
-		if n <= cur || m.maxSize.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	switch m.mode {
-	case BatchTopK:
-		m.mu.Lock()
-		m.top = insertTopK(m.top, m.topN, p, false)
-		m.mu.Unlock()
-	case BatchHistogram:
-		m.mu.Lock()
-		m.hist[len(p)]++
-		m.mu.Unlock()
-	}
+	agg    *Aggregate
 }
 
 // saturated reports whether a top-k member can no longer change: its list
 // is full and its last entry is strictly larger than maxRemaining, the
 // size bound of every unfinished seed. Strict: a tie could still replace
-// the weakest entry with a lexicographically smaller plex.
+// the weakest entry with a lexicographically smaller plex. Called with the
+// group mutex held.
 func (m *batchMember) saturated(maxRemaining int) bool {
-	if m.mode != BatchTopK {
-		return false
-	}
-	if m.done.Load() {
-		return true
-	}
-	m.mu.Lock()
-	sat := len(m.top) == m.topN && len(m.top[m.topN-1]) > maxRemaining
-	m.mu.Unlock()
-	if sat {
-		m.done.Store(true)
-	}
-	return sat
+	top := m.agg.TopK
+	return len(top) == m.agg.TopN && len(top[len(top)-1]) > maxRemaining
 }
 
 // seedBounds is the saturation bookkeeping of one group walk: bucket
@@ -374,23 +330,13 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 	allTopK := true
 	for idx, mi := range grp.Members {
 		q := &queries[mi]
-		m := &batchMember{q: q.Opts.Q, mode: q.Mode, topN: q.TopN, onPlex: q.Opts.OnPlex}
-		switch q.Mode {
-		case BatchHistogram:
-			m.hist = make(map[int]int64)
-			allTopK = false
-		case BatchTopK:
-			m.top = make([][]int, 0, q.TopN)
-		default:
+		members[idx] = &batchMember{q: q.Opts.Q, onPlex: q.Opts.OnPlex, agg: newRunAggregate(q.TopN)}
+		// A hooked member's callback is promised the complete result set; a
+		// saturated stop would silently truncate it, so such a member
+		// disables the early exit for its group.
+		if q.Mode != BatchTopK || q.Opts.OnPlex != nil {
 			allTopK = false
 		}
-		if q.Opts.OnPlex != nil {
-			// The member's callback is promised the complete result set; a
-			// saturated stop would silently truncate it, so such a member
-			// disables the early exit for its group.
-			allTopK = false
-		}
-		members[idx] = m
 	}
 
 	if ctx == nil {
@@ -399,11 +345,19 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
+	var mu sync.Mutex
 	opts := grp.Cell
 	opts.OnPlex = func(pl []int) {
+		mu.Lock()
 		for _, m := range members {
 			if len(pl) >= m.q {
-				m.add(pl)
+				m.agg.add(pl)
+			}
+		}
+		mu.Unlock()
+		for _, m := range members {
+			if m.onPlex != nil && len(pl) >= m.q {
+				m.onPlex(pl)
 			}
 		}
 	}
@@ -416,6 +370,8 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 		opts.earlyStop = stop
 		opts.OnSeedDone = func(seed int, _ Stats) {
 			maxRemaining := sb.seedDone(seed)
+			mu.Lock()
+			defer mu.Unlock()
 			for _, m := range members {
 				if !m.saturated(maxRemaining) {
 					return
@@ -442,10 +398,10 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 	}
 
 	for idx, mi := range grp.Members {
-		m := members[idx]
+		agg := members[idx].agg
 		r := BatchResult{
-			Count:     m.count.Load(),
-			MaxSize:   int(m.maxSize.Load()),
+			Count:     agg.Count,
+			MaxSize:   agg.MaxSize,
 			Stats:     res.Stats,
 			Elapsed:   elapsed,
 			Group:     gi,
@@ -453,11 +409,11 @@ func (br *BatchRunner) runGroup(ctx context.Context, g graph.CSR, gi int, grp *B
 		}
 		r.Stats.Emitted = r.Count
 		r.Stats.MaxPlexSize = int64(r.MaxSize)
-		switch m.mode {
+		switch queries[mi].Mode {
 		case BatchTopK:
-			r.TopK = m.top
+			r.TopK = agg.TopK
 		case BatchHistogram:
-			r.Histogram = m.hist
+			r.Histogram = agg.Histogram
 		}
 		results[mi] = r
 	}

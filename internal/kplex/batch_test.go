@@ -510,3 +510,39 @@ func TestBatchEmpty(t *testing.T) {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
 }
+
+// TestEmptyResultShapes pins the shape of an empty answer on every path
+// that reports from a run aggregate: the top-k list and the histogram are
+// empty but non-nil, so their JSON renders [] and {} rather than null.
+func TestEmptyResultShapes(t *testing.T) {
+	ctx := context.Background()
+	g := gen.GNP(20, 0.1, 1)
+	opts := NewOptions(2, 15)
+	top, res, err := EnumerateTopK(ctx, g, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 0 {
+		t.Fatalf("test graph has %d plexes, want none", res.Count)
+	}
+	if top == nil || len(top) != 0 {
+		t.Fatalf("EnumerateTopK = %#v, want an empty non-nil list", top)
+	}
+	hist, _, err := SizeHistogram(ctx, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist == nil || len(hist) != 0 {
+		t.Fatalf("SizeHistogram = %#v, want an empty non-nil map", hist)
+	}
+	br, err := RunBatch(ctx, g, []BatchQuery{{Opts: opts, Mode: BatchTopK, TopN: 3}, {Opts: opts, Mode: BatchHistogram}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br[0].TopK == nil || len(br[0].TopK) != 0 {
+		t.Fatalf("BatchTopK member = %#v, want an empty non-nil list", br[0].TopK)
+	}
+	if br[1].Histogram == nil || len(br[1].Histogram) != 0 {
+		t.Fatalf("BatchHistogram member = %#v, want an empty non-nil map", br[1].Histogram)
+	}
+}

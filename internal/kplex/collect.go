@@ -26,13 +26,12 @@ type CollectMember struct {
 	TopN int // largest plexes kept in the member's aggregate
 }
 
-// CommitFunc observes one committed seed group: its collector-wide id, the
-// number of plexes the group delivered (before member filtering), and the
-// cumulative per-member aggregates and done-set including it. It runs with
-// the collector's lock held, so a checkpoint taken inside it covers
+// CommitFunc observes one committed seed group: its collector-wide id and
+// the cumulative per-member aggregates and done-set including it. It runs
+// with the collector's lock held, so a checkpoint taken inside it covers
 // exactly the done-set. It must neither retain aggs or done nor call back
 // into the collector.
-type CommitFunc func(seed int, plexes int64, aggs []*Aggregate, done *SeedSet)
+type CommitFunc func(seed int, aggs []*Aggregate, done *SeedSet)
 
 // SeedCollector accumulates committed per-seed results for one or more
 // members over a seed id space of fixed size. Its methods are safe to call
@@ -52,9 +51,8 @@ type SeedCollector struct {
 // its member list and allocated lazily — most seed groups contribute
 // nothing.
 type pendingSeed struct {
-	mu     sync.Mutex
-	plexes int64
-	aggs   []*Aggregate
+	mu   sync.Mutex
+	aggs []*Aggregate
 }
 
 // NewSeedCollector returns an empty collector over seeds seed ids for the
@@ -131,7 +129,6 @@ func (c *SeedCollector) Install(o *Options, offset int, members ...int) {
 func (c *SeedCollector) add(seed int, members []int, plex []int) {
 	buf := &c.buffers[seed]
 	buf.mu.Lock()
-	buf.plexes++
 	if buf.aggs == nil {
 		buf.aggs = make([]*Aggregate, len(members))
 	}
@@ -152,8 +149,8 @@ func (c *SeedCollector) add(seed int, members []int, plex []int) {
 func (c *SeedCollector) commit(seed int, members []int, partial Stats) {
 	buf := &c.buffers[seed]
 	buf.mu.Lock()
-	pending, plexes := buf.aggs, buf.plexes
-	buf.aggs, buf.plexes = nil, 0
+	pending := buf.aggs
+	buf.aggs = nil
 	buf.mu.Unlock()
 
 	c.mu.Lock()
@@ -169,7 +166,7 @@ func (c *SeedCollector) commit(seed int, members []int, partial Stats) {
 	}
 	c.aggs[0].Stats.Add(partial)
 	if c.onCommit != nil {
-		c.onCommit(seed, plexes, c.aggs, c.done)
+		c.onCommit(seed, c.aggs, c.done)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestDeadlinePartialGrid(t *testing.T) {
 				defer cancel()
 				stopAfter := int64(total / 3)
 				var committed atomic.Int64
-				col := NewSeedCollector(total, members, func(int, int64, []*Aggregate, *SeedSet) {
+				col := NewSeedCollector(total, members, func(int, []*Aggregate, *SeedSet) {
 					if committed.Add(1) == stopAfter {
 						cancel()
 					}
@@ -151,10 +151,10 @@ func TestDeadlinePartialGrid(t *testing.T) {
 // only the plexes its threshold admits.
 func TestCollectorCommitDiscipline(t *testing.T) {
 	var commits []int
-	col := NewSeedCollector(16, []CollectMember{{TopN: 1}, {Q: 4, TopN: 1}}, func(seed int, plexes int64, aggs []*Aggregate, done *SeedSet) {
+	col := NewSeedCollector(16, []CollectMember{{TopN: 1}, {Q: 4, TopN: 1}}, func(seed int, aggs []*Aggregate, done *SeedSet) {
 		commits = append(commits, seed)
-		if seed == 7 && (plexes != 2 || aggs[0].Count != 2 || !done.Contains(7)) {
-			t.Errorf("commit view of seed 7: plexes=%d count=%d", plexes, aggs[0].Count)
+		if seed == 7 && (aggs[0].Count != 2 || !done.Contains(7)) {
+			t.Errorf("commit view of seed 7: count=%d", aggs[0].Count)
 		}
 	})
 	var opts Options

@@ -2,7 +2,6 @@ package kplex
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -29,13 +28,6 @@ func SizeHistogram(ctx context.Context, g graph.CSR, opts Options) (map[int]int6
 // SizeHistogramPrepared is SizeHistogram against a Prepared handle,
 // skipping the run prologue.
 func SizeHistogramPrepared(ctx context.Context, p *Prepared, opts Options) (map[int]int64, Result, error) {
-	hist := make(map[int]int64)
-	var mu sync.Mutex
-	opts.OnPlex = func(pl []int) {
-		mu.Lock()
-		hist[len(pl)]++
-		mu.Unlock()
-	}
-	res, err := RunPrepared(ctx, p, opts)
-	return hist, res, err
+	agg, res, err := aggregatePrepared(ctx, p, opts, 0)
+	return agg.Histogram, res, err
 }

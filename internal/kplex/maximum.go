@@ -78,14 +78,6 @@ func FindMaximumKPlex(ctx context.Context, g *graph.Graph, k int) ([]int, error)
 	return best, nil
 }
 
-// FindMaximumKPlexBnB returns a maximum-cardinality k-plex of g among those
-// with at least 2k-1 vertices (nil when none exists).
-//
-// Deprecated: use FindMaximumKPlex, which it runs.
-func FindMaximumKPlexBnB(ctx context.Context, g *graph.Graph, k int) ([]int, error) {
-	return FindMaximumKPlex(ctx, g, k)
-}
-
 // GreedyKPlex returns a (usually good) k-plex found greedily: vertices are
 // scanned in reverse degeneracy order (densest first) and added whenever
 // the set stays a k-plex. A standalone heuristic: a quick lower bound on

@@ -74,8 +74,8 @@ func TestQuickConfigurationsAgree(t *testing.T) {
 	}
 }
 
-// The maximum solvers agree with each other and never exceed the
-// degeneracy+k upper bound; the greedy heuristic never beats them.
+// The maximum solver returns a k-plex, and the greedy heuristic never
+// beats it.
 func TestQuickMaximumSolversConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,14 +88,7 @@ func TestQuickMaximumSolversConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bnb, err := kplex.FindMaximumKPlexBnB(ctx, g, k)
-		if err != nil {
-			return false
-		}
-		if len(bin) != len(bnb) {
-			return false
-		}
-		if bnb != nil && !kplex.IsKPlex(g, bnb, k) {
+		if bin != nil && !kplex.IsKPlex(g, bin, k) {
 			return false
 		}
 		greedy := kplex.GreedyKPlex(g, k)

@@ -9,7 +9,6 @@ package kplex
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -35,7 +34,8 @@ func plexBefore(x, y []int) bool {
 // so among size-tied plexes the lexicographically smallest are kept and
 // the answer does not depend on discovery order. owned marks a slice the
 // list may keep without copying (merge paths). Every top-k answer —
-// EnumerateTopK, a batch member, an Aggregate — is kept by this function.
+// EnumerateTopK, a batch member, a SeedCollector member — is an
+// Aggregate's list kept by this function.
 func insertTopK(top [][]int, topN int, p []int, owned bool) [][]int {
 	if len(top) == topN && !plexBefore(p, top[topN-1]) {
 		return top
@@ -88,16 +88,9 @@ func EnumerateTopKPrepared(ctx context.Context, p *Prepared, opts Options, topN 
 	if topN < 1 {
 		return nil, Result{}, fmt.Errorf("kplex: topN must be >= 1, got %d", topN)
 	}
-	top := make([][]int, 0, topN)
-	var mu sync.Mutex
-	opts.OnPlex = func(p []int) {
-		mu.Lock()
-		top = insertTopK(top, topN, p, false)
-		mu.Unlock()
-	}
-	res, err := RunPrepared(ctx, p, opts)
+	agg, res, err := aggregatePrepared(ctx, p, opts, topN)
 	if err != nil {
 		return nil, res, err
 	}
-	return top, res, nil
+	return agg.TopK, res, nil
 }

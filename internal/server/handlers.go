@@ -45,12 +45,12 @@ type queryRequest struct {
 	// fraction, and — when the job subsystem is enabled — a durable resume
 	// job already enumerating the remainder. Cacheable modes only.
 	DeadlineMS int `json:"deadlineMs,omitempty"`
-	// Sample, in (0, 1), enumerates a deterministic uniform subset of seed
+	// Sample, in (0, 1], enumerates a deterministic uniform subset of seed
 	// groups and answers with an unbiased estimate of the exact count (and
 	// histogram) plus a 95% confidence interval, at roughly Sample times
 	// the cost. Modes count and histogram only; the rate is floored so at
 	// least kplex.DefaultMinSampleSeeds seed groups run (tiny seed spaces
-	// degrade to an exact census).
+	// degrade to an exact census, as does Sample 1).
 	Sample float64 `json:"sample,omitempty"`
 }
 
@@ -231,8 +231,8 @@ func (s *Server) parseOptions(req *queryRequest) (kplex.Options, error) {
 		return kplex.Options{}, fmt.Errorf("deadlineMs applies to cacheable modes only; a stream is bounded by its client")
 	}
 	if req.Sample != 0 {
-		if req.Sample < 0 || req.Sample >= 1 {
-			return kplex.Options{}, fmt.Errorf("sample must be in (0, 1), got %v", req.Sample)
+		if req.Sample < 0 || req.Sample > 1 {
+			return kplex.Options{}, fmt.Errorf("sample must be in (0, 1], got %v", req.Sample)
 		}
 		if req.Mode != "count" && req.Mode != "histogram" {
 			return kplex.Options{}, fmt.Errorf("sample estimates count and histogram modes only, got %q", req.Mode)

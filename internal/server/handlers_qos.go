@@ -220,11 +220,24 @@ func (s *Server) executeSampled(x *run, entry *GraphEntry, opts kplex.Options) (
 	span := x.enumerate(kept).Attr("mode", req.Mode).
 		Attr("sampleRate", strconv.FormatFloat(rate, 'g', -1, 64)).
 		Attr("sampledSeeds", strconv.Itoa(kept))
+	// Each enumerated seed's plex count is its OnSeedDone partial's
+	// Emitted; the engine fires the hook once per seed, after the seed's
+	// last plex.
 	perSeed := make([]int64, total)
-	col := kplex.NewSeedCollector(total, []kplex.CollectMember{{}},
-		func(seed int, plexes int64, _ []*kplex.Aggregate, _ *kplex.SeedSet) { perSeed[seed] = plexes })
-	col.Install(&x.opts, 0)
-	res, err := kplex.RunPrepared(ctx, p, x.opts)
+	progress := x.opts.OnSeedDone
+	x.opts.OnSeedDone = func(seed int, partial kplex.Stats) {
+		perSeed[seed] = partial.Emitted
+		progress(seed, partial)
+	}
+	var (
+		res  kplex.Result
+		hist map[int]int64
+	)
+	if req.Mode == "histogram" {
+		hist, res, err = kplex.SizeHistogramPrepared(ctx, p, x.opts)
+	} else {
+		res, err = kplex.RunPrepared(ctx, p, x.opts)
+	}
 	if err == nil {
 		span.Attr("rawCount", strconv.FormatInt(res.Count, 10))
 	}
@@ -255,8 +268,6 @@ func (s *Server) executeSampled(x *run, entry *GraphEntry, opts kplex.Options) (
 	}
 	if req.Mode == "histogram" {
 		// Per-bucket counts scale by the same unbiased N/n factor.
-		aggs, _ := col.Snapshot()
-		hist := aggs[0].Histogram
 		val.Histogram = make(map[int]int64, len(hist))
 		scale := 1.0
 		if len(counts) > 0 {

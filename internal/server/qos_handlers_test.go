@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -389,6 +390,60 @@ func TestSampledHistogramEstimates(t *testing.T) {
 	}
 	if relErr := math.Abs(float64(sum-want.Count)) / float64(want.Count); relErr > 0.5 {
 		t.Fatalf("scaled histogram total %d vs exact %d: relative error %v", sum, want.Count, relErr)
+	}
+}
+
+// TestSampledCensusExact pins the per-seed count path exactly: a
+// "sample":1 query enumerates every seed group, so on each golden cell its
+// count and histogram must equal the exact answer and its CI must have
+// zero width.
+func TestSampledCensusExact(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, cell := range []struct {
+		name string
+		k, q int
+	}{{"planted-a", 2, 6}, {"ba-hubs", 2, 6}, {"chunglu-tail", 3, 8}} {
+		want := readGolden(t, cell.name, cell.k, cell.q)
+		body := func(mode, extra string) string {
+			return fmt.Sprintf(`{"graph":"corpus:%s","k":%d,"q":%d,"mode":%q%s}`, cell.name, cell.k, cell.q, mode, extra)
+		}
+		resp, exact := postQoS(t, hs.URL, "", body("histogram", ""))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: exact histogram: status = %d", cell.name, resp.StatusCode)
+		}
+		for _, mode := range []string{"count", "histogram"} {
+			label := fmt.Sprintf("%s k=%d q=%d %s", cell.name, cell.k, cell.q, mode)
+			resp, est := postQoS(t, hs.URL, "", body(mode, `,"sample":1`))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status = %d", label, resp.StatusCode)
+			}
+			sm := est.Sample
+			if sm == nil {
+				t.Fatalf("%s: no sample detail", label)
+			}
+			if sm.Rate != 1 || sm.SampledSeeds != sm.TotalSeeds {
+				t.Fatalf("%s: rate %v, %d of %d seeds, want a census", label, sm.Rate, sm.SampledSeeds, sm.TotalSeeds)
+			}
+			if est.Count != want.Count || sm.RawCount != want.Count {
+				t.Fatalf("%s: count %d raw %d, golden %d", label, est.Count, sm.RawCount, want.Count)
+			}
+			if sm.StdErr != 0 || sm.CI95Lo != sm.Count || sm.CI95Hi != sm.Count {
+				t.Fatalf("%s: stdErr %v CI [%v, %v], want zero width at %v", label, sm.StdErr, sm.CI95Lo, sm.CI95Hi, sm.Count)
+			}
+			if est.MaxSize != want.MaxSize {
+				t.Fatalf("%s: maxSize %d, golden %d", label, est.MaxSize, want.MaxSize)
+			}
+			if mode == "histogram" && !reflect.DeepEqual(est.Histogram, exact.Histogram) {
+				t.Fatalf("%s: histogram %v, exact %v", label, est.Histogram, exact.Histogram)
+			}
+		}
+		var sum int64
+		for _, c := range exact.Histogram {
+			sum += c
+		}
+		if sum != want.Count {
+			t.Fatalf("%s: exact histogram sums to %d, golden %d", cell.name, sum, want.Count)
+		}
 	}
 }
 

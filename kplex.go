@@ -234,14 +234,6 @@ func FindMaximumKPlex(ctx context.Context, g *Graph, k int) ([]int, error) {
 	return kplex.FindMaximumKPlex(ctx, g, k)
 }
 
-// FindMaximumKPlexBnB returns a maximum-cardinality k-plex of g among
-// those with at least 2k-1 vertices (nil if none exists).
-//
-// Deprecated: use FindMaximumKPlex, which it runs.
-func FindMaximumKPlexBnB(ctx context.Context, g *Graph, k int) ([]int, error) {
-	return kplex.FindMaximumKPlex(ctx, g, k)
-}
-
 // GreedyKPlex returns a heuristic k-plex built greedily along the reverse
 // degeneracy ordering: a quick lower bound on the maximum k-plex size.
 func GreedyKPlex(g *Graph, k int) []int { return kplex.GreedyKPlex(g, k) }
