@@ -6,9 +6,10 @@ import "sort"
 // everything the enumeration prologue (core decomposition, CTCP reduction,
 // degeneracy relabelling) needs from a graph source. *Graph implements it
 // with in-memory slices; the on-disk store's mmap-backed reader implements
-// it by decoding delta+varint adjacency blocks on demand, which is what
-// lets kplex.Prepare — and therefore the whole seed pipeline — run
-// unmodified over paged data.
+// it by decoding delta+varint adjacency blocks on demand, and also
+// implements Decoder, through which kplex.Prepare expands it once into
+// flat arrays — so the whole seed pipeline runs unmodified over paged
+// data.
 //
 // Contracts (identical to *Graph's):
 //   - vertices are 0..N()-1;
@@ -31,6 +32,15 @@ type CSR interface {
 // what keeps catalog-backed graphs O(1) to open.
 type StoredDigester interface {
 	StoredDigest() [32]byte
+}
+
+// Decoder is implemented by paged graph sources (the on-disk store's
+// reader) that can expand their whole adjacency into one in-memory graph
+// in a single pass. kplex.Prepare decodes such a source once, so the
+// prologue reads flat arrays instead of paging rows, and a corrupt source
+// comes back as an error instead of a panic on first touch.
+type Decoder interface {
+	Decode() (*Graph, error)
 }
 
 // MaxDegreeOf returns Δ for any CSR, using a source-provided constant-time

@@ -20,42 +20,122 @@ type Prepared struct {
 // Prepare builds the enumeration view of g: restrict to the minCore-core
 // (Theorem 3.5 with minCore = q-k), relabel by degeneracy order, and
 // precompute the later-neighbour offsets the seed decomposition consumes.
+//
+// One peel over g's flat rows (a source that is not a *Graph is
+// materialized first) yields all of it:
+//  1. a queue peels every vertex whose degree falls below minCore, which
+//     leaves exactly the minCore-core, each survivor's deg now being its
+//     degree inside the core;
+//  2. the survivors are bucketed by that degree in id order, the initial
+//     state a core decomposition of the core itself starts from, and the
+//     bucket peel continues from there, so η, the new ids and the coreness
+//     come out as they would from decomposing the core as its own graph;
+//  3. the relabel reads the source rows and skips the peeled neighbours.
+//
+// A peeled vertex keeps a degree below minCore while every survivor's
+// stays at or above it, so deg alone tells the two apart in steps 2–3.
 func Prepare(g CSR, minCore int) *Prepared {
-	core, coreID := KCore(g, minCore)
-	cd := Cores(core)
-	n := core.N()
+	src := Materialize(g)
+	off, adj := src.offsets, src.adj
+	n := src.N()
+	mc := int32(max(minCore, 0))
+	deg := make([]int32, n)
+	pos := make([]int32, n) // the peel queue in step 1, bucket positions after
+	queue := pos[:0]
+	for v := range deg {
+		deg[v] = off[v+1] - off[v]
+		if deg[v] < mc {
+			queue = append(queue, int32(v))
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		x := queue[i]
+		for _, u := range adj[off[x]:off[x+1]] {
+			if deg[u] >= mc {
+				if deg[u]--; deg[u] < mc {
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
 
-	// Relabel along η, as DegeneracyOrderedCopy does, but keep the core
-	// decomposition so coreness comes out of the same peel. Each row is
-	// written in place and sorted; the entries below the row's own id are
-	// counted on the way, which is its later-neighbour offset.
+	nc, arcs, maxDeg := 0, int32(0), int32(0)
+	for _, d := range deg {
+		if d >= mc {
+			nc++
+			arcs += d
+			maxDeg = max(maxDeg, d)
+		}
+	}
+	// bin[d] = start index of bucket d within vert; vert lists the core by
+	// current degree and ends up as η.
+	bin := make([]int32, maxDeg+2)
+	for _, d := range deg {
+		if d >= mc {
+			bin[d+1]++
+		}
+	}
+	for d := int32(1); d <= maxDeg+1; d++ {
+		bin[d] += bin[d-1]
+	}
+	vert := make([]int32, nc)
+	fill := slices.Clone(bin[:maxDeg+1])
+	for v, d := range deg {
+		if d >= mc {
+			pos[v] = fill[d]
+			vert[pos[v]] = int32(v)
+			fill[d]++
+		}
+	}
 	p := &Prepared{
-		toInput:  make([]int32, n),
-		laterOff: make([]int32, n),
-		coreness: make([]int32, n),
+		toInput:  vert,
+		laterOff: make([]int32, nc),
+		coreness: make([]int32, nc),
 	}
-	offsets := make([]int32, n+1)
-	for newU := 0; newU < n; newU++ {
-		offsets[newU+1] = offsets[newU] + int32(core.Degree(int(cd.Order[newU])))
+	cur := int32(0)
+	for i, v := range vert {
+		cur = max(cur, deg[v])
+		p.coreness[i] = cur
+		for _, u := range adj[off[v]:off[v+1]] {
+			if deg[u] <= deg[v] {
+				continue // peeled, or in the current bucket floor
+			}
+			// Move u one bucket down: swap it with the first vertex of its
+			// bucket and advance that bucket's start.
+			du, pu := deg[u], pos[u]
+			pw := bin[du]
+			if w := vert[pw]; u != w {
+				vert[pu], vert[pw] = w, u
+				pos[u], pos[w] = pw, pu
+			}
+			bin[du]++
+			deg[u]--
+		}
 	}
-	adj := make([]int32, offsets[n])
-	for newU := 0; newU < n; newU++ {
-		old := cd.Order[newU]
-		row := adj[offsets[newU]:offsets[newU+1]]
-		earlier := int32(0)
-		for i, oldV := range core.Neighbors(int(old)) {
-			newV := cd.Pos[oldV]
-			row[i] = newV
-			if newV < int32(newU) {
+
+	// A core vertex's bucket position is now its place in η, its new id.
+	// Each row is written in place and sorted; the entries below the row's
+	// own id are counted on the way, which is its later-neighbour offset.
+	offsets := make([]int32, nc+1)
+	out := make([]int32, arcs)
+	w := int32(0)
+	for newU, old := range vert {
+		start, earlier := w, int32(0)
+		for _, u := range adj[off[old]:off[old+1]] {
+			if deg[u] < mc {
+				continue
+			}
+			out[w] = pos[u]
+			w++
+			if pos[u] < int32(newU) {
 				earlier++
 			}
 		}
-		slices.Sort(row)
-		p.toInput[newU] = coreID[old]
-		p.coreness[newU] = cd.Coreness[old]
+		slices.Sort(out[start:w])
+		offsets[newU+1] = w
 		p.laterOff[newU] = earlier
 	}
-	p.g = &Graph{offsets: offsets, adj: adj}
+	p.g = &Graph{offsets: offsets, adj: out}
 	return p
 }
 

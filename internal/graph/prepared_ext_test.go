@@ -1,12 +1,14 @@
 package graph_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/kplex"
 	"repro/internal/store"
 )
 
@@ -68,6 +70,43 @@ func checkPreparedAgainstLegacy(t *testing.T, name string, g graph.CSR, minCore 
 		split, _ := slices.BinarySearch(row, int32(v))
 		if !slices.Equal(p.LaterNeighbors(v), row[split:]) || !slices.Equal(p.EarlierNeighbors(v), row[:split]) {
 			t.Fatalf("%s minCore %d: vertex %d later/earlier split differs from the legacy row", name, minCore, v)
+		}
+	}
+}
+
+// TestPrepareMatchesReferenceSkewed compares the one-peel Prepare with
+// the two-peel reference byte for byte on skewed graphs and on CTCP
+// outputs, whose pruned vertices stay in the id space as isolated
+// vertices: at minCore = q-k they fall out of the core, at minCore 0 they
+// stay in it.
+func TestPrepareMatchesReferenceSkewed(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"chunglu-4k", gen.ChungLu(4000, 12, 2.2, 31)},
+		{"ba-3k", gen.BarabasiAlbert(3000, 6, 32)},
+		{"planted-2k", gen.Planted(gen.PlantedConfig{N: 2000, BackgroundP: 0.002, Communities: 20, CommSize: 14, DropPerV: 1, Overlap: 2, Seed: 33})},
+	}
+	for _, tc := range graphs {
+		d := graph.Degeneracy(tc.g)
+		for _, minCore := range []int{0, 3, 6, 9, d, d + 1} {
+			graph.CheckPrepareReference(t, tc.name, tc.g, minCore)
+		}
+		for _, kq := range []struct{ k, q int }{{1, 5}, {2, 8}, {3, 12}} {
+			red := kplex.ReduceCTCP(tc.g, kq.k, kq.q)
+			isolated := 0
+			for v := 0; v < red.N(); v++ {
+				if red.Degree(v) == 0 {
+					isolated++
+				}
+			}
+			if isolated == 0 {
+				t.Fatalf("%s k=%d q=%d: CTCP left no isolated vertex", tc.name, kq.k, kq.q)
+			}
+			name := fmt.Sprintf("%s/ctcp k=%d q=%d", tc.name, kq.k, kq.q)
+			graph.CheckPrepareReference(t, name, red, kq.q-kq.k)
+			graph.CheckPrepareReference(t, name, red, 0)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,6 +24,81 @@ func randomTestGraph(t *testing.T, n int, p float64, seed int64) *Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// prepareReference is the two-peel body graph.Prepare had before it
+// peeled once: KCore peels the whole source and copies the core, Cores
+// peels that copy again for η and the coreness, and the relabel reads the
+// copy. It is the oracle the one-peel Prepare must match byte for byte.
+func prepareReference(g CSR, minCore int) *Prepared {
+	core, coreID := KCore(g, minCore)
+	cd := Cores(core)
+	n := core.N()
+	p := &Prepared{
+		toInput:  make([]int32, n),
+		laterOff: make([]int32, n),
+		coreness: make([]int32, n),
+	}
+	offsets := make([]int32, n+1)
+	for newU := 0; newU < n; newU++ {
+		offsets[newU+1] = offsets[newU] + int32(core.Degree(int(cd.Order[newU])))
+	}
+	adj := make([]int32, offsets[n])
+	for newU := 0; newU < n; newU++ {
+		old := cd.Order[newU]
+		row := adj[offsets[newU]:offsets[newU+1]]
+		earlier := int32(0)
+		for i, oldV := range core.Neighbors(int(old)) {
+			newV := cd.Pos[oldV]
+			row[i] = newV
+			if newV < int32(newU) {
+				earlier++
+			}
+		}
+		slices.Sort(row)
+		p.toInput[newU] = coreID[old]
+		p.coreness[newU] = cd.Coreness[old]
+		p.laterOff[newU] = earlier
+	}
+	p.g = &Graph{offsets: offsets, adj: adj}
+	return p
+}
+
+// CheckPrepareReference fails unless Prepare and prepareReference encode
+// to the same bytes: working graph, id mapping, later-neighbour offsets
+// and coreness. It is exported for the external tests of this package,
+// which build their graphs with gen and kplex.
+func CheckPrepareReference(t *testing.T, name string, g CSR, minCore int) {
+	t.Helper()
+	got, want := EncodePrepared(nil, Prepare(g, minCore)), EncodePrepared(nil, prepareReference(g, minCore))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s minCore %d: Prepare differs from the two-peel reference (%d vs %d bytes)", name, minCore, len(got), len(want))
+	}
+}
+
+// TestPrepareMatchesReference compares the one-peel Prepare with the
+// two-peel reference on random graphs of several densities, sparse ones
+// with isolated vertices included, at minCore values from below zero to
+// above the degeneracy, where the core is empty.
+func TestPrepareMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		for _, p := range []float64{0.02, 0.08, 0.3} {
+			g := randomTestGraph(t, 90, p, seed)
+			d := Degeneracy(g)
+			for _, minCore := range []int{-2, 0, 1, 2, 3, 5, d, d + 1} {
+				CheckPrepareReference(t, fmt.Sprintf("seed %d p %v", seed, p), g, minCore)
+			}
+			if Prepare(g, d+1).N() != 0 {
+				t.Fatalf("seed %d p %v: minCore above the degeneracy %d left vertices", seed, p, d)
+			}
+		}
+	}
+	var empty Builder
+	g, err := empty.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	CheckPrepareReference(t, "empty", g, 2)
 }
 
 // TestPreparedMatchesLegacyPrologue pins Prepare to the composition it

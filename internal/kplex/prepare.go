@@ -43,9 +43,18 @@ func Prepare(g graph.CSR, opts Options) (*Prepared, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	// A paged source is decoded once into flat arrays; CTCP, the peel and
+	// the relabel all read those.
 	work := g
+	if d, ok := g.(graph.Decoder); ok {
+		dg, err := d.Decode()
+		if err != nil {
+			return nil, err
+		}
+		work = dg
+	}
 	if opts.UseCTCP {
-		work = ReduceCTCP(g, opts.K, opts.Q)
+		work = ReduceCTCP(work, opts.K, opts.Q)
 	}
 	return &Prepared{
 		k:       opts.K,

@@ -1,8 +1,11 @@
 package kplex
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -176,9 +179,44 @@ func TestReduceCTCPStoreSource(t *testing.T) {
 	}
 }
 
+// checkPrepareLegacy compares graph.Prepare with the two-peel prologue it
+// replaced — KCore, then Cores of the core and its relabel — byte for
+// byte in EncodePrepared's layout: rows, id mapping, later-neighbour
+// offsets, coreness.
+func checkPrepareLegacy(t *testing.T, name string, g graph.CSR, minCore int) {
+	t.Helper()
+	core, coreID := graph.KCore(g, minCore)
+	cd := graph.Cores(core)
+	relab, relID := graph.DegeneracyOrderedCopy(core)
+	want := binary.AppendUvarint(nil, uint64(relab.N()))
+	for v := 0; v < relab.N(); v++ {
+		row := relab.Neighbors(v)
+		want = binary.AppendUvarint(want, uint64(len(row)))
+		prev := int32(0)
+		for _, u := range row {
+			want = binary.AppendUvarint(want, uint64(u-prev))
+			prev = u
+		}
+	}
+	for _, old := range relID {
+		want = binary.AppendUvarint(want, uint64(coreID[old]))
+	}
+	for v := range relID {
+		later, _ := slices.BinarySearch(relab.Neighbors(v), int32(v))
+		want = binary.AppendUvarint(want, uint64(later))
+	}
+	for _, old := range relID {
+		want = binary.AppendUvarint(want, uint64(cd.Coreness[old]))
+	}
+	if got := graph.EncodePrepared(nil, graph.Prepare(g, minCore)); !bytes.Equal(got, want) {
+		t.Fatalf("%s minCore %d: Prepare differs from the two-peel prologue", name, minCore)
+	}
+}
+
 // FuzzReduceCTCP decodes the input into a small graph and a (k,q) cell
-// and checks the reduction against the reference. Byte 0 picks k, byte 1
-// picks q, byte 2 the vertex count; each later byte pair is an edge.
+// and checks the reduction against the reference, and the prologue of the
+// reduced graph against the two-peel one. Byte 0 picks k, byte 1 picks q,
+// byte 2 the vertex count; each later byte pair is an edge.
 func FuzzReduceCTCP(f *testing.F) {
 	f.Add([]byte{0, 3, 10, 0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 0})
 	f.Add([]byte{1, 6, 30})
@@ -197,7 +235,8 @@ func FuzzReduceCTCP(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkReduced(t, fmt.Sprintf("fuzz n=%d m=%d", n, g.M()), g, k, q)
+		name := fmt.Sprintf("fuzz n=%d m=%d", n, g.M())
+		checkPrepareLegacy(t, name, checkReduced(t, name, g, k, q), q-k)
 	})
 }
 

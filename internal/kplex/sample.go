@@ -117,6 +117,9 @@ func EstimateCount(totalSeeds int, perSeed []int64, rate float64) SampleEstimate
 	N := float64(totalSeeds)
 	mean := float64(sum) / float64(n)
 	est.Count = N * mean
+	if n == totalSeeds {
+		est.Count = float64(sum) // a census is exact; N·x̄ can round off it
+	}
 	if n > 1 && n < totalSeeds {
 		var s2 float64
 		for _, c := range perSeed {

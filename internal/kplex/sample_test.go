@@ -87,6 +87,14 @@ func TestEstimateCountDegenerate(t *testing.T) {
 	if e.Count != 8 || e.StdErr != 0 || e.CI95Lo != 8 || e.CI95Hi != 8 {
 		t.Errorf("census: %+v, want exact 8 with zero-width CI", e)
 	}
+	// A census of 25 seeds holding 14 plexes: 25·(14/25) rounds to
+	// 14.000000000000002, and the census must still report exactly 14.
+	perSeed := make([]int64, 25)
+	perSeed[3], perSeed[17] = 9, 5
+	e = EstimateCount(25, perSeed, 1)
+	if e.Count != 14 || e.CI95Lo != 14 || e.CI95Hi != 14 {
+		t.Errorf("census of 25 seeds: %+v, want exactly 14 with zero-width CI", e)
+	}
 	// Lower bound never drops below the raw sample count.
 	e = EstimateCount(1000, []int64{0, 0, 0, 0, 100}, 0.005)
 	if e.CI95Lo < float64(e.RawCount) {

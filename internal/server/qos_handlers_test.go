@@ -395,8 +395,8 @@ func TestSampledHistogramEstimates(t *testing.T) {
 
 // TestSampledCensusExact pins the per-seed count path exactly: a
 // "sample":1 query enumerates every seed group, so on each golden cell its
-// count and histogram must equal the exact answer and its CI must have
-// zero width.
+// count, histogram, float estimate and both CI bounds must equal the
+// exact answer.
 func TestSampledCensusExact(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	for _, cell := range []struct {
@@ -427,8 +427,8 @@ func TestSampledCensusExact(t *testing.T) {
 			if est.Count != want.Count || sm.RawCount != want.Count {
 				t.Fatalf("%s: count %d raw %d, golden %d", label, est.Count, sm.RawCount, want.Count)
 			}
-			if sm.StdErr != 0 || sm.CI95Lo != sm.Count || sm.CI95Hi != sm.Count {
-				t.Fatalf("%s: stdErr %v CI [%v, %v], want zero width at %v", label, sm.StdErr, sm.CI95Lo, sm.CI95Hi, sm.Count)
+			if exact := float64(want.Count); sm.StdErr != 0 || sm.Count != exact || sm.CI95Lo != exact || sm.CI95Hi != exact {
+				t.Fatalf("%s: estimate %v stdErr %v CI [%v, %v], want exactly %v with zero width", label, sm.Count, sm.StdErr, sm.CI95Lo, sm.CI95Hi, exact)
 			}
 			if est.MaxSize != want.MaxSize {
 				t.Fatalf("%s: maxSize %d, golden %d", label, est.MaxSize, want.MaxSize)

@@ -54,7 +54,7 @@ func TestMmapExecutionEquivalence(t *testing.T) {
 	cells := []struct{ k, q int }{{2, 6}, {3, 8}}
 	for _, name := range graphs {
 		g := gen.CorpusGraphByName(name).Build()
-		// A tiny block size and cache force real block churn during the run.
+		// Tiny blocks split rows across many of them in the bulk decode.
 		path := filepath.Join(t.TempDir(), name+".kpg")
 		if err := WriteGraphFile(path, g, 64); err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // File format (version 1), little-endian throughout.
@@ -72,8 +73,8 @@ const (
 
 	// DefaultBlockVerts is the default number of vertices per adjacency
 	// block: small enough that decoding one block on a point access stays
-	// cheap, large enough that a sequential prologue scan amortizes the
-	// per-block bookkeeping.
+	// cheap, large enough that a sequential scan amortizes the per-block
+	// bookkeeping.
 	DefaultBlockVerts = 2048
 
 	flagDigest = 1 << 0
@@ -190,73 +191,102 @@ func (b *decodedBlock) row(v int) []int32 {
 }
 
 // decodeBlock expands the encoded bytes of a block covering cnt vertices
-// starting at base. n bounds neighbour ids. Every structural invariant is
-// checked — row length against remaining bytes, neighbour range, strict
-// ascending order, no self-loops — so a corrupt or truncated block turns
-// into an error instead of an out-of-range panic deeper in the engine.
+// starting at base into a decodedBlock of its own. n bounds neighbour ids.
 func decodeBlock(enc []byte, base, cnt, n int) (*decodedBlock, error) {
-	blk := &decodedBlock{
-		base:    int32(base),
-		offsets: make([]int32, cnt+1),
+	off := make([]int32, cnt+1)
+	adj, err := decodeRows(enc, base, cnt, n, off, make([]int32, 0, len(enc)/2), len(enc))
+	if err != nil {
+		return nil, err
 	}
-	// First pass sizes adj exactly; uvarint decode is cheap enough that
-	// two passes beat growing a slice through appends.
-	total := 0
+	return &decodedBlock{base: int32(base), offsets: off, adj: adj}, nil
+}
+
+// decodeRows decodes the rows of one encoded block, covering cnt vertices
+// from base, in a single pass: each row's neighbours are appended to adj
+// and its end offset is written to off[i+1] (off[0] must hold len(adj)).
+// It is the one row decoder behind both a block's point decode and the
+// bulk decode of a whole file. n bounds neighbour ids and limit bounds
+// len(adj). Every structural invariant is checked — minimal varints, the
+// degree against n and against the bytes left, neighbour range, strictly
+// ascending order, no self-loops, no trailing bytes — so a corrupt or
+// truncated block turns into an error instead of an out-of-range panic
+// deeper in the engine.
+func decodeRows(enc []byte, base, cnt, n int, off, adj []int32, limit int) ([]int32, error) {
 	pos := 0
 	for i := 0; i < cnt; i++ {
-		deg, w := uvarintStrict(enc[pos:])
+		v := uint64(base + i)
+		deg, w := uvarintAt(enc, pos)
 		if w <= 0 {
-			return nil, fmt.Errorf("store: block@%d: vertex %d: bad degree varint", base, base+i)
+			return nil, fmt.Errorf("store: block@%d: vertex %d: bad degree varint", base, v)
 		}
 		pos += w
 		if deg > uint64(n) {
-			return nil, fmt.Errorf("store: block@%d: vertex %d: degree %d exceeds n=%d", base, base+i, deg, n)
+			return nil, fmt.Errorf("store: block@%d: vertex %d: degree %d exceeds n=%d", base, v, deg, n)
 		}
-		total += int(deg)
-		for j := uint64(0); j < deg; j++ {
-			_, w := uvarintStrict(enc[pos:])
-			if w <= 0 {
-				return nil, fmt.Errorf("store: block@%d: vertex %d: truncated adjacency", base, base+i)
+		// Every neighbour takes at least one byte.
+		if deg > uint64(len(enc)-pos) {
+			return nil, fmt.Errorf("store: block@%d: vertex %d: truncated adjacency", base, v)
+		}
+		if uint64(len(adj))+deg > uint64(limit) {
+			return nil, fmt.Errorf("store: block@%d: vertex %d: rows exceed %d arcs", base, v, limit)
+		}
+		at := len(adj)
+		adj = slices.Grow(adj, int(deg))[:at+int(deg)]
+		row := adj[at:]
+		u := uint64(0) // the previous neighbour; the first delta counts from 0
+		for j := range row {
+			var delta uint64
+			if pos < len(enc) && enc[pos] < 0x80 {
+				delta, w = uint64(enc[pos]), 1
+			} else if pos+1 < len(enc) && enc[pos+1]-1 < 0x7f { // a minimal second and last byte: 1..0x7f
+				delta, w = uint64(enc[pos]&0x7f)|uint64(enc[pos+1])<<7, 2
+			} else if delta, w = uvarintAt(enc, pos); w <= 0 {
+				return nil, fmt.Errorf("store: block@%d: vertex %d: truncated adjacency", base, v)
 			}
 			pos += w
+			if delta == 0 && j > 0 {
+				return nil, fmt.Errorf("store: block@%d: vertex %d: duplicate neighbour %d", base, v, u)
+			}
+			if delta >= uint64(n)-u {
+				return nil, fmt.Errorf("store: block@%d: vertex %d: neighbour %d+%d out of range (n=%d)", base, v, u, delta, n)
+			}
+			u += delta
+			if u == v {
+				return nil, fmt.Errorf("store: block@%d: self-loop on vertex %d", base, v)
+			}
+			row[j] = int32(u)
 		}
+		off[i+1] = int32(len(adj))
 	}
 	if pos != len(enc) {
 		return nil, fmt.Errorf("store: block@%d: %d trailing bytes after %d rows", base, len(enc)-pos, cnt)
 	}
-	blk.adj = make([]int32, total)
-	pos = 0
-	w0 := 0
-	for i := 0; i < cnt; i++ {
-		deg, w := binary.Uvarint(enc[pos:])
-		pos += w
-		blk.offsets[i] = int32(w0)
-		prev := int64(-1)
-		for j := uint64(0); j < deg; j++ {
-			delta, w := binary.Uvarint(enc[pos:])
-			pos += w
-			var u int64
-			if prev < 0 {
-				u = int64(delta)
-			} else {
-				u = prev + int64(delta)
-				if delta == 0 {
-					return nil, fmt.Errorf("store: block@%d: vertex %d: duplicate neighbour %d", base, base+i, u)
-				}
+	return adj, nil
+}
+
+// uvarintAt is uvarintStrict of enc[pos:] with the one- to three-byte
+// encodings, every value below 2^21, decoded inline.
+func uvarintAt(enc []byte, pos int) (uint64, int) {
+	if pos+2 < len(enc) {
+		b0 := enc[pos]
+		if b0 < 0x80 {
+			return uint64(b0), 1
+		}
+		b1 := enc[pos+1]
+		if b1 < 0x80 {
+			if b1 == 0 {
+				return 0, 0
 			}
-			if u >= int64(n) {
-				return nil, fmt.Errorf("store: block@%d: vertex %d: neighbour %d out of range (n=%d)", base, base+i, u, n)
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+		if b2 := enc[pos+2]; b2 < 0x80 {
+			if b2 == 0 {
+				return 0, 0
 			}
-			if u == int64(base+i) {
-				return nil, fmt.Errorf("store: block@%d: self-loop on vertex %d", base, u)
-			}
-			blk.adj[w0] = int32(u)
-			w0++
-			prev = u
+			return uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, 3
 		}
 	}
-	blk.offsets[cnt] = int32(w0)
-	return blk, nil
+	return uvarintStrict(enc[pos:])
 }
 
 // uvarintStrict is binary.Uvarint restricted to minimal encodings: an

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,11 @@ import (
 )
 
 // Reader is an mmap-backed graph implementing graph.CSR over a store
-// file. Opening is O(1): only the header is read and validated; adjacency
-// blocks are decoded lazily on first touch and kept in a small
-// CLOCK-evicted cache, so repeat prologue scans (and repeat seed builds
-// over the same region) don't re-varint-decode.
+// file. Opening is O(1): only the header is read and validated. A run's
+// prologue calls Decode, which expands every block once, straight into
+// flat in-memory CSR arrays. Point accesses (Degree, Neighbors) decode
+// single blocks lazily on first touch and keep them in a small
+// CLOCK-evicted cache, so repeat reads of a region don't re-varint-decode.
 //
 // A Reader is safe for concurrent use. Neighbors returns slices into
 // decoded blocks; an evicted block stays valid for any caller still
@@ -38,10 +40,10 @@ type Reader struct {
 	cache *clockCache
 }
 
-// DefaultCacheBlocks is the default decoded-block cache capacity. At the
-// default block geometry this keeps roughly half a million vertices'
-// decoded adjacency resident — enough that the O(n+m) prologue over a
-// multi-million-vertex graph mostly decodes each block once.
+// DefaultCacheBlocks is the default decoded-block cache capacity of point
+// accesses. At the default block geometry it keeps roughly half a million
+// vertices' decoded adjacency resident. The prologue does not use the
+// cache: it decodes the whole file once through Decode.
 const DefaultCacheBlocks = 256
 
 // OpenFile opens a store file with the default decoded-block cache.
@@ -119,8 +121,8 @@ func (r *Reader) DigestHex() string {
 }
 
 // Degree returns deg(v). Like Neighbors it decodes v's block on a cache
-// miss; the prologue's degree scan is sequential, so each block decodes
-// once and every later Degree/Neighbors in the block hits the cache.
+// miss, so a sequential scan decodes each block once and every later
+// Degree/Neighbors in the block hits the cache.
 func (r *Reader) Degree(v int) int {
 	blk := r.block(v)
 	i := v - int(blk.base)
@@ -146,13 +148,15 @@ func (r *Reader) block(v int) *decodedBlock {
 	b := v / int(r.hdr.BlockVerts)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed.Load() {
-		panic("store: use of closed Reader (registry refcount bug?)")
-	}
+	r.checkOpen()
 	if blk := r.cache.get(b); blk != nil {
 		return blk
 	}
-	blk, err := r.decodeBlockLocked(b)
+	enc, base, cnt, err := r.blockBytes(b)
+	var blk *decodedBlock
+	if err == nil {
+		blk, err = decodeBlock(enc, base, cnt, int(r.hdr.N))
+	}
 	if err != nil {
 		// The header was validated at open; a block that fails to decode
 		// means on-disk corruption after open (or a torn write the CRC'd
@@ -164,14 +168,88 @@ func (r *Reader) block(v int) *decodedBlock {
 	return blk
 }
 
-func (r *Reader) decodeBlockLocked(b int) (*decodedBlock, error) {
+// checkOpen panics on a closed Reader.
+func (r *Reader) checkOpen() {
+	if r.closed.Load() {
+		panic("store: use of closed Reader (registry refcount bug?)")
+	}
+}
+
+// blockBytes returns block b's encoded bytes, its first vertex and its
+// vertex count, after checking that its extent lies in the data region.
+func (r *Reader) blockBytes(b int) (enc []byte, base, cnt int, err error) {
 	lo, hi := r.blockOffset(b), r.blockOffset(b+1)
 	if lo > hi || hi > r.hdr.DataOff+r.hdr.DataLen || lo < r.hdr.DataOff {
-		return nil, fmt.Errorf("block %d has invalid extent [%d,%d)", b, lo, hi)
+		return nil, 0, 0, fmt.Errorf("block %d has invalid extent [%d,%d)", b, lo, hi)
 	}
-	base := b * int(r.hdr.BlockVerts)
-	cnt := min(int(r.hdr.N)-base, int(r.hdr.BlockVerts))
-	return decodeBlock(r.data[lo:hi], base, cnt, int(r.hdr.N))
+	base = b * int(r.hdr.BlockVerts)
+	return r.data[lo:hi], base, min(int(r.hdr.N)-base, int(r.hdr.BlockVerts)), nil
+}
+
+// Decode expands the whole adjacency into one in-memory graph: every
+// block is decoded once, by the same row decoder as a point access and
+// with the same checks, straight into flat CSR arrays, and the rows must
+// hold exactly the 2·M arcs the header declares. The block cache is
+// neither read nor filled. kplex.Prepare calls it (through
+// graph.Decoder) so the prologue reads flat arrays and a corrupt block
+// comes back as an error rather than a panic. Safe for concurrent use;
+// Decode after Close panics like every other access.
+func (r *Reader) Decode() (*graph.Graph, error) {
+	r.checkOpen()
+	h := r.hdr
+	arcs := 2 * h.M
+	// Each vertex takes at least one byte (its degree) and so does each arc.
+	if h.N > h.DataLen || arcs > h.DataLen || arcs > math.MaxInt32 {
+		return nil, fmt.Errorf("store: %s: header declares n=%d m=%d, more than %d data bytes encode", r.path, h.N, h.M, h.DataLen)
+	}
+	n := int(h.N)
+	offsets := make([]int32, n+1)
+	adj := make([]int32, 0, arcs)
+	for b := 0; b < int(h.NumBlocks); b++ {
+		enc, base, cnt, err := r.blockBytes(b)
+		if err == nil {
+			adj, err = decodeRows(enc, base, cnt, n, offsets[base:base+cnt+1], adj, int(arcs))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: %s: %w", r.path, err)
+		}
+	}
+	if uint64(len(adj)) != arcs {
+		return nil, fmt.Errorf("store: %s: rows hold %d arcs, header declares 2m=%d", r.path, len(adj), arcs)
+	}
+	if u, ok := unmatchedArc(offsets, adj); !ok {
+		return nil, fmt.Errorf("store: %s: vertex %d: adjacency is not symmetric", r.path, u)
+	}
+	return graph.FromCSR(offsets, adj), nil
+}
+
+// unmatchedArc checks that every arc of a CSR with sorted rows has its
+// reverse. Visiting vertices in id order, each arc v→u with u < v must be
+// the next unmet one among u's later neighbours, and at the end every
+// later neighbour must have been met. It returns the vertex whose row
+// breaks that and false, or 0 and true. The row checks of a decode cannot
+// see this (a flipped delta byte still decodes to a valid row), and the
+// prologue's peel and CTCP rely on it.
+func unmatchedArc(off, adj []int32) (int32, bool) {
+	n := int32(len(off) - 1)
+	next := make([]int32, n) // next[u]: u's first later neighbour not yet met
+	for v := int32(0); v < n; v++ {
+		i := off[v]
+		for ; i < off[v+1] && adj[i] < v; i++ {
+			u := adj[i]
+			if next[u] == off[u+1] || adj[next[u]] != v {
+				return u, false
+			}
+			next[u]++
+		}
+		next[v] = i
+	}
+	for u := int32(0); u < n; u++ {
+		if next[u] != off[u+1] {
+			return u, false
+		}
+	}
+	return 0, true
 }
 
 // VerifyDigest re-derives the content digest by streaming every block's
@@ -184,17 +262,15 @@ func (r *Reader) VerifyDigest() error {
 	w := binary.PutUvarint(buf[:], r.hdr.N)
 	h.Write(buf[:w])
 	for b := 0; b < int(r.hdr.NumBlocks); b++ {
-		lo, hi := r.blockOffset(b), r.blockOffset(b+1)
-		if lo > hi || hi > r.hdr.DataOff+r.hdr.DataLen || lo < r.hdr.DataOff {
-			return fmt.Errorf("store: %s: block %d has invalid extent [%d,%d)", r.path, b, lo, hi)
+		enc, base, cnt, err := r.blockBytes(b)
+		if err == nil {
+			// Validate the block decodes before trusting its bytes as canon.
+			_, err = decodeBlock(enc, base, cnt, int(r.hdr.N))
 		}
-		// Validate the block decodes before trusting its bytes as canon.
-		base := b * int(r.hdr.BlockVerts)
-		cnt := min(int(r.hdr.N)-base, int(r.hdr.BlockVerts))
-		if _, err := decodeBlock(r.data[lo:hi], base, cnt, int(r.hdr.N)); err != nil {
+		if err != nil {
 			return fmt.Errorf("store: %s: %w", r.path, err)
 		}
-		h.Write(r.data[lo:hi])
+		h.Write(enc)
 	}
 	var got [32]byte
 	h.Sum(got[:0])
@@ -205,10 +281,9 @@ func (r *Reader) VerifyDigest() error {
 }
 
 // clockCache is a fixed-capacity CLOCK (second-chance) cache of decoded
-// blocks. CLOCK gives the scan-then-point-access pattern of the prologue
-// (one sequential degree pass, then peel-order random access) most of
-// LRU's hit rate at a fraction of the bookkeeping: a hit only sets a
-// reference bit, no list splice.
+// blocks. CLOCK gives a scan-then-point-access pattern (one sequential
+// pass, then random access) most of LRU's hit rate at a fraction of the
+// bookkeeping: a hit only sets a reference bit, no list splice.
 type clockCache struct {
 	slots   []clockSlot
 	byBlock map[int]int
@@ -263,3 +338,4 @@ func (c *clockCache) put(block int, blk *decodedBlock) {
 
 var _ graph.CSR = (*Reader)(nil)
 var _ graph.StoredDigester = (*Reader)(nil)
+var _ graph.Decoder = (*Reader)(nil)
