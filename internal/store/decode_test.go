@@ -38,7 +38,9 @@ func TestDecodeMatchesGraph(t *testing.T) {
 }
 
 // TestDecodeRejectsHeaderArcCount rewrites the header (CRC recomputed) to
-// declare one edge more or fewer than the rows hold.
+// declare one edge more or fewer than the rows hold, far more than the
+// data region can encode, or so many that doubling the count wraps to the
+// true arc count.
 func TestDecodeRejectsHeaderArcCount(t *testing.T) {
 	path := writeTestGraph(t, gen.GNP(200, 0.05, 3), 16)
 	orig, err := os.ReadFile(path)
@@ -49,7 +51,7 @@ func TestDecodeRejectsHeaderArcCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []uint64{hdr.M - 1, hdr.M + 1, 1 << 40} {
+	for _, m := range []uint64{hdr.M - 1, hdr.M + 1, 1 << 40, 1<<63 + hdr.M} {
 		h := hdr
 		h.M = m
 		data := append(h.encode()[:headerSize], orig[headerSize:]...)

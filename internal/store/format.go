@@ -194,7 +194,7 @@ func (b *decodedBlock) row(v int) []int32 {
 // starting at base into a decodedBlock of its own. n bounds neighbour ids.
 func decodeBlock(enc []byte, base, cnt, n int) (*decodedBlock, error) {
 	off := make([]int32, cnt+1)
-	adj, err := decodeRows(enc, base, cnt, n, off, make([]int32, 0, len(enc)/2), len(enc))
+	adj, err := decodeRows(enc, base, cnt, n, off, make([]int32, 0, len(enc)/2))
 	if err != nil {
 		return nil, err
 	}
@@ -205,13 +205,12 @@ func decodeBlock(enc []byte, base, cnt, n int) (*decodedBlock, error) {
 // from base, in a single pass: each row's neighbours are appended to adj
 // and its end offset is written to off[i+1] (off[0] must hold len(adj)).
 // It is the one row decoder behind both a block's point decode and the
-// bulk decode of a whole file. n bounds neighbour ids and limit bounds
-// len(adj). Every structural invariant is checked — minimal varints, the
-// degree against n and against the bytes left, neighbour range, strictly
-// ascending order, no self-loops, no trailing bytes — so a corrupt or
-// truncated block turns into an error instead of an out-of-range panic
-// deeper in the engine.
-func decodeRows(enc []byte, base, cnt, n int, off, adj []int32, limit int) ([]int32, error) {
+// bulk decode of a whole file. n bounds neighbour ids. Every structural
+// invariant is checked — minimal varints, the degree against n and against
+// the bytes left, neighbour range, strictly ascending order, no
+// self-loops, no trailing bytes — so a corrupt or truncated block turns
+// into an error instead of an out-of-range panic deeper in the engine.
+func decodeRows(enc []byte, base, cnt, n int, off, adj []int32) ([]int32, error) {
 	pos := 0
 	for i := 0; i < cnt; i++ {
 		v := uint64(base + i)
@@ -227,20 +226,13 @@ func decodeRows(enc []byte, base, cnt, n int, off, adj []int32, limit int) ([]in
 		if deg > uint64(len(enc)-pos) {
 			return nil, fmt.Errorf("store: block@%d: vertex %d: truncated adjacency", base, v)
 		}
-		if uint64(len(adj))+deg > uint64(limit) {
-			return nil, fmt.Errorf("store: block@%d: vertex %d: rows exceed %d arcs", base, v, limit)
-		}
 		at := len(adj)
 		adj = slices.Grow(adj, int(deg))[:at+int(deg)]
 		row := adj[at:]
 		u := uint64(0) // the previous neighbour; the first delta counts from 0
 		for j := range row {
-			var delta uint64
-			if pos < len(enc) && enc[pos] < 0x80 {
-				delta, w = uint64(enc[pos]), 1
-			} else if pos+1 < len(enc) && enc[pos+1]-1 < 0x7f { // a minimal second and last byte: 1..0x7f
-				delta, w = uint64(enc[pos]&0x7f)|uint64(enc[pos+1])<<7, 2
-			} else if delta, w = uvarintAt(enc, pos); w <= 0 {
+			delta, w := uvarintAt(enc, pos)
+			if w <= 0 {
 				return nil, fmt.Errorf("store: block@%d: vertex %d: truncated adjacency", base, v)
 			}
 			pos += w

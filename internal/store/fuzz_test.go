@@ -110,13 +110,13 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(1), uint32(4)) // 10-byte varint
 	f.Add([]byte{}, uint16(0), uint32(0))
 	// Overlong 2- and 3-byte varints, as a degree and as a delta: the
-	// inline fast path must reject them like uvarintStrict does.
+	// inline path of uvarintAt must reject them like uvarintStrict does.
 	f.Add([]byte{0x80, 0x00}, uint16(1), uint32(4))
 	f.Add([]byte{0x80, 0x80, 0x00}, uint16(1), uint32(4))
 	f.Add([]byte{0x01, 0x81, 0x00, 0x00}, uint16(2), uint32(300))
 	f.Add([]byte{0x01, 0x82, 0x80, 0x00, 0x00}, uint16(2), uint32(300))
 	// Multi-byte deltas that end on the block's last byte, where the
-	// inline path has no lookahead left.
+	// inline path of uvarintAt has no lookahead left.
 	f.Add(appendRow(appendRow(nil, nil), []int32{200}), uint16(2), uint32(300))
 	f.Add(appendRow(appendRow(nil, nil), []int32{20000}), uint16(2), uint32(1<<20-1))
 	// A 10-byte delta that wraps a second neighbour below the first.

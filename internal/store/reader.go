@@ -135,10 +135,10 @@ func (r *Reader) Neighbors(v int) []int32 {
 	return r.block(v).row(v)
 }
 
-// blockOffset reads index entry b straight out of the mapping — the index
-// is fixed-width, so no part of it is parsed at open time.
-func (r *Reader) blockOffset(b int) uint64 {
-	return binary.LittleEndian.Uint64(r.data[r.hdr.IndexOff+8*uint64(b):])
+// blockOffset reads index entry b straight out of the mapping data — the
+// index is fixed-width, so no part of it is parsed at open time.
+func (r *Reader) blockOffset(data []byte, b int) uint64 {
+	return binary.LittleEndian.Uint64(data[r.hdr.IndexOff+8*uint64(b):])
 }
 
 func (r *Reader) block(v int) *decodedBlock {
@@ -152,7 +152,7 @@ func (r *Reader) block(v int) *decodedBlock {
 	if blk := r.cache.get(b); blk != nil {
 		return blk
 	}
-	enc, base, cnt, err := r.blockBytes(b)
+	enc, base, cnt, err := r.blockBytes(r.data, b)
 	var blk *decodedBlock
 	if err == nil {
 		blk, err = decodeBlock(enc, base, cnt, int(r.hdr.N))
@@ -175,15 +175,27 @@ func (r *Reader) checkOpen() {
 	}
 }
 
-// blockBytes returns block b's encoded bytes, its first vertex and its
-// vertex count, after checking that its extent lies in the data region.
-func (r *Reader) blockBytes(b int) (enc []byte, base, cnt int, err error) {
-	lo, hi := r.blockOffset(b), r.blockOffset(b+1)
+// mapping returns the file mapping, panicking on a closed Reader. A bulk
+// scan reads the returned slice without holding r.mu; the caller's own
+// reference (the registry's refcount) must keep the Reader open until the
+// scan is done.
+func (r *Reader) mapping() []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.checkOpen()
+	return r.data
+}
+
+// blockBytes returns block b's encoded bytes within the mapping data, its
+// first vertex and its vertex count, after checking that its extent lies
+// in the data region.
+func (r *Reader) blockBytes(data []byte, b int) (enc []byte, base, cnt int, err error) {
+	lo, hi := r.blockOffset(data, b), r.blockOffset(data, b+1)
 	if lo > hi || hi > r.hdr.DataOff+r.hdr.DataLen || lo < r.hdr.DataOff {
 		return nil, 0, 0, fmt.Errorf("block %d has invalid extent [%d,%d)", b, lo, hi)
 	}
 	base = b * int(r.hdr.BlockVerts)
-	return r.data[lo:hi], base, min(int(r.hdr.N)-base, int(r.hdr.BlockVerts)), nil
+	return data[lo:hi], base, min(int(r.hdr.N)-base, int(r.hdr.BlockVerts)), nil
 }
 
 // Decode expands the whole adjacency into one in-memory graph: every
@@ -193,22 +205,25 @@ func (r *Reader) blockBytes(b int) (enc []byte, base, cnt int, err error) {
 // neither read nor filled. kplex.Prepare calls it (through
 // graph.Decoder) so the prologue reads flat arrays and a corrupt block
 // comes back as an error rather than a panic. Safe for concurrent use;
-// Decode after Close panics like every other access.
+// Decode after Close panics like every other access. Decode does not hold
+// the Reader's lock while it scans, so the caller's reference (the
+// registry's refcount) must keep the Reader open until Decode returns.
 func (r *Reader) Decode() (*graph.Graph, error) {
-	r.checkOpen()
+	data := r.mapping()
 	h := r.hdr
-	arcs := 2 * h.M
 	// Each vertex takes at least one byte (its degree) and so does each arc.
-	if h.N > h.DataLen || arcs > h.DataLen || arcs > math.MaxInt32 {
+	// M is bounded before it is doubled so that 2·M cannot wrap.
+	if h.N > h.DataLen || h.M > h.DataLen/2 || h.M > math.MaxInt32/2 {
 		return nil, fmt.Errorf("store: %s: header declares n=%d m=%d, more than %d data bytes encode", r.path, h.N, h.M, h.DataLen)
 	}
+	arcs := 2 * h.M
 	n := int(h.N)
 	offsets := make([]int32, n+1)
 	adj := make([]int32, 0, arcs)
 	for b := 0; b < int(h.NumBlocks); b++ {
-		enc, base, cnt, err := r.blockBytes(b)
+		enc, base, cnt, err := r.blockBytes(data, b)
 		if err == nil {
-			adj, err = decodeRows(enc, base, cnt, n, offsets[base:base+cnt+1], adj, int(arcs))
+			adj, err = decodeRows(enc, base, cnt, n, offsets[base:base+cnt+1], adj)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", r.path, err)
@@ -257,12 +272,13 @@ func unmatchedArc(off, adj []int32) (int32, bool) {
 // scan — tooling (kplexstore inspect -verify) and tests use it; the serve
 // path never does.
 func (r *Reader) VerifyDigest() error {
+	data := r.mapping()
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(buf[:], r.hdr.N)
 	h.Write(buf[:w])
 	for b := 0; b < int(r.hdr.NumBlocks); b++ {
-		enc, base, cnt, err := r.blockBytes(b)
+		enc, base, cnt, err := r.blockBytes(data, b)
 		if err == nil {
 			// Validate the block decodes before trusting its bytes as canon.
 			_, err = decodeBlock(enc, base, cnt, int(r.hdr.N))
